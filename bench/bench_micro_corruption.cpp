@@ -10,6 +10,7 @@
 #include "common/rng.hpp"
 #include "fare/fare_trainer.hpp"
 #include "fare/scenario.hpp"
+#include "models/gnn/trainer.hpp"
 #include "reram/compiled_overlay.hpp"
 #include "reram/corruption.hpp"
 #include "sim/registry.hpp"
@@ -126,9 +127,12 @@ void BM_Fig4TrainingCell(benchmark::State& state) {
     tc.epochs = 12;  // fixed: independent of FARE_EPOCHS
     tc.record_curve = true;
     const FaultScenario scenario = FaultScenario::pre_deployment(0.05, 0.1);
+    const TrainerFactory trainers = [&](HardwareModel* hw) {
+        return std::make_unique<Trainer>(dataset, tc, hw);
+    };
     double accuracy = 0.0;
     for (auto _ : state) {
-        const SchemeRunResult r = run_scheme(dataset, Scheme::kFaultUnaware, tc,
+        const SchemeRunResult r = run_scheme(trainers, Scheme::kFaultUnaware, tc,
                                              scenario, HardwareOverrides{}, 1);
         // No DoNotOptimize on the double: it is observed through the counter
         // below (and a "+m,r"-constraint DoNotOptimize corrupts it on GCC 12

@@ -8,11 +8,10 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build}"
 
-# Doc-comment lint: every public header under src/reram and src/fare must
-# open with a file-level `//` comment explaining what the module models —
-# these are the headers docs/fault_models.md sends readers into.
+# Doc-comment lint: every header under src/ must open with a file-level
+# `//` comment explaining what the module models or does.
 missing=0
-for header in src/reram/*.hpp src/fare/*.hpp; do
+for header in $(find src -name '*.hpp' | sort); do
     if [ "$(head -c 2 "$header")" != "//" ]; then
         echo "check.sh: $header lacks a file-level doc comment" >&2
         missing=1

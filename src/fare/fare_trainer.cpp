@@ -13,65 +13,39 @@ void harvest_scheme_diagnostics(HardwareModel* hardware, SchemeRunResult& out) {
     }
 }
 
-SchemeRunResult run_scheme(const Dataset& dataset, Scheme scheme,
-                           const TrainConfig& train_config,
-                           const FaultyHardwareConfig& hw_config) {
-    SchemeRunResult result;
-    result.scheme = scheme;
-    auto hardware = make_hardware(scheme, hw_config);
-    Trainer trainer(dataset, train_config, hardware.get());
-    result.train = trainer.run();
-    harvest_scheme_diagnostics(hardware.get(), result);
-    return result;
-}
-
-SchemeRunResult run_scheme(const Dataset& dataset, Scheme scheme,
+SchemeRunResult run_scheme(const TrainerFactory& make_trainer, Scheme scheme,
                            const TrainConfig& train_config,
                            const FaultScenario& scenario,
                            const HardwareOverrides& hw_overrides,
                            std::uint64_t hw_seed) {
-    if (scheme == Scheme::kFaultFree) return run_fault_free(dataset, train_config);
-    return run_scheme(dataset, scheme, train_config,
-                      to_hardware_config(scenario, hw_overrides, hw_seed,
-                                         train_config.epochs));
-}
-
-SchemeRunResult run_fault_free(const Dataset& dataset,
-                               const TrainConfig& train_config) {
     SchemeRunResult result;
-    result.scheme = Scheme::kFaultFree;
-    IdealQuantizedHardware hardware;
-    Trainer trainer(dataset, train_config, &hardware);
-    result.train = trainer.run();
+    result.scheme = scheme;
+    const auto hardware = make_hardware(
+        scheme, to_hardware_config(scenario, hw_overrides, hw_seed, train_config.epochs));
+    result.train = make_trainer(hardware.get())->run();
+    harvest_scheme_diagnostics(hardware.get(), result);
     return result;
 }
 
-DeploymentResult run_deployment(const Dataset& dataset,
-                                const TrainConfig& train_config, Scheme scheme,
-                                const FaultyHardwareConfig& hw_config) {
-    DeploymentResult result;
-    // Train on ideal hardware.
-    IdealQuantizedHardware ideal;
-    Trainer host_trainer(dataset, train_config, &ideal);
-    result.trained_accuracy = host_trainer.run().test_accuracy;
-
-    // Deploy the trained weights onto the faulty chip under `scheme`.
-    auto hardware = make_hardware(scheme, hw_config);
-    Trainer edge(dataset, train_config, hardware.get());
-    edge.import_params(host_trainer.export_params());
-    edge.prepare_hardware();
-    result.deployed_accuracy = edge.evaluate_test_accuracy();
-    return result;
-}
-
-DeploymentResult run_deployment(const Dataset& dataset,
-                                const TrainConfig& train_config, Scheme scheme,
+DeploymentResult run_deployment(const TrainerFactory& make_trainer, Scheme scheme,
+                                const TrainConfig& train_config,
                                 const FaultScenario& scenario,
                                 const HardwareOverrides& hw_overrides,
                                 std::uint64_t hw_seed) {
-    return run_deployment(dataset, train_config, scheme,
-                          to_hardware_config(scenario, hw_overrides, hw_seed,
-                                             train_config.epochs));
+    DeploymentResult result;
+    // Train on ideal hardware.
+    IdealQuantizedHardware ideal;
+    const auto host = make_trainer(&ideal);
+    result.trained_accuracy = host->run().test_accuracy;
+
+    // Deploy the trained weights onto the faulty chip under `scheme`.
+    const auto hardware = make_hardware(
+        scheme, to_hardware_config(scenario, hw_overrides, hw_seed, train_config.epochs));
+    const auto edge = make_trainer(hardware.get());
+    edge->import_params(host->export_params());
+    edge->prepare_hardware();
+    result.deployed_accuracy = edge->evaluate_test_accuracy();
+    return result;
 }
 
 }  // namespace fare

@@ -1,12 +1,13 @@
-// High-level orchestration: train one (dataset, model, scheme) combination on
-// simulated faulty hardware and report the metrics the paper's figures use.
+// High-level orchestration: train one workload under one scheme on
+// simulated faulty hardware, or deploy a host-trained model onto it, and
+// report the metrics the paper's figures use. Family-agnostic: the trainers
+// come from a TrainerFactory (see nn/train_loop.hpp), so every model family
+// shares these two runners.
 #pragma once
-
-#include <memory>
 
 #include "fare/baselines.hpp"
 #include "fare/scenario.hpp"
-#include "models/gnn/trainer.hpp"
+#include "nn/train_loop.hpp"
 
 namespace fare {
 
@@ -31,26 +32,17 @@ struct SchemeRunResult {
 
 /// Copy the scheme-level diagnostics (mapping cost, BIST scans, wear, online
 /// stats, tile locality) out of `hardware` if it is a FaultyHardware; no-op
-/// for ideal hardware. Shared by every model family's run_train.
+/// for ideal hardware.
 void harvest_scheme_diagnostics(HardwareModel* hardware, SchemeRunResult& out);
 
-/// Build the hardware model for `scheme`, run the full training loop and
-/// final test evaluation.
-SchemeRunResult run_scheme(const Dataset& dataset, Scheme scheme,
-                           const TrainConfig& train_config,
-                           const FaultyHardwareConfig& hw_config);
-
-/// Declarative variant: lower a FaultScenario + chip overrides into the
-/// hardware config (seeded with `hw_seed`) and run. kFaultFree short-circuits
-/// to the ideal quantised reference.
-SchemeRunResult run_scheme(const Dataset& dataset, Scheme scheme,
+/// Lower a FaultScenario + chip overrides into `scheme`'s hardware model
+/// (seeded with `hw_seed`; kFaultFree yields the ideal quantised reference),
+/// train a fresh trainer on it and harvest the scheme diagnostics.
+SchemeRunResult run_scheme(const TrainerFactory& make_trainer, Scheme scheme,
                            const TrainConfig& train_config,
                            const FaultScenario& scenario,
                            const HardwareOverrides& hw_overrides,
                            std::uint64_t hw_seed);
-
-/// Fault-free reference run (ideal quantised hardware).
-SchemeRunResult run_fault_free(const Dataset& dataset, const TrainConfig& train_config);
 
 /// Deployment scenario (extension): train on ideal hardware (e.g. in the
 /// cloud), then deploy the trained weights onto a faulty edge accelerator
@@ -60,13 +52,8 @@ struct DeploymentResult {
     double trained_accuracy = 0.0;   ///< test accuracy on ideal hardware
     double deployed_accuracy = 0.0;  ///< test accuracy on the faulty chip
 };
-DeploymentResult run_deployment(const Dataset& dataset,
-                                const TrainConfig& train_config, Scheme scheme,
-                                const FaultyHardwareConfig& hw_config);
-
-/// Declarative variant of run_deployment (see run_scheme above).
-DeploymentResult run_deployment(const Dataset& dataset,
-                                const TrainConfig& train_config, Scheme scheme,
+DeploymentResult run_deployment(const TrainerFactory& make_trainer, Scheme scheme,
+                                const TrainConfig& train_config,
                                 const FaultScenario& scenario,
                                 const HardwareOverrides& hw_overrides,
                                 std::uint64_t hw_seed);

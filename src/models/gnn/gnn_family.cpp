@@ -1,6 +1,6 @@
 #include "models/gnn/gnn_family.hpp"
 
-#include "fare/fare_trainer.hpp"
+#include "models/gnn/trainer.hpp"
 #include "sim/registry.hpp"
 
 namespace fare {
@@ -18,24 +18,12 @@ WorkloadTiming GnnFamily::paper_scale_timing(const WorkloadSpec& workload) const
     return workload.paper_scale_timing();
 }
 
-SchemeRunResult GnnFamily::run_train(const WorkloadSpec& workload, Scheme scheme,
-                                     const TrainConfig& train_config,
-                                     const FaultScenario& scenario,
-                                     const HardwareOverrides& hw_overrides,
-                                     std::uint64_t hw_seed) const {
-    const Dataset dataset = workload.make_dataset(train_config.seed);
-    return run_scheme(dataset, scheme, train_config, scenario, hw_overrides,
-                      hw_seed);
-}
-
-DeploymentResult GnnFamily::run_deploy(const WorkloadSpec& workload, Scheme scheme,
-                                       const TrainConfig& train_config,
-                                       const FaultScenario& scenario,
-                                       const HardwareOverrides& hw_overrides,
-                                       std::uint64_t hw_seed) const {
-    const Dataset dataset = workload.make_dataset(train_config.seed);
-    return run_deployment(dataset, train_config, scheme, scenario, hw_overrides,
-                          hw_seed);
+TrainerFactory GnnFamily::make_trainers(const WorkloadSpec& workload,
+                                        const TrainConfig& train_config) const {
+    auto data = std::make_shared<const Dataset>(workload.make_dataset(train_config.seed));
+    return [data, train_config](HardwareModel* hardware) {
+        return std::make_unique<Trainer>(*data, train_config, hardware);
+    };
 }
 
 }  // namespace fare

@@ -13,16 +13,8 @@ public:
     TrainConfig train_config(const WorkloadSpec& workload,
                              std::uint64_t seed) const override;
     WorkloadTiming paper_scale_timing(const WorkloadSpec& workload) const override;
-    SchemeRunResult run_train(const WorkloadSpec& workload, Scheme scheme,
-                              const TrainConfig& train_config,
-                              const FaultScenario& scenario,
-                              const HardwareOverrides& hw_overrides,
-                              std::uint64_t hw_seed) const override;
-    DeploymentResult run_deploy(const WorkloadSpec& workload, Scheme scheme,
-                                const TrainConfig& train_config,
-                                const FaultScenario& scenario,
-                                const HardwareOverrides& hw_overrides,
-                                std::uint64_t hw_seed) const override;
+    TrainerFactory make_trainers(const WorkloadSpec& workload,
+                                 const TrainConfig& train_config) const override;
 };
 
 }  // namespace fare

@@ -1,20 +1,14 @@
 #include "models/gnn/trainer.hpp"
 
-#include <numeric>
-
 #include "common/error.hpp"
-#include "common/rng.hpp"
-#include "common/stopwatch.hpp"
-#include "nn/loss.hpp"
-#include "nn/optimizer.hpp"
 #include "graph/partitioner.hpp"
+#include "graph/subgraph.hpp"
 
 namespace fare {
 
 Trainer::Trainer(const Dataset& dataset, const TrainConfig& config,
                  HardwareModel* hardware)
-    : dataset_(dataset), config_(config), hardware_(hardware) {
-    FARE_CHECK(config.epochs >= 1, "need at least one epoch");
+    : TrainLoop(config, hardware, dataset.num_classes, 0xE70C5ULL) {
     FARE_CHECK(config.num_partitions >= config.partitions_per_batch,
                "more partitions per batch than partitions");
 
@@ -63,159 +57,51 @@ Trainer::Trainer(const Dataset& dataset, const TrainConfig& config,
         }
         b.ideal_view = BatchGraphView::from_graph(sub.graph);
         batch_bits_.push_back(BitMatrix::from_graph(sub.graph));
-        batch_parts_.push_back(sub.node_part);
-        b.sub = std::move(sub);
+        batch_parts_.push_back(std::move(sub.node_part));
         batches_.push_back(std::move(b));
     }
 }
 
-void Trainer::refresh_effective_weights() {
-    const std::uint64_t hw_version =
-        hardware_ != nullptr ? hardware_->weights_state_version() : 0;
-    if (weights_refreshed_once_ && refreshed_params_version_ == params_version_ &&
-        refreshed_hw_version_ == hw_version)
-        return;  // nothing changed since the last corruption pass
-
-    auto params = model_->params();
-    auto eff = model_->effective_params();
-    if (hardware_ == nullptr) {
-        model_->sync_effective();
-    } else {
-        for (std::size_t i = 0; i < params.size(); ++i)
-            *eff[i] = hardware_->effective_weights(i, *params[i]);
-    }
-    weights_refreshed_once_ = true;
-    refreshed_params_version_ = params_version_;
-    refreshed_hw_version_ = hw_version;
+void Trainer::preprocess(HardwareModel& hardware) {
+    hardware.set_batch_partitions(batch_parts_);
+    hardware.preprocess(batch_bits_);
 }
 
-const BatchGraphView& Trainer::effective_view(std::size_t batch_idx,
-                                              const BatchData& batch) {
-    if (hardware_ == nullptr) return batch.ideal_view;
-    const std::uint64_t version = hardware_->adjacency_state_version();
-    if (!view_cache_valid_ || version != view_cache_version_) {
-        view_cache_.assign(batches_.size(), BatchGraphView());
-        view_cached_.assign(batches_.size(), false);
-        view_cache_version_ = version;
-        view_cache_valid_ = true;
+const BatchGraphView& Trainer::effective_view(std::size_t batch_idx) {
+    if (hardware() == nullptr) return batches_[batch_idx].ideal_view;
+    const std::uint64_t stamp = hardware()->adjacency_state_version();
+    if (views_stamp_ != stamp) {
+        views_.assign(batches_.size(), std::nullopt);
+        views_stamp_ = stamp;
     }
-    if (!view_cached_[batch_idx]) {
-        const BitMatrix bits =
-            hardware_->effective_adjacency(batch_idx, batch_bits_[batch_idx]);
-        view_cache_[batch_idx] = BatchGraphView::from_bits(bits);
-        view_cached_[batch_idx] = true;
-    }
-    return view_cache_[batch_idx];
+    std::optional<BatchGraphView>& view = views_[batch_idx];
+    if (!view)
+        view = BatchGraphView::from_bits(
+            hardware()->effective_adjacency(batch_idx, batch_bits_[batch_idx]));
+    return *view;
 }
 
-void Trainer::evaluate(MetricAccumulator& acc, Split split) {
-    refresh_effective_weights();
+LossResult Trainer::train_batch(std::size_t batch_idx, MetricAccumulator& metrics) {
+    const BatchData& batch = batches_[batch_idx];
+    const BatchGraphView& view = effective_view(batch_idx);
+    model_->zero_grads();
+    const Matrix logits = model_->forward(batch.features, view);
+    LossResult loss = softmax_cross_entropy(logits, batch.labels, batch.train_mask);
+    if (loss.count == 0) return loss;
+    metrics.update(logits, batch.labels, batch.train_mask);
+    model_->backward(loss.grad, view);
+    return loss;
+}
+
+void Trainer::evaluate(Split split, MetricAccumulator& metrics) {
     for (std::size_t bi = 0; bi < batches_.size(); ++bi) {
-        auto& batch = batches_[bi];
-        const BatchGraphView& view = effective_view(bi, batch);
-        const Matrix logits = model_->forward(batch.features, view);
+        const BatchData& batch = batches_[bi];
+        const Matrix logits = model_->forward(batch.features, effective_view(bi));
         const auto& mask = split == Split::kTrain  ? batch.train_mask
                            : split == Split::kVal ? batch.val_mask
                                                   : batch.test_mask;
-        acc.update(logits, batch.labels, mask);
+        metrics.update(logits, batch.labels, mask);
     }
-}
-
-std::vector<Matrix> Trainer::export_params() {
-    std::vector<Matrix> out;
-    for (Matrix* p : model_->params()) out.push_back(*p);
-    return out;
-}
-
-void Trainer::import_params(const std::vector<Matrix>& params) {
-    auto dst = model_->params();
-    FARE_CHECK(params.size() == dst.size(), "parameter count mismatch on import");
-    for (std::size_t i = 0; i < params.size(); ++i) {
-        FARE_CHECK(params[i].rows() == dst[i]->rows() &&
-                       params[i].cols() == dst[i]->cols(),
-                   "parameter shape mismatch on import");
-        *dst[i] = params[i];
-    }
-    ++params_version_;
-}
-
-void Trainer::prepare_hardware() {
-    if (hardware_ == nullptr) return;
-    hardware_->bind_params(model_->params());
-    hardware_->set_batch_partitions(batch_parts_);
-    hardware_->preprocess(batch_bits_);
-}
-
-double Trainer::evaluate_test_accuracy() {
-    MetricAccumulator acc(dataset_.num_classes);
-    evaluate(acc, Split::kTest);
-    return acc.accuracy();
-}
-
-TrainResult Trainer::run() {
-    TrainResult result;
-    result.partition_quality = partition_quality_;
-    Stopwatch prep_watch;
-    prepare_hardware();
-    result.preprocess_seconds = prep_watch.elapsed_seconds();
-
-    Adam optimizer(config_.lr);
-    Rng epoch_rng(config_.seed ^ 0xE70C5ULL);
-    Stopwatch train_watch;
-
-    std::vector<std::size_t> order(batches_.size());
-    std::iota(order.begin(), order.end(), 0u);
-
-    for (std::size_t epoch = 0; epoch < config_.epochs; ++epoch) {
-        epoch_rng.shuffle(order);
-        float loss_acc = 0.0f;
-        std::size_t loss_batches = 0;
-        MetricAccumulator train_acc(dataset_.num_classes);
-
-        for (std::size_t step = 0; step < order.size(); ++step) {
-            auto& batch = batches_[order[step]];
-            refresh_effective_weights();
-            const BatchGraphView& view = effective_view(order[step], batch);
-
-            model_->zero_grads();
-            const Matrix logits = model_->forward(batch.features, view);
-            const LossResult loss =
-                softmax_cross_entropy(logits, batch.labels, batch.train_mask);
-            if (loss.count == 0) continue;
-            train_acc.update(logits, batch.labels, batch.train_mask);
-            model_->backward(loss.grad, view);
-            optimizer.step(model_->params(), model_->grads());
-            ++params_version_;
-            // Step hook: write-endurance accounting and mid-epoch fault
-            // arrival. A hardware model that changes fault state here bumps
-            // its version stamps, so the next refresh_effective_weights /
-            // effective_view recomputes exactly then.
-            if (hardware_ != nullptr)
-                hardware_->on_step_end(epoch, step, order.size());
-            loss_acc += loss.loss;
-            ++loss_batches;
-        }
-
-        if (hardware_ != nullptr) hardware_->on_epoch_end(epoch);
-
-        if (config_.record_curve) {
-            EpochStats stats;
-            stats.train_loss = loss_batches ? loss_acc / static_cast<float>(loss_batches)
-                                            : 0.0f;
-            stats.train_accuracy = train_acc.accuracy();
-            MetricAccumulator val(dataset_.num_classes);
-            evaluate(val, Split::kVal);
-            stats.val_accuracy = val.accuracy();
-            result.curve.push_back(stats);
-        }
-    }
-
-    MetricAccumulator test(dataset_.num_classes);
-    evaluate(test, Split::kTest);
-    result.test_accuracy = test.accuracy();
-    result.test_macro_f1 = test.macro_f1();
-    result.train_seconds = train_watch.elapsed_seconds();
-    return result;
 }
 
 }  // namespace fare

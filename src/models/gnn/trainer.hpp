@@ -4,95 +4,64 @@
 // once on the host, partitions are grouped into cluster batches, and each
 // training step writes the batch's adjacency blocks and the updated weights
 // to crossbars, runs aggregation + combination, and backpropagates. The
-// HardwareModel decides what the crossbars actually return.
+// HardwareModel decides what the crossbars actually return. The epoch loop,
+// the effective-weight cache and the hardware hooks live in nn/train_loop;
+// this adapter supplies the cluster batches and their adjacency stream.
 #pragma once
 
 #include <memory>
 #include <optional>
 #include <vector>
 
-#include "nn/hardware_model.hpp"
-#include "nn/metrics.hpp"
-#include "nn/train_types.hpp"
+#include "nn/train_loop.hpp"
 #include "models/gnn/model.hpp"
 #include "graph/dataset.hpp"
-#include "graph/subgraph.hpp"
 
 namespace fare {
 
-class Trainer {
+class Trainer final : public TrainLoop {
 public:
     /// `hardware` may be null => ideal (fault-free) hardware. Not owned.
     Trainer(const Dataset& dataset, const TrainConfig& config,
             HardwareModel* hardware = nullptr);
 
-    /// Run the full training loop and final test evaluation.
-    TrainResult run();
-
-    /// Copy-out / copy-in of the model's logical parameters, e.g. to deploy
-    /// a host-trained model onto (different) faulty hardware.
-    std::vector<Matrix> export_params();
-    void import_params(const std::vector<Matrix>& params);
-
-    /// Bind + preprocess the attached hardware without training (run() does
-    /// this implicitly; needed before evaluate_test_accuracy() on a trainer
-    /// that only evaluates).
-    void prepare_hardware();
-
-    /// Test accuracy of the current weights on the attached hardware,
-    /// without any training.
-    double evaluate_test_accuracy();
-
     Model& model() { return *model_; }
-    std::size_t num_batches() const { return batches_.size(); }
-    /// Quality report of the partitioning chosen by config.partitioner.
-    const PartitionQuality& partition_quality() const { return partition_quality_; }
+    std::size_t num_batches() const override { return batches_.size(); }
     /// Ideal adjacency bits per batch (exposed for hardware preprocessing
     /// inspection in tests/examples).
     const std::vector<BitMatrix>& batch_adjacency() const { return batch_bits_; }
 
 private:
     struct BatchData {
-        Subgraph sub;
         BatchGraphView ideal_view;
         Matrix features;
         std::vector<int> labels;
         std::vector<bool> train_mask, val_mask, test_mask;
     };
 
-    /// Recorrupt effective weights from the logical params. No-op while
-    /// neither the params (stamped by every optimizer step / import) nor the
-    /// hardware fault state changed since the last refresh — evaluate() right
-    /// after a train step reuses the step's corruption instead of redoing it.
-    void refresh_effective_weights();
-    /// Effective adjacency view of a batch, cached per batch keyed on the
-    /// hardware's adjacency state version: fault maps only change at epoch
-    /// boundaries, so the O(n^2) bits -> CSR rebuild happens once per fault
-    /// event instead of once per batch visit.
-    const BatchGraphView& effective_view(std::size_t batch_idx, const BatchData& batch);
-    /// Forward all batches with current effective weights, accumulating
-    /// metrics for the chosen split mask.
-    void evaluate(MetricAccumulator& acc, Split split);
+    std::vector<Matrix*> params() override { return model_->params(); }
+    std::vector<Matrix*> grads() override { return model_->grads(); }
+    std::vector<Matrix*> effective_params() override { return model_->effective_params(); }
+    /// Partition hints, then the batches' ideal adjacency: FARe computes its
+    /// fault-aware mapping Pi here.
+    void preprocess(HardwareModel& hardware) override;
+    LossResult train_batch(std::size_t batch, MetricAccumulator& metrics) override;
+    void evaluate(Split split, MetricAccumulator& metrics) override;
 
-    const Dataset& dataset_;
-    TrainConfig config_;
-    HardwareModel* hardware_;
+    /// Effective adjacency view of a batch, cached per batch keyed on the
+    /// hardware's adjacency state version: fault maps only change at fault
+    /// events, so the O(n^2) bits -> CSR rebuild happens once per fault
+    /// event instead of once per batch visit.
+    const BatchGraphView& effective_view(std::size_t batch_idx);
+
     std::unique_ptr<Model> model_;
     std::vector<BatchData> batches_;
     std::vector<BitMatrix> batch_bits_;
     std::vector<std::vector<int>> batch_parts_;  ///< per-batch node -> partition
-    PartitionQuality partition_quality_;
 
-    // Effective-state caches (tentpole: the hot loop recomputes these only
-    // when the stamped inputs actually changed).
-    std::uint64_t params_version_ = 1;          // bumped per optimizer step
-    std::uint64_t refreshed_params_version_ = 0;
-    std::uint64_t refreshed_hw_version_ = 0;
-    bool weights_refreshed_once_ = false;
-    std::vector<BatchGraphView> view_cache_;
-    std::vector<bool> view_cached_;
-    std::uint64_t view_cache_version_ = 0;
-    bool view_cache_valid_ = false;
+    /// Per-batch effective views, valid for adjacency stamp views_stamp_.
+    std::vector<std::optional<BatchGraphView>> views_;
+    std::optional<std::uint64_t> views_stamp_;
 };
 
 }  // namespace fare

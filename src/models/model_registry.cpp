@@ -1,10 +1,12 @@
 // Model-family registry implementation (interface: nn/model_family.hpp).
 // Registration is a static list, mirroring the partitioner registry: adding
-// a family means adding one entry here.
+// a family means adding one entry here. The family-independent train and
+// deploy entry points live here too, over each family's make_trainers().
 #include "nn/model_family.hpp"
 
 #include <sstream>
 
+#include "fare/fare_trainer.hpp"
 #include "models/gnn/gnn_family.hpp"
 #include "models/transformer/transformer_family.hpp"
 #include "sim/registry.hpp"
@@ -32,6 +34,24 @@ const ModelFamily& find_model_family(const std::string& name) {
     auto result = try_find_model_family(name);
     if (!result) throw InvalidArgument(result.error());
     return *result.value();
+}
+
+SchemeRunResult ModelFamily::run_train(const WorkloadSpec& workload, Scheme scheme,
+                                       const TrainConfig& train_config,
+                                       const FaultScenario& scenario,
+                                       const HardwareOverrides& hw_overrides,
+                                       std::uint64_t hw_seed) const {
+    return run_scheme(make_trainers(workload, train_config), scheme, train_config,
+                      scenario, hw_overrides, hw_seed);
+}
+
+DeploymentResult ModelFamily::run_deploy(const WorkloadSpec& workload, Scheme scheme,
+                                         const TrainConfig& train_config,
+                                         const FaultScenario& scenario,
+                                         const HardwareOverrides& hw_overrides,
+                                         std::uint64_t hw_seed) const {
+    return run_deployment(make_trainers(workload, train_config), scheme, train_config,
+                          scenario, hw_overrides, hw_seed);
 }
 
 std::string model_family_usage() {

@@ -1,9 +1,6 @@
 #include "models/transformer/transformer_family.hpp"
 
 #include "common/error.hpp"
-#include "fare/baselines.hpp"
-#include "fare/fare_trainer.hpp"
-#include "fare/scenario.hpp"
 #include "models/transformer/seq_dataset.hpp"
 #include "models/transformer/transformer_trainer.hpp"
 #include "sim/registry.hpp"
@@ -60,51 +57,13 @@ WorkloadTiming TransformerFamily::paper_scale_timing(
     return w;
 }
 
-SchemeRunResult TransformerFamily::run_train(const WorkloadSpec& workload,
-                                             Scheme scheme,
-                                             const TrainConfig& train_config,
-                                             const FaultScenario& scenario,
-                                             const HardwareOverrides& hw_overrides,
-                                             std::uint64_t hw_seed) const {
-    const SeqDataset data = make_workload_data(workload, train_config.seed);
-    SchemeRunResult result;
-    result.scheme = scheme;
-    if (scheme == Scheme::kFaultFree) {
-        IdealQuantizedHardware hardware;
-        TransformerTrainer trainer(data, train_config, &hardware);
-        result.train = trainer.run();
-        return result;
-    }
-    auto hardware = make_hardware(
-        scheme, to_hardware_config(scenario, hw_overrides, hw_seed,
-                                   train_config.epochs));
-    TransformerTrainer trainer(data, train_config, hardware.get());
-    result.train = trainer.run();
-    harvest_scheme_diagnostics(hardware.get(), result);
-    return result;
-}
-
-DeploymentResult TransformerFamily::run_deploy(const WorkloadSpec& workload,
-                                               Scheme scheme,
-                                               const TrainConfig& train_config,
-                                               const FaultScenario& scenario,
-                                               const HardwareOverrides& hw_overrides,
-                                               std::uint64_t hw_seed) const {
-    const SeqDataset data = make_workload_data(workload, train_config.seed);
-    DeploymentResult result;
-
-    IdealQuantizedHardware ideal;
-    TransformerTrainer host_trainer(data, train_config, &ideal);
-    result.trained_accuracy = host_trainer.run().test_accuracy;
-
-    auto hardware = make_hardware(
-        scheme, to_hardware_config(scenario, hw_overrides, hw_seed,
-                                   train_config.epochs));
-    TransformerTrainer edge(data, train_config, hardware.get());
-    edge.import_params(host_trainer.export_params());
-    edge.prepare_hardware();
-    result.deployed_accuracy = edge.evaluate_test_accuracy();
-    return result;
+TrainerFactory TransformerFamily::make_trainers(const WorkloadSpec& workload,
+                                                const TrainConfig& train_config) const {
+    auto data = std::make_shared<const SeqDataset>(
+        make_workload_data(workload, train_config.seed));
+    return [data, train_config](HardwareModel* hardware) {
+        return std::make_unique<TransformerTrainer>(*data, train_config, hardware);
+    };
 }
 
 }  // namespace fare

@@ -1,12 +1,6 @@
 #include "models/transformer/transformer_trainer.hpp"
 
-#include <numeric>
-
 #include "common/error.hpp"
-#include "common/rng.hpp"
-#include "common/stopwatch.hpp"
-#include "nn/loss.hpp"
-#include "nn/optimizer.hpp"
 
 namespace fare {
 
@@ -19,12 +13,13 @@ constexpr std::size_t kSequencesPerBatch = 16;
 
 }  // namespace
 
+// Epoch salt 0x5EC7A5: a distinct shuffle stream from the GNN trainer's
+// 0xE70C5, so a GNN and a transformer cell with the same seed stay
+// decorrelated.
 TransformerTrainer::TransformerTrainer(const SeqDataset& dataset,
                                        const TrainConfig& config,
                                        HardwareModel* hardware)
-    : dataset_(dataset), config_(config), hardware_(hardware) {
-    FARE_CHECK(config.epochs >= 1, "need at least one epoch");
-
+    : TrainLoop(config, hardware, dataset.num_classes, 0x5EC7A5ULL), dataset_(dataset) {
     TransformerConfig mc;
     mc.vocab_size = dataset.vocab_size;
     mc.seq_len = dataset.seq_len;
@@ -45,138 +40,40 @@ TransformerTrainer::TransformerTrainer(const SeqDataset& dataset,
     }
 }
 
-void TransformerTrainer::refresh_effective_weights() {
-    const std::uint64_t hw_version =
-        hardware_ != nullptr ? hardware_->weights_state_version() : 0;
-    if (weights_refreshed_once_ && refreshed_params_version_ == params_version_ &&
-        refreshed_hw_version_ == hw_version)
-        return;
-
-    auto params = model_->params();
-    auto eff = model_->effective_params();
-    if (hardware_ == nullptr) {
-        model_->sync_effective();
-    } else {
-        for (std::size_t i = 0; i < params.size(); ++i)
-            *eff[i] = hardware_->effective_weights(i, *params[i]);
-    }
-    weights_refreshed_once_ = true;
-    refreshed_params_version_ = params_version_;
-    refreshed_hw_version_ = hw_version;
-}
-
-Matrix TransformerTrainer::forward_batch(const std::vector<std::size_t>& seqs) {
+Matrix TransformerTrainer::forward_batch(const std::vector<std::size_t>& seqs,
+                                         std::vector<int>& labels) {
     std::vector<const std::vector<int>*> toks;
     toks.reserve(seqs.size());
-    for (std::size_t s : seqs) toks.push_back(&dataset_.tokens[s]);
+    labels.clear();
+    for (std::size_t s : seqs) {
+        toks.push_back(&dataset_.tokens[s]);
+        labels.push_back(dataset_.labels[s]);
+    }
     return model_->forward(toks);
 }
 
-void TransformerTrainer::evaluate(MetricAccumulator& acc, Split split) {
-    refresh_effective_weights();
+LossResult TransformerTrainer::train_batch(std::size_t batch,
+                                           MetricAccumulator& metrics) {
+    const auto& seqs = batches_[batch];
+    model_->zero_grads();
+    std::vector<int> labels;
+    const Matrix logits = forward_batch(seqs, labels);
+    const std::vector<bool> mask(seqs.size(), true);
+    LossResult loss = softmax_cross_entropy(logits, labels, mask);
+    if (loss.count == 0) return loss;
+    metrics.update(logits, labels, mask);
+    model_->backward(loss.grad);
+    return loss;
+}
+
+void TransformerTrainer::evaluate(Split split, MetricAccumulator& metrics) {
     std::vector<std::size_t> seqs;
     for (std::size_t i = 0; i < dataset_.num_sequences(); ++i)
         if (dataset_.split[i] == split) seqs.push_back(i);
     if (seqs.empty()) return;
-    const Matrix logits = forward_batch(seqs);
-    std::vector<int> labels(seqs.size());
-    for (std::size_t i = 0; i < seqs.size(); ++i) labels[i] = dataset_.labels[seqs[i]];
-    acc.update(logits, labels, std::vector<bool>(seqs.size(), true));
-}
-
-std::vector<Matrix> TransformerTrainer::export_params() {
-    std::vector<Matrix> out;
-    for (Matrix* p : model_->params()) out.push_back(*p);
-    return out;
-}
-
-void TransformerTrainer::import_params(const std::vector<Matrix>& params) {
-    auto dst = model_->params();
-    FARE_CHECK(params.size() == dst.size(), "parameter count mismatch on import");
-    for (std::size_t i = 0; i < params.size(); ++i) {
-        FARE_CHECK(params[i].rows() == dst[i]->rows() &&
-                       params[i].cols() == dst[i]->cols(),
-                   "parameter shape mismatch on import");
-        *dst[i] = params[i];
-    }
-    ++params_version_;
-}
-
-void TransformerTrainer::prepare_hardware() {
-    if (hardware_ == nullptr) return;
-    hardware_->bind_params(model_->params());
-    hardware_->preprocess({});  // no adjacency stream for sequences
-}
-
-double TransformerTrainer::evaluate_test_accuracy() {
-    MetricAccumulator acc(dataset_.num_classes);
-    evaluate(acc, Split::kTest);
-    return acc.accuracy();
-}
-
-TrainResult TransformerTrainer::run() {
-    TrainResult result;
-    Stopwatch prep_watch;
-    prepare_hardware();
-    result.preprocess_seconds = prep_watch.elapsed_seconds();
-
-    Adam optimizer(config_.lr);
-    // Distinct stream from the GNN trainer's 0xE70C5 so a GNN and a
-    // transformer cell with the same seed stay decorrelated.
-    Rng epoch_rng(config_.seed ^ 0x5EC7A5ULL);
-    Stopwatch train_watch;
-
-    std::vector<std::size_t> order(batches_.size());
-    std::iota(order.begin(), order.end(), 0u);
-
-    for (std::size_t epoch = 0; epoch < config_.epochs; ++epoch) {
-        epoch_rng.shuffle(order);
-        float loss_acc = 0.0f;
-        std::size_t loss_batches = 0;
-        MetricAccumulator train_acc(dataset_.num_classes);
-
-        for (std::size_t step = 0; step < order.size(); ++step) {
-            const auto& seqs = batches_[order[step]];
-            refresh_effective_weights();
-
-            model_->zero_grads();
-            const Matrix logits = forward_batch(seqs);
-            std::vector<int> labels(seqs.size());
-            for (std::size_t i = 0; i < seqs.size(); ++i)
-                labels[i] = dataset_.labels[seqs[i]];
-            const std::vector<bool> mask(seqs.size(), true);
-            const LossResult loss = softmax_cross_entropy(logits, labels, mask);
-            if (loss.count == 0) continue;
-            train_acc.update(logits, labels, mask);
-            model_->backward(loss.grad);
-            optimizer.step(model_->params(), model_->grads());
-            ++params_version_;
-            if (hardware_ != nullptr)
-                hardware_->on_step_end(epoch, step, order.size());
-            loss_acc += loss.loss;
-            ++loss_batches;
-        }
-
-        if (hardware_ != nullptr) hardware_->on_epoch_end(epoch);
-
-        if (config_.record_curve) {
-            EpochStats stats;
-            stats.train_loss = loss_batches ? loss_acc / static_cast<float>(loss_batches)
-                                            : 0.0f;
-            stats.train_accuracy = train_acc.accuracy();
-            MetricAccumulator val(dataset_.num_classes);
-            evaluate(val, Split::kVal);
-            stats.val_accuracy = val.accuracy();
-            result.curve.push_back(stats);
-        }
-    }
-
-    MetricAccumulator test(dataset_.num_classes);
-    evaluate(test, Split::kTest);
-    result.test_accuracy = test.accuracy();
-    result.test_macro_f1 = test.macro_f1();
-    result.train_seconds = train_watch.elapsed_seconds();
-    return result;
+    std::vector<int> labels;
+    const Matrix logits = forward_batch(seqs, labels);
+    metrics.update(logits, labels, std::vector<bool>(seqs.size(), true));
 }
 
 }  // namespace fare

@@ -1,25 +1,21 @@
 // Mini-batch transformer trainer over (possibly faulty) simulated ReRAM
-// hardware — the sequence-family counterpart of models/gnn/trainer.hpp.
+// hardware — the sequence-family adapter on nn/train_loop, which owns the
+// epoch loop, the effective-weight refresh and the step/epoch hooks.
 //
-// Same hardware contract: bind_params once, refresh effective weights from
-// the crossbars whenever the logical params or the hardware fault state
-// changed, step/epoch hooks for wear accounting and fault arrival. There is
-// no adjacency stream (sequences attend densely), so preprocess() is called
-// with an empty batch list purely to let the mapper finish its layout.
+// There is no adjacency stream (sequences attend densely), so preprocess()
+// keeps the loop's default: the mapper only finishes its weight layout.
 #pragma once
 
 #include <memory>
 #include <vector>
 
-#include "nn/hardware_model.hpp"
-#include "nn/metrics.hpp"
-#include "nn/train_types.hpp"
+#include "nn/train_loop.hpp"
 #include "models/transformer/seq_dataset.hpp"
 #include "models/transformer/transformer_model.hpp"
 
 namespace fare {
 
-class TransformerTrainer {
+class TransformerTrainer final : public TrainLoop {
 public:
     /// `hardware` may be null => ideal (fault-free) hardware. Not owned.
     /// TrainConfig reuse: hidden -> d_model, num_layers -> blocks; the graph
@@ -27,39 +23,23 @@ public:
     TransformerTrainer(const SeqDataset& dataset, const TrainConfig& config,
                        HardwareModel* hardware = nullptr);
 
-    /// Run the full training loop and final test evaluation.
-    TrainResult run();
-
-    std::vector<Matrix> export_params();
-    void import_params(const std::vector<Matrix>& params);
-
-    /// Bind the attached hardware without training (run() does this
-    /// implicitly; needed before evaluate_test_accuracy() on a trainer that
-    /// only evaluates).
-    void prepare_hardware();
-
-    /// Test accuracy of the current weights on the attached hardware.
-    double evaluate_test_accuracy();
-
     TransformerModel& model() { return *model_; }
-    std::size_t num_batches() const { return batches_.size(); }
+    std::size_t num_batches() const override { return batches_.size(); }
 
 private:
-    void refresh_effective_weights();
-    Matrix forward_batch(const std::vector<std::size_t>& seqs);
-    void evaluate(MetricAccumulator& acc, Split split);
+    std::vector<Matrix*> params() override { return model_->params(); }
+    std::vector<Matrix*> grads() override { return model_->grads(); }
+    std::vector<Matrix*> effective_params() override { return model_->effective_params(); }
+    LossResult train_batch(std::size_t batch, MetricAccumulator& metrics) override;
+    void evaluate(Split split, MetricAccumulator& metrics) override;
+
+    /// Forward `seqs` and collect their labels.
+    Matrix forward_batch(const std::vector<std::size_t>& seqs, std::vector<int>& labels);
 
     const SeqDataset& dataset_;
-    TrainConfig config_;
-    HardwareModel* hardware_;
     std::unique_ptr<TransformerModel> model_;
     /// Fixed train mini-batches (contiguous chunks; order shuffled per epoch).
     std::vector<std::vector<std::size_t>> batches_;
-
-    std::uint64_t params_version_ = 1;
-    std::uint64_t refreshed_params_version_ = 0;
-    std::uint64_t refreshed_hw_version_ = 0;
-    bool weights_refreshed_once_ = false;
 };
 
 }  // namespace fare

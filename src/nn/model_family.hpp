@@ -1,12 +1,13 @@
 // Model-family registry: the seam that makes the sweep/cell machinery
 // model-agnostic. A family owns a set of workloads (registered beside the
-// graph datasets), knows how to build their training configuration, and can
-// train or deploy any of them on the simulated crossbar fabric under a fault
-// scenario. Families are registry-named like schemes and partitioners:
-// "gnn" (the paper's Cluster-GCN stack) and "transformer" (token-embedding +
+// graph datasets), knows how to build their training configuration, and
+// makes trainers (nn/train_loop adapters) over a workload's data; train and
+// deploy under a fault scenario are written once, on top of that hook.
+// Families are registry-named like schemes and partitioners: "gnn" (the
+// paper's Cluster-GCN stack) and "transformer" (token-embedding +
 // self-attention + MLP blocks on the same HardwareModel seam).
 //
-// Everything here is forward-declared so nn/ stays free of sim/ and fare/
+// The sim/ and fare/ types are forward-declared so nn/ stays free of their
 // includes; implementations live under src/models/.
 #pragma once
 
@@ -14,11 +15,11 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "nn/train_loop.hpp"
 
 namespace fare {
 
 struct WorkloadSpec;
-struct TrainConfig;
 struct FaultScenario;
 struct HardwareOverrides;
 struct SchemeRunResult;
@@ -46,21 +47,26 @@ public:
     /// Timing-model description at paper scale (Fig. 7 plumbing).
     virtual WorkloadTiming paper_scale_timing(const WorkloadSpec& workload) const = 0;
 
+    /// Build `workload`'s data once and return a factory of trainers over
+    /// it, all configured by `train_config`.
+    virtual TrainerFactory make_trainers(const WorkloadSpec& workload,
+                                         const TrainConfig& train_config) const = 0;
+
     /// Train `workload` from scratch under `scheme` on the (possibly faulty)
     /// simulated hardware and report the scheme-level diagnostics.
-    virtual SchemeRunResult run_train(const WorkloadSpec& workload, Scheme scheme,
-                                      const TrainConfig& train_config,
-                                      const FaultScenario& scenario,
-                                      const HardwareOverrides& hw_overrides,
-                                      std::uint64_t hw_seed) const = 0;
+    SchemeRunResult run_train(const WorkloadSpec& workload, Scheme scheme,
+                              const TrainConfig& train_config,
+                              const FaultScenario& scenario,
+                              const HardwareOverrides& hw_overrides,
+                              std::uint64_t hw_seed) const;
 
     /// Train on ideal hardware, then deploy the weights onto the faulty chip
     /// under `scheme` and evaluate there (CellMode::kDeploy).
-    virtual DeploymentResult run_deploy(const WorkloadSpec& workload, Scheme scheme,
-                                        const TrainConfig& train_config,
-                                        const FaultScenario& scenario,
-                                        const HardwareOverrides& hw_overrides,
-                                        std::uint64_t hw_seed) const = 0;
+    DeploymentResult run_deploy(const WorkloadSpec& workload, Scheme scheme,
+                                const TrainConfig& train_config,
+                                const FaultScenario& scenario,
+                                const HardwareOverrides& hw_overrides,
+                                std::uint64_t hw_seed) const;
 };
 
 /// All registered families, in registration order ("gnn" first).

@@ -244,7 +244,7 @@ struct WorkerPool::Impl {
         std::lock_guard<std::mutex> lk(mu);
         if (!w.alive) return;
         w.alive = false;
-        events.push_back(Event{Event::Kind::kGone, w.id, w.job, {}, why});
+        events.emplace_back(Event::Kind::kGone, w.id, w.job, CellResult{}, why);
         cv.notify_all();
         log("worker " + std::to_string(w.id) + " (" + w.label + ") lost: " + why);
     }

@@ -7,6 +7,7 @@
 #include "common/rng.hpp"
 #include "fare/fare_trainer.hpp"
 #include "graph/generators.hpp"
+#include "models/gnn/trainer.hpp"
 #include "sim/registry.hpp"
 #include "sim/session.hpp"
 
@@ -111,6 +112,11 @@ TrainConfig tiny_config() {
     return tc;
 }
 
+/// GNN trainers over `ds` (kept alive by the caller) for the runners.
+TrainerFactory gnn_trainers(const Dataset& ds, const TrainConfig& tc) {
+    return [&ds, tc](HardwareModel* hw) { return std::make_unique<Trainer>(ds, tc, hw); };
+}
+
 TEST(RedundantColsTest, RepairsReduceCorruptionDeterministically) {
     // End accuracy on tiny datasets is seed-noisy; the repair mechanism is
     // deterministic, so compare the corruption it leaves behind instead.
@@ -157,17 +163,17 @@ TEST(RedundantColsTest, RepairsReduceCorruptionDeterministically) {
 }
 
 TEST(ReadNoiseTest, MildNoiseTolerated) {
-    // Declarative scenario overloads: same chip, with and without the
-    // read-noise non-ideality stacked on 1% SAFs.
+    // Same chip, with and without the read-noise non-ideality stacked on 1%
+    // SAFs.
     const Dataset ds = tiny_dataset(5);
     const TrainConfig tc = tiny_config();
     const FaultScenario base = FaultScenario::pre_deployment(0.01, 0.1);
     FaultScenario noisy_chip = base;
     noisy_chip.with_read_noise(0.02);
-    const auto noisy =
-        run_scheme(ds, Scheme::kFARe, tc, noisy_chip, HardwareOverrides{}, 5);
+    const auto noisy = run_scheme(gnn_trainers(ds, tc), Scheme::kFARe, tc, noisy_chip,
+                                  HardwareOverrides{}, 5);
     const auto clean =
-        run_scheme(ds, Scheme::kFARe, tc, base, HardwareOverrides{}, 5);
+        run_scheme(gnn_trainers(ds, tc), Scheme::kFARe, tc, base, HardwareOverrides{}, 5);
     EXPECT_GT(noisy.train.test_accuracy, clean.train.test_accuracy - 0.15);
 }
 
@@ -176,9 +182,10 @@ TEST(ReadNoiseTest, ExtremeNoiseDestroysTraining) {
     const TrainConfig tc = tiny_config();
     const FaultScenario scorched =
         FaultScenario::pre_deployment(0.0, 0.1).with_read_noise(3.0);  // 300%
-    const auto noisy = run_scheme(ds, Scheme::kFaultUnaware, tc, scorched,
-                                  HardwareOverrides{}, 5);
-    const auto clean = run_fault_free(ds, tc);
+    const auto noisy = run_scheme(gnn_trainers(ds, tc), Scheme::kFaultUnaware, tc,
+                                  scorched, HardwareOverrides{}, 5);
+    const auto clean = run_scheme(gnn_trainers(ds, tc), Scheme::kFaultFree, tc,
+                                  FaultScenario{}, HardwareOverrides{}, 5);
     EXPECT_LT(noisy.train.test_accuracy, clean.train.test_accuracy - 0.1);
 }
 
@@ -204,10 +211,10 @@ TEST(DeploymentTest, FareBeatsUnawareAtInference) {
     const Dataset ds = tiny_dataset(11);
     const TrainConfig tc = tiny_config();
     const FaultScenario chip = FaultScenario::pre_deployment(0.05, 0.5);
-    const auto naive = run_deployment(ds, tc, Scheme::kFaultUnaware, chip,
-                                      HardwareOverrides{}, 13);
-    const auto fare =
-        run_deployment(ds, tc, Scheme::kFARe, chip, HardwareOverrides{}, 13);
+    const auto naive = run_deployment(gnn_trainers(ds, tc), Scheme::kFaultUnaware, tc,
+                                      chip, HardwareOverrides{}, 13);
+    const auto fare = run_deployment(gnn_trainers(ds, tc), Scheme::kFARe, tc, chip,
+                                     HardwareOverrides{}, 13);
     EXPECT_DOUBLE_EQ(naive.trained_accuracy, fare.trained_accuracy);
     EXPECT_GT(fare.deployed_accuracy, naive.deployed_accuracy);
 }

@@ -12,6 +12,7 @@
 #include "fare/mapper.hpp"
 #include "graph/generators.hpp"
 #include "graph/subgraph.hpp"
+#include "models/gnn/batch_view.hpp"
 #include "sim/session.hpp"
 
 namespace fare {

@@ -190,7 +190,7 @@ TEST(SerializationTest, CorruptInputIsAnErrorNotAThrow) {
 TEST(SerializationTest, WrongSchemaVersionIsSkippable) {
     CellRecord record;
     record.schema = kCellJsonSchemaVersion + 1;
-    record.key = "k";
+    record.key = std::string("k");  // GCC 12 -O2 misreports -Wrestrict on = "k"
     record.result = sample_result();
     const Expected<CellRecord> back =
         cell_record_from_json(cell_record_to_json(record));
