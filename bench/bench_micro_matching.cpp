@@ -4,6 +4,9 @@
 // claim that the mapping is cheap enough for a ~1% preprocessing overhead.
 #include <benchmark/benchmark.h>
 
+#include <string>
+#include <utility>
+
 #include "common/rng.hpp"
 #include "fare/bsuitor.hpp"
 #include "fare/hungarian.hpp"
@@ -56,34 +59,59 @@ BinaryBlock random_block(std::uint16_t n, double density, Rng& rng) {
     return b;
 }
 
-/// cost(i,j) inner solve at crossbar scale (n = 128), the paper's b-Suitor
-/// use case, swept over fault density.
-void BM_RowPermutationBSuitor(benchmark::State& state) {
-    const double density = static_cast<double>(state.range(0)) / 100.0;
-    Rng rng(3);
-    const BinaryBlock block = random_block(128, 0.05, rng);
+/// One (block, crossbar) instance at crossbar scale (n = 128): a block at
+/// `block_density` and one crossbar with `fault_pct`% faults, half SA1,
+/// placed without clustering so the argument is the instance's density.
+struct RowInstance {
+    BinaryBlock block;
+    FaultMap map;
+};
+
+RowInstance row_instance(std::uint64_t block_seed, double block_density, double fault_pct) {
+    Rng rng(block_seed);
     FaultInjectionConfig cfg;
-    cfg.density = density;
+    cfg.density = fault_pct / 100.0;
     cfg.sa1_fraction = 0.5;
+    cfg.cluster_shape = 0.0;
     cfg.seed = 7;
-    const FaultMap map = inject_faults(1, 128, 128, cfg).front();
+    return {random_block(128, block_density, rng), inject_faults(1, 128, 128, cfg).front()};
+}
+
+using RowSolver = RowMatchResult (*)(const BinaryBlock&, const FaultMap&,
+                                     const RowMatchWeights&);
+
+/// cost(i,j) inner solve, the paper's b-Suitor use case, swept over fault
+/// density (the argument, in %).
+void row_permutation(benchmark::State& state, RowSolver solve, double block_density) {
+    const RowInstance inst =
+        row_instance(3, block_density, static_cast<double>(state.range(0)));
     for (auto _ : state) {
-        benchmark::DoNotOptimize(best_row_permutation(block, map));
+        benchmark::DoNotOptimize(solve(inst.block, inst.map, {}));
     }
 }
-BENCHMARK(BM_RowPermutationBSuitor)->Arg(1)->Arg(3)->Arg(5);
+
+// BM_RowPermutationBSuitor runs the implicit-graph path, ...Reference the
+// materialised-graph oracle on the same instances: /1, /3, /5 at block
+// density 5%, and fig5_shape/1 at block density 1% — Fig. 5's tie-heavy
+// shape, where nearly every block row takes a faulty row's default benefit.
+const bool kRowPermutationBenches = [] {
+    const std::pair<const char*, RowSolver> solvers[] = {
+        {"BM_RowPermutationBSuitor", &best_row_permutation},
+        {"BM_RowPermutationBSuitorReference", &best_row_permutation_reference}};
+    for (const auto& [name, solve] : solvers)
+        benchmark::RegisterBenchmark(name, row_permutation, solve, 0.05)
+            ->Arg(1)->Arg(3)->Arg(5);
+    for (const auto& [name, solve] : solvers)
+        benchmark::RegisterBenchmark((std::string(name) + "/fig5_shape").c_str(),
+                                     row_permutation, solve, 0.01)
+            ->Arg(1);
+    return true;
+}();
 
 void BM_RowPermutationExact(benchmark::State& state) {
-    const double density = static_cast<double>(state.range(0)) / 100.0;
-    Rng rng(4);
-    const BinaryBlock block = random_block(128, 0.05, rng);
-    FaultInjectionConfig cfg;
-    cfg.density = density;
-    cfg.sa1_fraction = 0.5;
-    cfg.seed = 7;
-    const FaultMap map = inject_faults(1, 128, 128, cfg).front();
+    const RowInstance inst = row_instance(4, 0.05, static_cast<double>(state.range(0)));
     for (auto _ : state) {
-        benchmark::DoNotOptimize(best_row_permutation_exact(block, map));
+        benchmark::DoNotOptimize(best_row_permutation_exact(inst.block, inst.map));
     }
 }
 BENCHMARK(BM_RowPermutationExact)->Arg(1)->Arg(5);

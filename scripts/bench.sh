@@ -22,7 +22,7 @@ mkdir -p "${OUT_DIR}"
 # Every bench this script runs. Each must have a committed
 # bench/out/BENCH_<name>_postpr.json baseline, and every committed baseline
 # must name one of them: the gate below fails on either kind of orphan.
-MICRO_BENCHES=(micro_corruption micro_mvm micro_graph micro_partition micro_attention)
+MICRO_BENCHES=(micro_corruption micro_mvm micro_graph micro_partition micro_attention micro_matching)
 BENCHES=("${MICRO_BENCHES[@]}" online_tolerance)
 
 cmake -B "${BUILD_DIR}" -S . \

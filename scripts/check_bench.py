@@ -21,7 +21,9 @@ def means(path):
     out = {}
     for bench in doc.get("benchmarks", []):
         name = bench.get("name", "")
-        if name.endswith(("_median", "_stddev", "_cv", "_min", "_max")):
+        # Aggregate rows: repetition statistics, and the complexity fit
+        # (_BigO, _RMS) of ->Complexity() benches, which has no real_time.
+        if name.endswith(("_median", "_stddev", "_cv", "_min", "_max", "_BigO", "_RMS")):
             continue
         base = name[: -len("_mean")] if name.endswith("_mean") else name
         out[base] = float(bench["real_time"])

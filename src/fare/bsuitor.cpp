@@ -1,7 +1,8 @@
 #include "fare/bsuitor.hpp"
 
 #include <algorithm>
-#include <queue>
+#include <limits>
+#include <numeric>
 
 #include "common/error.hpp"
 
@@ -12,132 +13,49 @@ bool BMatching::are_matched(std::uint32_t u, std::uint32_t v) const {
     return std::find(p.begin(), p.end(), v) != p.end();
 }
 
-namespace {
+namespace detail {
 
-/// (weight, proposer) with deterministic tie-break by proposer id.
-struct Proposal {
-    double w = 0.0;
-    std::uint32_t from = 0;
+SuitorSets::SuitorSets(const std::vector<std::uint32_t>& capacity)
+    : first_(capacity.size() + 1, 0), size_(capacity.size(), 0) {
+    std::partial_sum(capacity.begin(), capacity.end(), first_.begin() + 1);
+    slots_.resize(first_.back());
+}
 
-    // Min-heap ordering: the weakest proposal sits on top.
-    bool stronger_than(const Proposal& o) const {
-        if (w != o.w) return w > o.w;
-        return from > o.from;
-    }
-};
-
-struct MinHeapCmp {
-    bool operator()(const Proposal& a, const Proposal& b) const {
-        return a.stronger_than(b);  // weakest on top
-    }
-};
-
-}  // namespace
-
-BMatching bsuitor_match(std::uint32_t num_vertices,
-                        const std::vector<WeightedEdge>& edges,
-                        const std::vector<std::uint32_t>& capacity) {
-    FARE_CHECK(capacity.size() == num_vertices, "capacity size mismatch");
-
-    // Build per-vertex candidate lists, deduplicating parallel edges by
-    // keeping the heaviest. Sort descending by (weight, partner id) so each
-    // vertex proposes to its best remaining candidate first.
-    struct Cand {
-        double w;
-        std::uint32_t v;
-    };
-    std::vector<std::vector<Cand>> adj(num_vertices);
-    for (const auto& e : edges) {
-        FARE_CHECK(e.u < num_vertices && e.v < num_vertices, "edge endpoint range");
-        if (e.w <= 0.0 || e.u == e.v) continue;
-        adj[e.u].push_back({e.w, e.v});
-        adj[e.v].push_back({e.w, e.u});
-    }
-    for (auto& lst : adj) {
-        std::sort(lst.begin(), lst.end(), [](const Cand& a, const Cand& b) {
-            if (a.w != b.w) return a.w > b.w;
-            return a.v < b.v;
-        });
-        // Remove duplicate partners, keeping the first (heaviest) entry.
-        std::vector<bool> seen;  // lazily grown
-        std::vector<Cand> dedup;
-        dedup.reserve(lst.size());
-        seen.assign(num_vertices, false);
-        for (const Cand& c : lst) {
-            if (seen[c.v]) continue;
-            seen[c.v] = true;
-            dedup.push_back(c);
-        }
-        lst = std::move(dedup);
-    }
-
-    std::vector<std::priority_queue<Proposal, std::vector<Proposal>, MinHeapCmp>>
-        suitors(num_vertices);
-    std::vector<std::size_t> ptr(num_vertices, 0);
-    std::vector<std::uint32_t> need(capacity);
-    std::vector<std::uint32_t> queue;
-    for (std::uint32_t u = 0; u < num_vertices; ++u)
-        if (need[u] > 0 && !adj[u].empty()) queue.push_back(u);
-
-    while (!queue.empty()) {
-        const std::uint32_t u = queue.back();
-        queue.pop_back();
-        while (need[u] > 0 && ptr[u] < adj[u].size()) {
-            const Cand cand = adj[u][ptr[u]];
-            ++ptr[u];
-            const std::uint32_t v = cand.v;
-            if (capacity[v] == 0) continue;
-            auto& heap = suitors[v];
-            const Proposal mine{cand.w, u};
-            if (heap.size() < capacity[v]) {
-                heap.push(mine);
-                --need[u];
-            } else if (mine.stronger_than(heap.top())) {
-                const Proposal displaced = heap.top();
-                heap.pop();
-                heap.push(mine);
-                --need[u];
-                ++need[displaced.from];
-                queue.push_back(displaced.from);
-            }
-        }
-    }
-
-    // Collect candidate pairs from every suitor heap. Under equal-weight
-    // ties the suitor relation can terminate asymmetrically (u in S(v) but
-    // v not in S(u)), so taking the raw union could overfill a vertex.
-    // Repair greedily: accept candidate pairs heaviest-first while both
-    // endpoints have capacity left — this keeps the half-approximation (the
-    // accepted set dominates the mutual-suitor matching edge-for-edge; the
-    // property tests in tests/bsuitor_test.cpp verify >= OPT/2 against brute
-    // force).
+BMatching SuitorSets::repair() const {
+    // Under equal-weight ties the suitor relation can terminate
+    // asymmetrically (u in S(v) but v not in S(u)), so taking the raw union
+    // could overfill a vertex. Repair greedily: accept candidate pairs
+    // heaviest-first while both endpoints have capacity left — this keeps the
+    // half-approximation (the accepted set dominates the mutual-suitor
+    // matching edge-for-edge; the property tests in tests/bsuitor_test.cpp
+    // verify >= OPT/2 against brute force). A mutual pair appears twice with
+    // the same weight, so it sorts adjacent to itself and unique drops it.
     struct Pair {
         std::uint32_t a, b;
         double w;
-        bool operator<(const Pair& o) const {
-            return a != o.a ? a < o.a : b < o.b;
-        }
-        bool operator==(const Pair& o) const { return a == o.a && b == o.b; }
     };
+    const auto num_vertices = static_cast<std::uint32_t>(size_.size());
     std::vector<Pair> pairs;
-    for (std::uint32_t v = 0; v < num_vertices; ++v) {
-        auto heap = suitors[v];
-        while (!heap.empty()) {
-            const Proposal p = heap.top();
-            heap.pop();
+    for (std::uint32_t v = 0; v < num_vertices; ++v)
+        for (std::size_t k = 0; k < size_[v]; ++k) {
+            const Proposal& p = slots_[first_[v] + k];
             pairs.push_back({std::min(v, p.from), std::max(v, p.from), p.w});
         }
-    }
-    std::sort(pairs.begin(), pairs.end());
-    pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
     std::sort(pairs.begin(), pairs.end(), [](const Pair& x, const Pair& y) {
         if (x.w != y.w) return x.w > y.w;
         return x.a != y.a ? x.a < y.a : x.b < y.b;
     });
+    pairs.erase(std::unique(pairs.begin(), pairs.end(),
+                            [](const Pair& x, const Pair& y) {
+                                return x.a == y.a && x.b == y.b;
+                            }),
+                pairs.end());
 
     BMatching result;
     result.partners.assign(num_vertices, {});
-    std::vector<std::uint32_t> remaining = capacity;
+    std::vector<std::uint32_t> remaining(num_vertices);
+    for (std::uint32_t v = 0; v < num_vertices; ++v)
+        remaining[v] = static_cast<std::uint32_t>(first_[v + 1] - first_[v]);
     for (const Pair& p : pairs) {
         if (remaining[p.a] == 0 || remaining[p.b] == 0) continue;
         --remaining[p.a];
@@ -147,6 +65,55 @@ BMatching bsuitor_match(std::uint32_t num_vertices,
         result.total_weight += p.w;
     }
     return result;
+}
+
+}  // namespace detail
+
+CandidateLists::CandidateLists(std::uint32_t num_vertices,
+                               const std::vector<WeightedEdge>& edges)
+    : pos_(num_vertices + 1, 0) {
+    for (const auto& e : edges) {
+        FARE_CHECK(e.u < num_vertices && e.v < num_vertices, "edge endpoint range");
+        if (e.w <= 0.0 || e.u == e.v) continue;
+        ++pos_[e.u + 1];
+        ++pos_[e.v + 1];
+    }
+    std::partial_sum(pos_.begin(), pos_.end(), pos_.begin());
+    cands_.resize(pos_.back());
+    pos_.pop_back();
+    end_ = pos_;
+    for (const auto& e : edges) {
+        if (e.w <= 0.0 || e.u == e.v) continue;
+        cands_[end_[e.u]++] = {e.w, e.v};
+        cands_[end_[e.v]++] = {e.w, e.u};
+    }
+    constexpr auto kNobody = std::numeric_limits<std::uint32_t>::max();
+    std::vector<std::uint32_t> seen_by(num_vertices, kNobody);
+    for (std::uint32_t u = 0; u < num_vertices; ++u) {
+        std::sort(cands_.begin() + static_cast<std::ptrdiff_t>(pos_[u]),
+                  cands_.begin() + static_cast<std::ptrdiff_t>(end_[u]), proposes_before);
+        std::size_t kept = pos_[u];
+        for (std::size_t k = pos_[u]; k < end_[u]; ++k) {
+            if (seen_by[cands_[k].v] == u) continue;
+            seen_by[cands_[k].v] = u;
+            cands_[kept++] = cands_[k];
+        }
+        end_[u] = kept;
+    }
+}
+
+BMatching bsuitor_match(std::uint32_t num_vertices,
+                        const std::vector<WeightedEdge>& edges,
+                        const std::vector<std::uint32_t>& capacity) {
+    CandidateLists lists(num_vertices, edges);
+    return bsuitor_match_from(num_vertices, capacity,
+                              [&](std::uint32_t u, SuitorCandidate& out) {
+                                  const SuitorCandidate* head = lists.head(u);
+                                  if (head == nullptr) return false;
+                                  out = *head;
+                                  lists.pop(u);
+                                  return true;
+                              });
 }
 
 BMatching suitor_match(std::uint32_t num_vertices,

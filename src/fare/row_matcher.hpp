@@ -9,6 +9,15 @@
 // and small instances. SA1 mismatches are weighted more heavily than SA0
 // (configurable), reflecting the paper's observation that SA1 faults are the
 // critical ones (§IV-A, Fig. 3).
+//
+// Cost definition: a (logical row, physical row) pairing costs w0 per SA0
+// cell under a stored 1 plus w1 per SA1 cell under a stored 0 (columns < n),
+// added per fault in column order; a permutation costs its rows' costs added
+// in row order. Every function here rounds that same way, so the fast
+// matcher, its reference and mapping_cost agree bit for bit for any weights.
+// (Counts times weights would round differently whenever the weights'
+// multiples are inexact, e.g. {0.1, 0.3}; the b-Suitor tie-breaks then move,
+// and on Fig. 5-shaped instances ~90% of permutations change.)
 #pragma once
 
 #include <cstdint>
@@ -42,9 +51,21 @@ std::size_t sa1_nonoverlap_count(const BinaryBlock& block, const FaultMap& map,
                                  const std::vector<std::uint16_t>& perm);
 
 /// Best row permutation via b-Suitor half-approximate matching (the paper's
-/// choice — near-linear in candidate edges).
+/// choice — near-linear in candidate edges). Runs on the implicit benefit
+/// graph: most faulty physical rows offer one "default" benefit to every
+/// block row with no 1 in their fault columns, so only the other pairs are
+/// priced and listed (row_matcher.cpp). The result equals
+/// best_row_permutation_reference's, bit for bit.
 RowMatchResult best_row_permutation(const BinaryBlock& block, const FaultMap& map,
                                     const RowMatchWeights& weights = {});
+
+/// The same b-Suitor matching on the materialised benefit graph: every
+/// positive-benefit (logical, physical) edge is priced from per-row fault
+/// lists and fed to bsuitor_match. Test oracle and in-binary bench baseline
+/// for best_row_permutation.
+RowMatchResult best_row_permutation_reference(const BinaryBlock& block,
+                                              const FaultMap& map,
+                                              const RowMatchWeights& weights = {});
 
 /// Exact best row permutation via the Hungarian algorithm (O(n^3); used as
 /// ground truth in tests and for small blocks).

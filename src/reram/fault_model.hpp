@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 namespace fare {
@@ -62,6 +63,13 @@ public:
 
     /// Faults within one crossbar row, sorted by column.
     std::vector<CellFault> row_faults(std::uint16_t row) const;
+
+    /// Raw cells of row `row` (< rows()), one byte per column: 0 = healthy,
+    /// else the FaultType value. For bulk readers that pack the map into
+    /// bitsets without a per-cell lookup.
+    std::span<const std::uint8_t> row_cells(std::uint16_t row) const {
+        return {grid_.data() + index(row, 0), cols_};
+    }
 
     std::size_t num_faults() const { return num_sa0_ + num_sa1_; }
     std::size_t num_sa0() const { return num_sa0_; }

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 
 #include "common/rng.hpp"
 
@@ -168,6 +169,72 @@ TEST_P(RowMatcherSweep, NeverWorseThanIdentity) {
 
 INSTANTIATE_TEST_SUITE_P(Densities, RowMatcherSweep,
                          ::testing::Values(0.01, 0.03, 0.05, 0.1, 0.2));
+
+bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+/// The implicit-graph matcher returns the reference's perm, cost and SA1
+/// non-overlap bit for bit. The grid covers empty and dense blocks,
+/// fault-free maps, SA1-only rows (default benefit 0), equal weights
+/// (explicit benefits tie with the default, so ties fall to id order),
+/// weights whose sums round ({0.1, 0.3}), spare physical rows and fault
+/// columns beyond the block. Every (n, phys, block density, fault density)
+/// cell runs two of the sixteen (SA1 fraction, weights) pairs, cycling so
+/// each pair meets every other axis.
+TEST(RowMatcherEquivalenceTest, FastPathMatchesReferenceBitForBit) {
+    const std::uint16_t sizes[] = {1, 7, 64, 65, 100, 128};
+    const double block_densities[] = {0.0, 0.005, 0.02, 0.1, 0.5, 0.9};
+    const double fault_densities[] = {0.0, 0.01, 0.05, 0.2, 0.6};
+    const double sa1_fractions[] = {0.0, 0.1, 0.5, 1.0};
+    const RowMatchWeights weights[] = {{1.0, 4.0}, {1.0, 1.0}, {1.25, 3.75}, {0.1, 0.3}};
+    constexpr std::size_t kPairs = std::size(sa1_fractions) * std::size(weights);
+    Rng rng(23);
+    std::size_t cell = 0, instances = 0;
+    for (const std::uint16_t n : sizes)
+        for (const std::uint16_t phys : {n, static_cast<std::uint16_t>(n + 2),
+                                         std::uint16_t{200}})
+            for (const double block_density : block_densities)
+                for (const double fault_density : fault_densities) {
+                    const BinaryBlock block = random_block(n, block_density, rng);
+                    FaultMap map(phys, phys);
+                    for (std::uint16_t r = 0; r < phys; ++r)
+                        for (std::uint16_t c = 0; c < phys; ++c)
+                            if (rng.next_bool(fault_density)) map.add(r, c, FaultType::kSA0);
+                    for (std::size_t k = 2 * cell; k < 2 * cell + 2; ++k) {
+                        const double sa1_fraction =
+                            sa1_fractions[k % kPairs / std::size(weights)];
+                        const RowMatchWeights& w = weights[k % std::size(weights)];
+                        FaultMap typed(phys, phys);
+                        for (const CellFault& f : map.all_faults())
+                            typed.add(f.row, f.col,
+                                      rng.next_bool(sa1_fraction) ? FaultType::kSA1
+                                                                  : FaultType::kSA0);
+                        const RowMatchResult fast = best_row_permutation(block, typed, w);
+                        const RowMatchResult ref =
+                            best_row_permutation_reference(block, typed, w);
+                        const auto where = ::testing::Message()
+                                           << "n=" << n << " phys=" << phys
+                                           << " block=" << block_density
+                                           << " faults=" << fault_density
+                                           << " sa1=" << sa1_fraction << " w={" << w.sa0
+                                           << "," << w.sa1 << "}";
+                        ASSERT_EQ(fast.perm, ref.perm) << where;
+                        EXPECT_TRUE(same_bits(fast.cost, ref.cost))
+                            << where << ": " << fast.cost << " vs " << ref.cost;
+                        EXPECT_TRUE(same_bits(fast.sa1_nonoverlap, ref.sa1_nonoverlap))
+                            << where;
+                        // The public cost functions price any perm the
+                        // reference's per-fault way.
+                        EXPECT_TRUE(same_bits(mapping_cost(block, typed, ref.perm, w), ref.cost))
+                            << where;
+                        EXPECT_EQ(static_cast<double>(sa1_nonoverlap_count(block, typed, ref.perm)),
+                                  ref.sa1_nonoverlap)
+                            << where;
+                        ++instances;
+                    }
+                    ++cell;
+                }
+    EXPECT_EQ(instances, 2u * 6 * 3 * 6 * 5);
+}
 
 }  // namespace
 }  // namespace fare
