@@ -6,20 +6,13 @@
 
 namespace fare {
 
-Trainer::Trainer(const Dataset& dataset, const TrainConfig& config,
-                 HardwareModel* hardware)
-    : TrainLoop(config, hardware, dataset.num_classes, 0xE70C5ULL) {
+std::shared_ptr<const GnnBatchSet> build_gnn_batches(const Dataset& dataset,
+                                                     const TrainConfig& config) {
     FARE_CHECK(config.num_partitions >= config.partitions_per_batch,
                "more partitions per batch than partitions");
-
-    ModelConfig mc;
-    mc.kind = config.kind;
-    mc.in_features = dataset.num_features();
-    mc.hidden = config.hidden;
-    mc.num_classes = static_cast<std::size_t>(dataset.num_classes);
-    mc.num_layers = config.num_layers;
-    mc.seed = config.seed;
-    model_ = std::make_unique<Model>(mc);
+    auto set = std::make_shared<GnnBatchSet>();
+    set->num_features = dataset.num_features();
+    set->num_classes = dataset.num_classes;
 
     // Host preprocessing: partition once, form fixed cluster batches. The
     // batch composition stays fixed across epochs (the paper computes the
@@ -30,13 +23,13 @@ Trainer::Trainer(const Dataset& dataset, const TrainConfig& config,
     const Partitioner& algo = find_partitioner(config.partitioner);
     const auto parts =
         algo.partition(dataset.graph, config.num_partitions, config.seed);
-    partition_quality_ = compute_quality(dataset.graph, parts, algo.name());
+    set->partition_quality = compute_quality(dataset.graph, parts, algo.name());
     auto subs = make_cluster_batches(dataset.graph, parts, config.partitions_per_batch,
                                      config.seed);
 
-    batches_.reserve(subs.size());
+    set->batches.reserve(subs.size());
     for (auto& sub : subs) {
-        BatchData b;
+        GnnBatchSet::Batch b;
         const std::size_t n = sub.nodes.size();
         b.features = Matrix(n, dataset.num_features());
         b.labels.resize(n);
@@ -56,33 +49,52 @@ Trainer::Trainer(const Dataset& dataset, const TrainConfig& config,
             }
         }
         b.ideal_view = BatchGraphView::from_graph(sub.graph);
-        batch_bits_.push_back(BitMatrix::from_graph(sub.graph));
-        batch_parts_.push_back(std::move(sub.node_part));
-        batches_.push_back(std::move(b));
+        set->adjacency.push_back(BitMatrix::from_graph(sub.graph));
+        set->node_parts.push_back(std::move(sub.node_part));
+        set->batches.push_back(std::move(b));
     }
+    return set;
+}
+
+Trainer::Trainer(const Dataset& dataset, const TrainConfig& config,
+                 HardwareModel* hardware)
+    : Trainer(build_gnn_batches(dataset, config), config, hardware) {}
+
+Trainer::Trainer(std::shared_ptr<const GnnBatchSet> data, const TrainConfig& config,
+                 HardwareModel* hardware)
+    : TrainLoop(config, hardware, data->num_classes, 0xE70C5ULL), data_(std::move(data)) {
+    ModelConfig mc;
+    mc.kind = config.kind;
+    mc.in_features = data_->num_features;
+    mc.hidden = config.hidden;
+    mc.num_classes = static_cast<std::size_t>(data_->num_classes);
+    mc.num_layers = config.num_layers;
+    mc.seed = config.seed;
+    model_ = std::make_unique<Model>(mc);
+    partition_quality_ = data_->partition_quality;
 }
 
 void Trainer::preprocess(HardwareModel& hardware) {
-    hardware.set_batch_partitions(batch_parts_);
-    hardware.preprocess(batch_bits_);
+    hardware.set_batch_partitions(data_->node_parts);
+    hardware.preprocess(data_->adjacency);
 }
 
 const BatchGraphView& Trainer::effective_view(std::size_t batch_idx) {
-    if (hardware() == nullptr) return batches_[batch_idx].ideal_view;
+    if (hardware() == nullptr) return data_->batches[batch_idx].ideal_view;
     const std::uint64_t stamp = hardware()->adjacency_state_version();
     if (views_stamp_ != stamp) {
-        views_.assign(batches_.size(), std::nullopt);
+        views_.assign(data_->batches.size(), std::nullopt);
         views_stamp_ = stamp;
     }
     std::optional<BatchGraphView>& view = views_[batch_idx];
     if (!view)
         view = BatchGraphView::from_bits(
-            hardware()->effective_adjacency(batch_idx, batch_bits_[batch_idx]));
+            hardware()->effective_adjacency(batch_idx, data_->adjacency[batch_idx]));
     return *view;
 }
 
 LossResult Trainer::train_batch(std::size_t batch_idx, MetricAccumulator& metrics) {
-    const BatchData& batch = batches_[batch_idx];
+    const GnnBatchSet::Batch& batch = data_->batches[batch_idx];
     const BatchGraphView& view = effective_view(batch_idx);
     model_->zero_grads();
     const Matrix logits = model_->forward(batch.features, view);
@@ -94,8 +106,8 @@ LossResult Trainer::train_batch(std::size_t batch_idx, MetricAccumulator& metric
 }
 
 void Trainer::evaluate(Split split, MetricAccumulator& metrics) {
-    for (std::size_t bi = 0; bi < batches_.size(); ++bi) {
-        const BatchData& batch = batches_[bi];
+    for (std::size_t bi = 0; bi < data_->batches.size(); ++bi) {
+        const GnnBatchSet::Batch& batch = data_->batches[bi];
         const Matrix logits = model_->forward(batch.features, effective_view(bi));
         const auto& mask = split == Split::kTrain  ? batch.train_mask
                            : split == Split::kVal ? batch.val_mask

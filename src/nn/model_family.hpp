@@ -11,6 +11,7 @@
 // includes; implementations live under src/models/.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -48,7 +49,9 @@ public:
     virtual WorkloadTiming paper_scale_timing(const WorkloadSpec& workload) const = 0;
 
     /// Build `workload`'s data once and return a factory of trainers over
-    /// it, all configured by `train_config`.
+    /// it, all configured by `train_config`. A family may share that data
+    /// with other calls whose inputs are equal (see
+    /// workload_artefact_counts).
     virtual TrainerFactory make_trainers(const WorkloadSpec& workload,
                                          const TrainConfig& train_config) const = 0;
 
@@ -68,6 +71,15 @@ public:
                                 const HardwareOverrides& hw_overrides,
                                 std::uint64_t hw_seed) const;
 };
+
+/// Workload artefacts shared across cells in this process (the GNN
+/// family's cluster batch sets, cached by make_trainers): sets built, and
+/// make_trainers calls served by a set already built or being built.
+struct WorkloadArtefactCounts {
+    std::uint64_t built = 0;
+    std::uint64_t reused = 0;
+};
+WorkloadArtefactCounts workload_artefact_counts();
 
 /// All registered families, in registration order ("gnn" first).
 const std::vector<const ModelFamily*>& registered_model_families();

@@ -115,7 +115,7 @@ private:
 
 /// Makes trainers of one workload over data built once, each on the given
 /// hardware (null => ideal). Deployment calls it twice, for the host and
-/// the edge trainer, so both share one dataset.
+/// the edge trainer, so both share that data.
 using TrainerFactory = std::function<std::unique_ptr<TrainLoop>(HardwareModel*)>;
 
 }  // namespace fare

@@ -72,8 +72,10 @@ int usage(std::ostream& os, int code) {
           "    --json PATH      write display JSON lines (BENCH_* format)\n"
           "    --canonical      zero measured timings / from_cache in --json\n"
           "                     output so runs diff bit-identically\n"
-          "    --stats          print seed-replicate mean/sigma table and,\n"
-          "                     with --cache-dir, cache lifecycle counters\n"
+          "    --stats          print seed-replicate mean/sigma table, the\n"
+          "                     workload artefacts (GNN batch sets) this\n"
+          "                     process built and reused and, with\n"
+          "                     --cache-dir, cache lifecycle counters\n"
           "                     (live/dead/superseded/corrupt/evicted)\n"
           "    --stream         print the console table cells as they finish\n"
           "    --quiet          no console table\n"
@@ -692,6 +694,9 @@ int run(int argc, char** argv) {
         std::cout << "simd: " << simd::isa_name(simd::active_isa())
                   << " (detected " << simd::isa_name(simd::detected_isa())
                   << ")\n";
+        const WorkloadArtefactCounts artefacts = workload_artefact_counts();
+        std::cout << "workload artefacts: " << artefacts.built << " built, "
+                  << artefacts.reused << " reused\n";
         if (const auto* disk = dynamic_cast<DiskCellCache*>(&session.cache()))
             print_cache_stats(disk->stats(), std::cout);
     }
