@@ -35,7 +35,7 @@ int main() {
         const ExperimentPlan plan =
             SweepBuilder("ext_redundant_cols")
                 .workload(workload)
-                .densities(densities)
+                .axis(&FaultScenario::density, densities)
                 .sa1_fraction(0.5)
                 .schemes({Scheme::kFaultFree, Scheme::kFaultUnaware,
                           Scheme::kRedundantCols, Scheme::kFARe})
@@ -87,7 +87,7 @@ int main() {
             SweepBuilder("ext_read_noise")
                 .workload(workload)
                 .scenario(FaultScenario::pre_deployment(0.03, 0.5))
-                .noise_sigmas(sigmas)
+                .axis(&FaultScenario::read_noise_sigma, sigmas)
                 .schemes({Scheme::kFaultUnaware, Scheme::kFARe})
                 .seed(1)
                 .build();

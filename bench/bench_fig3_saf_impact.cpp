@@ -25,14 +25,14 @@ int main() {
     ExperimentPlan plan = SweepBuilder("fig3_saf_impact")
                               .workload(workload)
                               .scenario(weights_only)
-                              .sa1_fractions({0.0, 1.0})
+                              .axis(&FaultScenario::sa1_fraction, {0.0, 1.0})
                               .schemes({Scheme::kFaultFree, Scheme::kFaultUnaware})
                               .seed(1)
                               .build();
     const ExperimentPlan adj_plan = SweepBuilder("fig3_adj")
                                         .workload(workload)
                                         .scenario(adjacency_only)
-                                        .sa1_fractions({0.0, 1.0})
+                                        .axis(&FaultScenario::sa1_fraction, {0.0, 1.0})
                                         .scheme(Scheme::kFaultUnaware)
                                         .seed(1)
                                         .build();

@@ -18,7 +18,7 @@ int main() {
     const ExperimentPlan plan =
         SweepBuilder("fig4_training_curves")
             .workload(find_workload("Reddit", GnnKind::kGCN))
-            .densities(densities)
+            .axis(&FaultScenario::density, densities)
             .sa1_fraction(0.1)
             .schemes({Scheme::kFaultFree, Scheme::kFaultUnaware, Scheme::kFARe})
             .record_curve(true)

@@ -27,8 +27,8 @@ int main() {
 
     const ExperimentPlan plan = SweepBuilder("fig5_accuracy")
                                     .workloads(fig5_workloads())
-                                    .densities(densities)
-                                    .sa1_fractions(sa1_fractions)
+                                    .axis(&FaultScenario::density, densities)
+                                    .axis(&FaultScenario::sa1_fraction, sa1_fractions)
                                     .schemes(figure_schemes())
                                     .seed(1)
                                     .build();

@@ -22,14 +22,14 @@ int main() {
 
     // +1% over the whole run, expressed as a first-class builder axis (the
     // SA1 ratio of the wear stream follows the per-cell pre-deployment
-    // ratio — the builder mirrors it). post_epoch_span(0) = spread across
-    // the full training run.
+    // ratio — the builder mirrors it). post_epochs 0 = spread across the
+    // full training run.
     const ExperimentPlan plan = SweepBuilder("fig6_postdeploy")
                                     .workloads(fig6_workloads())
-                                    .densities(densities)
-                                    .sa1_fractions(sa1_fractions)
-                                    .post_density(0.01)
-                                    .post_epoch_span(0)
+                                    .axis(&FaultScenario::density, densities)
+                                    .axis(&FaultScenario::sa1_fraction, sa1_fractions)
+                                    .axis(&FaultScenario::post_total_density, {0.01})
+                                    .axis(&FaultScenario::post_epochs, {0})
                                     .schemes(figure_schemes())
                                     .seed(1)
                                     .build();

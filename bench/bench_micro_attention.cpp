@@ -88,10 +88,10 @@ void BM_TransformerWeightRefresh(benchmark::State& state) {
         bench_config(static_cast<std::size_t>(state.range(0)), 2);
     TransformerModel model(config);
     FaultyHardwareConfig hw_config;
-    hw_config.accelerator.num_tiles = 1;
-    hw_config.injection.density = 0.03;
-    hw_config.injection.sa1_fraction = 0.5;
-    hw_config.injection.seed = 17;
+    hw_config.hardware.num_tiles = 1;
+    hw_config.faults.density = 0.03;
+    hw_config.faults.sa1_fraction = 0.5;
+    hw_config.seed = 17;
     FaultyHardware hw(Scheme::kFARe, hw_config);
     hw.bind_params(model.params());
     hw.preprocess({});

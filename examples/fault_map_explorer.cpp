@@ -13,8 +13,8 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
+#include "fare/baselines.hpp"
 #include "fare/mapper.hpp"
-#include "fare/scenario.hpp"
 #include "reram/accelerator.hpp"
 
 int main(int argc, char** argv) {
@@ -37,13 +37,15 @@ int main(int argc, char** argv) {
               << fmt_pct(sa1_fraction, 0) << " of faults, cluster shape "
               << cluster << "\n\n";
 
-    // Describe the chip declaratively, then lower it onto the simulator.
+    // Describe the chip declaratively, then build it the way a training run
+    // does and take a copy of its accelerator to scan.
     FaultScenario scenario = FaultScenario::pre_deployment(density, sa1_fraction);
     scenario.cluster_shape = cluster;
-    const FaultyHardwareConfig chip = to_hardware_config(
-        scenario, HardwareOverrides{}, /*seed=*/1, /*train_epochs=*/100);
-    Accelerator acc(chip.accelerator);
-    acc.inject_pre_deployment_faults(chip.injection);
+    const FaultyHardware chip(
+        Scheme::kFaultUnaware,
+        to_hardware_config(scenario, HardwareOverrides{}, /*seed=*/1,
+                           /*train_epochs=*/100));
+    Accelerator acc = chip.accelerator();
 
     // BIST scan and detection fidelity.
     const auto truth = acc.true_fault_maps();

@@ -63,7 +63,7 @@ int main(int argc, char** argv) {
         SweepBuilder("wear_lifetime")
             .workload(workload)
             .scenario(scenario)
-            .endurance_means(endurances)
+            .axis(&WearSpec::endurance_mean_writes, endurances)
             .schemes({Scheme::kFaultUnaware, Scheme::kFARe})
             .seed(1)
             .build();

@@ -16,12 +16,6 @@ Matrix IdealQuantizedHardware::effective_weights(std::size_t, const Matrix& w) {
 
 namespace {
 
-TimingConfig timing_config_for(const FaultyHardwareConfig& config) {
-    TimingConfig tc;
-    tc.tile = config.accelerator.tile;
-    return tc;
-}
-
 /// Flattened mask of the bottom `fraction` of weights by |w|. Ties break on
 /// flat index (stable sort), so the mask is a deterministic pure function of
 /// the weights — identical across threads, workers and reruns.
@@ -64,35 +58,39 @@ std::pair<std::size_t, std::size_t> off_tile_counts(const AdjacencyMapping& m,
 FaultyHardware::FaultyHardware(Scheme scheme, const FaultyHardwareConfig& config)
     : scheme_(scheme),
       config_(config),
-      accelerator_(config.accelerator),
-      clipper_(config.clip_threshold),
-      mapper_(MapperConfig{config.accelerator.tile.crossbar_rows,
-                           config.match_weights,
+      accelerator_(AcceleratorConfig{.tile = {}, .num_tiles = config.hardware.num_tiles}),
+      clipper_(config.hardware.clip_threshold),
+      mapper_(MapperConfig{accelerator_.config().tile.crossbar_rows,
+                           config.hardware.match_weights,
                            /*exact_row_matching=*/false,
                            /*enable_crossbar_removal=*/true,
                            /*enable_block_removal=*/true}),
-      online_engine_(config.online),
-      timing_(timing_config_for(config)),
-      wear_rng_(config.injection.seed ^ 0xD15EA5EULL),
-      noise_rng_(config.injection.seed ^ 0x4015EULL) {
+      online_engine_(config.hardware.online),
+      timing_(TimingConfig{.tile = accelerator_.config().tile}),
+      wear_rng_(config.seed ^ 0xD15EA5EULL),
+      noise_rng_(config.seed ^ 0x4015EULL) {
     FARE_CHECK(scheme != Scheme::kFaultFree,
                "use IdealQuantizedHardware for the fault-free scheme");
-    FARE_CHECK(!online() || config.online.enabled(),
+    FARE_CHECK(!online() || config.hardware.online.enabled(),
                "online scheme needs an enabled policy "
                "(OnlinePolicySpec.detect_period_batches > 0)");
-    accelerator_.inject_pre_deployment_faults(config.injection);
-    if (config.wear.enabled())
+    accelerator_.inject_pre_deployment_faults(
+        {.density = config.faults.density,
+         .sa1_fraction = config.faults.sa1_fraction,
+         .cluster_shape = config.faults.cluster_shape,
+         .seed = config.seed});
+    if (config.faults.wear.enabled())
         wear_model_ = WearModel(accelerator_.num_crossbars(),
-                                config.accelerator.tile.crossbar_rows,
-                                config.accelerator.tile.crossbar_cols,
-                                config.wear, config.post_sa1_fraction,
-                                config.injection.seed ^ 0x3EA4ULL);
+                                accelerator_.config().tile.crossbar_rows,
+                                accelerator_.config().tile.crossbar_cols,
+                                config.faults.wear, config.faults.post_sa1_fraction,
+                                config.seed ^ 0x3EA4ULL);
 }
 
 void FaultyHardware::bind_params(const std::vector<Matrix*>& params) {
     params_.clear();
-    const auto xb_rows = config_.accelerator.tile.crossbar_rows;
-    const auto xb_cols = config_.accelerator.tile.crossbar_cols;
+    const auto xb_rows = accelerator_.config().tile.crossbar_rows;
+    const auto xb_cols = accelerator_.config().tile.crossbar_cols;
     const std::size_t wpx = static_cast<std::size_t>(xb_cols) / kCellsPerWeight;
     for (const Matrix* p : params) {
         ParamRegion region;
@@ -109,8 +107,8 @@ void FaultyHardware::bind_params(const std::vector<Matrix*>& params) {
 void FaultyHardware::refresh_weight_grids() {
     // The hardware-visible fault information comes from BIST scans of the
     // allocated crossbars, exactly as FARe's flow prescribes (§IV-A).
-    const auto xb_rows = config_.accelerator.tile.crossbar_rows;
-    const auto xb_cols = config_.accelerator.tile.crossbar_cols;
+    const auto xb_rows = accelerator_.config().tile.crossbar_rows;
+    const auto xb_cols = accelerator_.config().tile.crossbar_cols;
     for (auto& region : params_) {
         std::vector<FaultMap> maps;
         maps.reserve(region.range.count);
@@ -121,7 +119,7 @@ void FaultyHardware::refresh_weight_grids() {
             if (scheme_ == Scheme::kRedundantCols)
                 maps.back() = repair_worst_columns(
                     maps.back(), static_cast<std::size_t>(
-                                     config_.spare_column_fraction * xb_cols));
+                                     config_.hardware.spare_column_fraction * xb_cols));
         }
         // Cover every physical crossbar row (not just the rows the logical
         // matrix occupies): NR exploits the unused rows as relocation targets.
@@ -147,8 +145,8 @@ std::vector<FaultMap> FaultyHardware::build_adjacency_pool_maps() const {
         if (scheme_ == Scheme::kRedundantCols)
             maps.back() = repair_worst_columns(
                 maps.back(),
-                static_cast<std::size_t>(config_.spare_column_fraction *
-                                         config_.accelerator.tile.crossbar_cols));
+                static_cast<std::size_t>(config_.hardware.spare_column_fraction *
+                                         accelerator_.config().tile.crossbar_cols));
         // Online repair view: faults on substituted columns are routed to
         // spare columns and disappear from the pool image.
         if (online())
@@ -166,7 +164,7 @@ void FaultyHardware::set_batch_partitions(
 void FaultyHardware::preprocess(const std::vector<BitMatrix>& batch_adjacency) {
     batch_bits_ = batch_adjacency;
     // Size the streaming adjacency pool for the largest batch.
-    const auto n = static_cast<std::size_t>(config_.accelerator.tile.crossbar_rows);
+    const auto n = static_cast<std::size_t>(accelerator_.config().tile.crossbar_rows);
     std::size_t max_blocks = 1;
     for (const auto& adj : batch_adjacency) {
         const std::size_t grid = (std::max(adj.rows, adj.cols) + n - 1) / n;
@@ -176,7 +174,7 @@ void FaultyHardware::preprocess(const std::vector<BitMatrix>& batch_adjacency) {
     // block placement gains most of its power from *choosing* crossbars
     // (clustered fault centres leave many crossbars near-clean). FARe prunes
     // the pool to the cleanest candidates before the cost matrix.
-    const std::size_t pool = std::min(config_.max_adjacency_pool,
+    const std::size_t pool = std::min(config_.hardware.max_adjacency_pool,
                                       accelerator_.crossbars_available());
     FARE_CHECK(pool >= max_blocks,
                "adjacency pool cannot hold the largest batch's blocks");
@@ -237,7 +235,7 @@ void FaultyHardware::preprocess(const std::vector<BitMatrix>& batch_adjacency) {
     for (std::size_t b = 0; b < batch_adjacency.size(); ++b) {
         const auto& adj = batch_adjacency[b];
         const TilePlacement* placement =
-            config_.partition_aware_mapping && b < placements_.size()
+            config_.hardware.partition_aware_mapping && b < placements_.size()
                 ? &placements_[b]
                 : nullptr;
         switch (scheme_) {
@@ -265,8 +263,8 @@ Matrix FaultyHardware::effective_weights(std::size_t idx, const Matrix& w) {
     // and force them back to zero on read-out, masking any fault underneath.
     // A pure function of `w`, so it needs no cache-invalidation plumbing.
     const std::vector<std::uint8_t> pruned =
-        config_.prune_fraction > 0.0
-            ? significance_prune_mask(w, config_.prune_fraction)
+        config_.hardware.prune_fraction > 0.0
+            ? significance_prune_mask(w, config_.hardware.prune_fraction)
             : std::vector<std::uint8_t>{};
     const Matrix* stored = &w;
     Matrix pruned_w;
@@ -278,7 +276,7 @@ Matrix FaultyHardware::effective_weights(std::size_t idx, const Matrix& w) {
         stored = &pruned_w;
     }
     Matrix out;
-    if (!config_.faults_on_weights) {
+    if (!config_.faults.faults_on_weights) {
         out = quantize_dequantize(*stored);
         if (clip) clipper_.clip_in_place(out);
     } else {
@@ -304,11 +302,11 @@ Matrix FaultyHardware::effective_weights(std::size_t idx, const Matrix& w) {
         for (std::size_t i = 0; i < flat.size(); ++i)
             if (pruned[i]) flat[i] = 0.0f;
     }
-    if (config_.read_noise_sigma > 0.0) {
+    if (config_.faults.read_noise_sigma > 0.0) {
         // Cycle-to-cycle conductance variation: multiplicative Gaussian
         // noise on every read-out value (extension non-ideality).
         for (auto& v : out.flat())
-            v *= 1.0f + static_cast<float>(config_.read_noise_sigma *
+            v *= 1.0f + static_cast<float>(config_.faults.read_noise_sigma *
                                            noise_rng_.next_gaussian());
     }
     return out;
@@ -318,7 +316,7 @@ std::uint64_t FaultyHardware::weights_state_version() const {
     // Read noise makes every read-out unique: hand out a fresh stamp per
     // query so the trainer never reuses a cached corruption pass (this also
     // keeps the noise RNG stream identical to the uncached implementation).
-    if (config_.read_noise_sigma > 0.0) return next_fresh_stamp();
+    if (config_.faults.read_noise_sigma > 0.0) return next_fresh_stamp();
     return weights_version_;
 }
 
@@ -384,7 +382,7 @@ std::vector<std::uint16_t> FaultyHardware::nr_weight_permutation(
 
 BitMatrix FaultyHardware::effective_adjacency(std::size_t batch_idx,
                                               const BitMatrix& ideal) {
-    if (!config_.faults_on_adjacency) return ideal;
+    if (!config_.faults.faults_on_adjacency) return ideal;
     FARE_CHECK(batch_idx < mappings_.size(), "unknown batch index");
     return mapper_.apply(ideal, mappings_[batch_idx], adj_maps_);
 }
@@ -414,8 +412,8 @@ void FaultyHardware::rebuild_weight_overlays_from_truth() {
     // fault state (filtered through the engine's repair view) without a BIST
     // march — no scan cost, no march wear. Behaviourally BIST is exact here,
     // so this equals a rescan minus its charges.
-    const auto xb_rows = config_.accelerator.tile.crossbar_rows;
-    const auto xb_cols = config_.accelerator.tile.crossbar_cols;
+    const auto xb_rows = accelerator_.config().tile.crossbar_rows;
+    const auto xb_cols = accelerator_.config().tile.crossbar_cols;
     for (auto& region : params_) {
         std::vector<FaultMap> maps;
         maps.reserve(region.range.count);
@@ -476,10 +474,10 @@ std::size_t FaultyHardware::arrival_checkpoint(double uniform_quantum,
     std::vector<std::size_t>* touched_out = online() ? &touched : nullptr;
     if (uniform_quantum > 0.0)
         arrived += accelerator_.inject_post_deployment_faults(
-            uniform_quantum, config_.post_sa1_fraction, wear_rng_, touched_out);
-    if (config_.soft_error_rate > 0.0)
+            uniform_quantum, config_.faults.post_sa1_fraction, wear_rng_, touched_out);
+    if (config_.faults.soft_error_rate > 0.0)
         arrived += accelerator_.inject_soft_faults(
-            config_.soft_error_rate, config_.post_sa1_fraction, wear_rng_,
+            config_.faults.soft_error_rate, config_.faults.post_sa1_fraction, wear_rng_,
             touched_out);
     const std::vector<WornCell> worn = wear_model_.advance(accelerator_);
     arrived += worn.size();
@@ -499,10 +497,13 @@ std::size_t FaultyHardware::arrival_checkpoint(double uniform_quantum,
 }
 
 double FaultyHardware::uniform_checkpoint_quantum() const {
-    if (config_.post_total_density <= 0.0) return 0.0;
+    if (config_.faults.post_total_density <= 0.0) return 0.0;
+    const std::size_t epochs = config_.faults.post_epochs > 0
+                                   ? config_.faults.post_epochs
+                                   : config_.train_epochs;
     const double per_epoch =
-        config_.post_total_density / static_cast<double>(config_.post_epochs);
-    const std::size_t period = config_.arrival_period_batches;
+        config_.faults.post_total_density / static_cast<double>(epochs);
+    const std::size_t period = config_.faults.arrival_period_batches;
     const std::size_t checkpoints =
         1 + (period > 0 ? steps_per_epoch_ / period : 0);
     return per_epoch / static_cast<double>(checkpoints);
@@ -515,7 +516,7 @@ void FaultyHardware::on_step_end(std::size_t epoch, std::size_t step,
     // Endurance accounting: one optimizer step rewrites every weight region
     // and streams the batch's adjacency blocks through the pool — one
     // array-level write per crossbar in use (O(1) each, no cell traffic).
-    const std::uint64_t writes = config_.wear.writes_per_step;
+    const std::uint64_t writes = config_.faults.wear.writes_per_step;
     for (const auto& region : params_)
         for (std::size_t i = 0; i < region.range.count; ++i)
             accelerator_.crossbar(region.range.first + i)
@@ -525,9 +526,9 @@ void FaultyHardware::on_step_end(std::size_t epoch, std::size_t step,
 
     ++global_step_;
 
-    const std::size_t period = config_.arrival_period_batches;
-    const bool sources = config_.post_total_density > 0.0 ||
-                         config_.soft_error_rate > 0.0 || wear_model_.enabled();
+    const std::size_t period = config_.faults.arrival_period_batches;
+    const bool sources = config_.faults.post_total_density > 0.0 ||
+                         config_.faults.soft_error_rate > 0.0 || wear_model_.enabled();
     if (period > 0 && (step + 1) % period == 0 && sources)
         arrival_checkpoint(uniform_checkpoint_quantum(),
                            /*force_refresh=*/false);
@@ -536,7 +537,7 @@ void FaultyHardware::on_step_end(std::size_t epoch, std::size_t step,
     // every detect_period_batches global steps, whether or not anything
     // arrived (the march/readback cost is paid regardless — that is the
     // point of the frontier).
-    if (online() && global_step_ % config_.online.detect_period_batches == 0)
+    if (online() && global_step_ % config_.hardware.online.detect_period_batches == 0)
         run_detection_round();
 }
 
@@ -566,16 +567,16 @@ void FaultyHardware::on_epoch_end(std::size_t epoch) {
     // time of this epoch's off-home-tile blocks (measured whether or not the
     // mapping was biased — the win shows up as the biased/unbiased delta).
     accumulate_noc_epoch();
-    const bool post_on = config_.post_total_density > 0.0;
+    const bool post_on = config_.faults.post_total_density > 0.0;
     const bool wear_on = wear_model_.enabled();
-    const bool soft_on = config_.soft_error_rate > 0.0;
+    const bool soft_on = config_.faults.soft_error_rate > 0.0;
     if (!post_on && !wear_on && !soft_on) return;
     // Legacy schedule (uniform stream only, epoch-boundary arrivals): keep
     // the unconditional per-epoch BIST refresh — bit-compatible with the
     // pre-wear implementation. Every other combination refreshes only when
     // faults actually arrived.
     const bool legacy =
-        post_on && !wear_on && config_.arrival_period_batches == 0;
+        post_on && !wear_on && config_.faults.arrival_period_batches == 0;
     arrival_checkpoint(uniform_checkpoint_quantum(), legacy);
 }
 

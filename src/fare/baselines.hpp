@@ -28,8 +28,10 @@
 
 #include "common/rng.hpp"
 #include "fare/mapper.hpp"
+#include "fare/scenario.hpp"
 #include "fare/weight_clipper.hpp"
 #include "nn/hardware_model.hpp"
+#include "nn/train_types.hpp"
 #include "reram/accelerator.hpp"
 #include "reram/compiled_overlay.hpp"
 #include "reram/corruption.hpp"
@@ -39,71 +41,25 @@
 
 namespace fare {
 
+/// Everything a faulty chip is built from: the fault scenario and chip
+/// overrides as declared (fare/scenario.hpp), the fault-injection seed, and
+/// the training length a scenario with post_epochs == 0 spreads its
+/// post-deployment arrival over.
 struct FaultyHardwareConfig {
-    AcceleratorConfig accelerator;
-    FaultInjectionConfig injection;  ///< density, SA1 fraction, seed
-
-    /// Fig. 3 knobs: restrict faults to one computation phase.
-    bool faults_on_weights = true;
-    bool faults_on_adjacency = true;
-
-    /// Clipping threshold tau (paper §IV-B: a constant hyperparameter).
-    /// Tuned once across all workloads; trained GNN weights rarely exceed
-    /// ~0.5, so tau = 1 clamps explosions tightly without touching healthy
-    /// weights.
-    float clip_threshold = 1.0f;
-    RowMatchWeights match_weights;  ///< FARe's SA1-criticality weighting
-
-    /// Post-deployment wear: total added density spread uniformly across
-    /// `post_epochs` epoch boundaries (0 disables).
-    double post_total_density = 0.0;
-    std::size_t post_epochs = 100;
-    double post_sa1_fraction = 0.1;
-
-    /// Endurance-driven wear-out (reram/wear_model.hpp); disabled while
-    /// wear.endurance_mean_writes == 0.
-    WearSpec wear;
-    /// Mid-epoch arrival cadence in training steps (0 = epoch boundaries
-    /// only). See FaultScenario::arrival_period_batches.
-    std::size_t arrival_period_batches = 0;
-
-    /// Optional non-ideality beyond SAFs (extension; paper §II-A mentions
-    /// variation-induced resistance deviations): multiplicative Gaussian
-    /// read noise on every effective weight, sigma relative to the value.
-    double read_noise_sigma = 0.0;
-
-    /// Soft-error arrival: added density of *re-formable* stuck-ats per
-    /// arrival checkpoint (0 disables). Online schemes clear them with
-    /// re-forming pulses; every other scheme sees permanent stuck-ats.
-    double soft_error_rate = 0.0;
-
-    /// Online detection/correction policy (reram/online_tolerance.hpp) —
-    /// consulted only by the online schemes.
-    OnlinePolicySpec online;
-
-    /// Redundant-columns baseline [8]: spare columns per crossbar as a
-    /// fraction of its width (repairs the worst-faulted columns).
-    double spare_column_fraction = 0.15;
-
-    /// Adjacency pool slack: m = blocks + max(2, blocks/2), capped by this.
-    std::size_t max_adjacency_pool = 48;
-
-    /// Partition-aware block placement: bias the FARe outer assignment so a
-    /// batch's adjacency row-blocks prefer crossbars on the home tile of the
-    /// block's majority graph partition (tile traffic follows the cut).
-    /// Default OFF: the legacy FARe mapping is byte-identical while false.
-    /// Off-tile traffic is *measured* regardless of this flag.
-    bool partition_aware_mapping = false;
-
-    /// Significance pruning (model-agnostic mapping relaxation): the bottom
-    /// `prune_fraction` of each parameter matrix by |w| is programmed as
-    /// exact zeros, and read-out forces those positions back to zero — so
-    /// any stuck-at under a pruned cell is masked. NR additionally skips
-    /// pruned positions in its row-mismatch costs, spending its permutation
-    /// budget only on weights that carry signal. 0 disables (legacy
-    /// behaviour, byte-identical).
-    double prune_fraction = 0.0;
+    FaultScenario faults;
+    HardwareOverrides hardware;
+    std::uint64_t seed = 1;
+    std::size_t train_epochs = TrainConfig{}.epochs;
 };
+
+/// Aggregate (scenario, overrides, seed, epochs) into the config consumed by
+/// make_hardware()/run_scheme().
+inline FaultyHardwareConfig to_hardware_config(const FaultScenario& scenario,
+                                               const HardwareOverrides& hw,
+                                               std::uint64_t seed,
+                                               std::size_t train_epochs) {
+    return {scenario, hw, seed, train_epochs};
+}
 
 /// Ideal hardware: weights round-trip the 16-bit fixed-point grid, adjacency
 /// is exact. The fault-free baseline every figure normalises against.

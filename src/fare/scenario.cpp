@@ -113,6 +113,11 @@ std::string FaultScenario::key() const {
            << ";psa1=" << num(post_sa1_fraction);
     } else {
         os << ";post=0";
+        // Worn-out cells and soft errors take their polarity from the stream
+        // ratio too; sa1= already carries it when the two ratios agree.
+        if ((wear.enabled() || soft_error_rate > 0.0) &&
+            !(density > 0.0 && post_sa1_fraction == sa1_fraction))
+            os << ";psa1=" << num(post_sa1_fraction);
     }
     os << ";fw=" << faults_on_weights << ";fa=" << faults_on_adjacency
        << ";noise=" << num(read_noise_sigma);
@@ -156,36 +161,6 @@ std::string HardwareOverrides::key() const {
     // only when active to keep legacy keys byte-stable.
     if (prune_fraction > 0.0) os << ";prune=" << num(prune_fraction);
     return os.str();
-}
-
-FaultyHardwareConfig to_hardware_config(const FaultScenario& scenario,
-                                        const HardwareOverrides& hw,
-                                        std::uint64_t seed,
-                                        std::size_t train_epochs) {
-    FaultyHardwareConfig config;
-    config.accelerator.num_tiles = hw.num_tiles;
-    config.injection.density = scenario.density;
-    config.injection.sa1_fraction = scenario.sa1_fraction;
-    config.injection.cluster_shape = scenario.cluster_shape;
-    config.injection.seed = seed;
-    config.faults_on_weights = scenario.faults_on_weights;
-    config.faults_on_adjacency = scenario.faults_on_adjacency;
-    config.clip_threshold = hw.clip_threshold;
-    config.match_weights = hw.match_weights;
-    config.post_total_density = scenario.post_total_density;
-    config.post_epochs =
-        scenario.post_epochs > 0 ? scenario.post_epochs : train_epochs;
-    config.post_sa1_fraction = scenario.post_sa1_fraction;
-    config.read_noise_sigma = scenario.read_noise_sigma;
-    config.soft_error_rate = scenario.soft_error_rate;
-    config.wear = scenario.wear;
-    config.arrival_period_batches = scenario.arrival_period_batches;
-    config.spare_column_fraction = hw.spare_column_fraction;
-    config.max_adjacency_pool = hw.max_adjacency_pool;
-    config.online = hw.online;
-    config.partition_aware_mapping = hw.partition_aware_mapping;
-    config.prune_fraction = hw.prune_fraction;
-    return config;
 }
 
 }  // namespace fare

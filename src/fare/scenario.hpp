@@ -2,15 +2,16 @@
 // the paper's evaluation varies about the *chip* — pre-deployment stuck-at
 // density and SA0:SA1 ratio, post-deployment fault arrival, phase
 // restriction (Fig. 3), and non-ideality extensions — decoupled from the
-// scheme under test and from the training configuration. Lowered into the
-// FaultyHardwareConfig the scheme factory consumes by to_hardware_config().
+// scheme under test and from the training configuration. FaultyHardware
+// (fare/baselines.hpp) reads both structs directly.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <string>
 
-#include "fare/baselines.hpp"
+#include "fare/row_matcher.hpp"
+#include "reram/online_tolerance.hpp"
 #include "reram/wear_model.hpp"
 
 namespace fare {
@@ -29,11 +30,13 @@ struct FaultScenario {
     /// Epoch boundaries the post-deployment arrival is spread over;
     /// 0 means "the full training run" (resolved against TrainConfig.epochs).
     std::size_t post_epochs = 0;
+    /// SA1 share of every post-deployment arrival: the uniform stream, soft
+    /// errors and worn-out cells alike.
     double post_sa1_fraction = 0.1;
     /// Whether the wear stream's SA1 ratio follows sa1_fraction (the paper's
-    /// Fig. 6 setting). SweepBuilder mirrors its SA1 axis into
-    /// post_sa1_fraction only while this is set; with_post_deployment() with
-    /// an explicit ratio clears it.
+    /// Fig. 6 setting). SweepBuilder sets each cell's post_sa1_fraction to
+    /// its sa1_fraction while this is set; with_post_deployment() with an
+    /// explicit ratio clears it.
     bool post_sa1_follows_pre = true;
 
     /// Fig. 3 knobs: restrict faults to one computation phase.
@@ -102,11 +105,14 @@ struct FaultScenario {
 struct HardwareOverrides {
     /// Simulated chip size; 1 = one Table III tile (96 crossbars of 128x128).
     int num_tiles = 1;
-    /// Clipping threshold tau (paper §IV-B).
+    /// Clipping threshold tau (paper §IV-B), tuned once across all
+    /// workloads: trained GNN weights rarely exceed ~0.5, so tau = 1 clamps
+    /// explosions without touching healthy weights.
     float clip_threshold = 1.0f;
     /// FARe's SA1-criticality weighting for row matching.
     RowMatchWeights match_weights{};
-    /// Redundant-columns baseline: spare-column provisioning fraction.
+    /// Redundant-columns baseline: spare columns per crossbar as a fraction
+    /// of its width (they repair the worst-faulted columns).
     double spare_column_fraction = 0.15;
     /// Adjacency pool cap.
     std::size_t max_adjacency_pool = 48;
@@ -128,13 +134,5 @@ struct HardwareOverrides {
 
     std::string key() const;
 };
-
-/// Lower (scenario, overrides, seed) into the FaultyHardwareConfig consumed
-/// by make_hardware()/run_scheme(). `train_epochs` resolves a scenario whose
-/// post-deployment arrival spans "the full training run" (post_epochs == 0).
-FaultyHardwareConfig to_hardware_config(const FaultScenario& scenario,
-                                        const HardwareOverrides& hw,
-                                        std::uint64_t seed,
-                                        std::size_t train_epochs);
 
 }  // namespace fare

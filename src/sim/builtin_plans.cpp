@@ -24,8 +24,8 @@ ExperimentPlan wear_arrival_plan() {
     return SweepBuilder("wear_arrival")
         .workload(find_workload("PPI", GnnKind::kGCN))
         .scenario(scenario)
-        .endurance_means({40e3, 80e3, 160e3})
-        .hot_spot_fractions({0.0, 0.25})
+        .axis(&WearSpec::endurance_mean_writes, {40e3, 80e3, 160e3})
+        .axis(&WearSpec::hot_spot_fraction, {0.0, 0.25})
         .schemes({Scheme::kFaultUnaware, Scheme::kFARe})
         .epochs(3)
         .build();
@@ -58,9 +58,9 @@ ExperimentPlan online_tolerance_plan() {
         .workload(find_workload("PPI", GnnKind::kGCN))
         .scenario(scenario)
         .hardware(hw)
-        .endurance_mean(40e3)
-        .hot_spot_fraction(0.25)
-        .detect_periods({2, 8})
+        .axis(&WearSpec::endurance_mean_writes, {40e3})
+        .axis(&WearSpec::hot_spot_fraction, {0.25})
+        .axis(&OnlinePolicySpec::detect_period_batches, {2, 8})
         .schemes({Scheme::kFaultUnaware, Scheme::kFARe, Scheme::kOnlineFARe,
                   Scheme::kOnlineNaive})
         .epochs(3)
@@ -75,7 +75,7 @@ const std::vector<NamedPlan>& builtin_plans() {
          [] {
              return SweepBuilder("smoke")
                  .workload(find_workload("PPI", GnnKind::kGCN))
-                 .densities({0.01, 0.05})
+                 .axis(&FaultScenario::density, {0.01, 0.05})
                  .sa1_fraction(0.5)
                  .schemes({Scheme::kFaultFree, Scheme::kFaultUnaware,
                            Scheme::kFARe})
@@ -102,7 +102,7 @@ const std::vector<NamedPlan>& builtin_plans() {
              return SweepBuilder("read_noise")
                  .workload(find_workload("Reddit", GnnKind::kGCN))
                  .scenario(FaultScenario::pre_deployment(0.03, 0.5))
-                 .noise_sigmas({0.0, 0.02, 0.05, 0.1})
+                 .axis(&FaultScenario::read_noise_sigma, {0.0, 0.02, 0.05, 0.1})
                  .schemes({Scheme::kFaultUnaware, Scheme::kFARe})
                  .epochs(40)
                  .build();
@@ -134,8 +134,9 @@ const std::vector<NamedPlan>& builtin_plans() {
                  .workload(find_workload("PPI", GnnKind::kGCN))
                  .scenario(FaultScenario::pre_deployment(0.03, 0.5))
                  .hardware(hw)
-                 .partitioners({"multilevel", "fennel", "weighted-ldg"})
-                 .partition_counts({8, 40})
+                 .axis(&CellSpec::partitioner,
+                       {"multilevel", "fennel", "weighted-ldg"})
+                 .axis(&CellSpec::partition_count, {8, 40})
                  .schemes({Scheme::kFaultUnaware, Scheme::kFARe})
                  .epochs(2)
                  .build();
@@ -148,7 +149,7 @@ const std::vector<NamedPlan>& builtin_plans() {
          [] {
              return SweepBuilder("transformer_sweep")
                  .workload(find_workload("transformer", "SeqCls"))
-                 .densities({0.03, 0.08})
+                 .axis(&FaultScenario::density, {0.03, 0.08})
                  .sa1_fraction(0.5)
                  .prune_fractions({0.0, 0.25})
                  .schemes({Scheme::kFaultFree, Scheme::kFaultUnaware,
@@ -162,8 +163,8 @@ const std::vector<NamedPlan>& builtin_plans() {
          [] {
              return SweepBuilder("fig5")
                  .workloads(fig5_workloads())
-                 .densities({0.01, 0.03, 0.05})
-                 .sa1_fractions({0.1, 0.5})
+                 .axis(&FaultScenario::density, {0.01, 0.03, 0.05})
+                 .axis(&FaultScenario::sa1_fraction, {0.1, 0.5})
                  .schemes(figure_schemes())
                  // Pinned at the registry default: shard processes must
                  // agree on cell keys without sharing FARE_EPOCHS (use

@@ -113,7 +113,6 @@ int usage(std::ostream& os, int code) {
           "Compact a cell cache in place (drop dead lines, fold segments,\n"
           "apply --cache-max-bytes eviction; fails if the dir is in use):\n"
           "  fare-run --cache-compact --cache-dir DIR [--cache-max-bytes N]\n\n"
-          "  fare-run --list-plans   list built-in plans\n"
           "  fare-run --list         list every registry: model families,\n"
           "                          workloads, schemes, partitioners, plans\n";
     return code;
@@ -531,7 +530,7 @@ int run(int argc, char** argv) {
     std::size_t min_workers = 1;
     std::optional<std::size_t> epochs;
     bool canonical = false, stats = false, stream = false, quiet = false;
-    bool list_plans = false, merging = false, cache_compact = false;
+    bool merging = false, cache_compact = false;
     std::uint64_t cache_max_bytes = 0;
     if (const char* env_secret = std::getenv("FARE_FABRIC_SECRET"))
         fabric.secret = env_secret;
@@ -545,8 +544,7 @@ int run(int argc, char** argv) {
         };
         if (arg == "--help" || arg == "-h") return usage(std::cout, 0);
         if (arg == "--list") return list_registries(std::cout);
-        if (arg == "--list-plans") list_plans = true;
-        else if (arg == "--plan") plan_name = value();
+        if (arg == "--plan") plan_name = value();
         else if (arg == "--shard") {
             Expected<ShardSpec> shard = parse_shard(value());
             if (!shard) throw InvalidArgument(shard.error());
@@ -602,11 +600,6 @@ int run(int argc, char** argv) {
         }
     }
 
-    if (list_plans) {
-        for (const NamedPlan& plan : builtin_plans())
-            std::cout << plan.name << " — " << plan.description << '\n';
-        return 0;
-    }
     if (merging) {
         if (merge_inputs.empty()) {
             std::cerr << "fare-run: --merge needs input files\n\n";

@@ -1,11 +1,11 @@
 #include "sim/plan.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <sstream>
 
 #include "common/error.hpp"
 #include "common/table.hpp"
-#include "graph/partitioner.hpp"
 #include "nn/model_family.hpp"
 
 namespace fare {
@@ -112,6 +112,25 @@ std::string CellSpec::key() const {
     return os.str();
 }
 
+std::string field_range_error(const char* field, const FieldRange& range,
+                              double value) {
+    const bool bounded = !std::isinf(range.lo) || !std::isinf(range.hi);
+    const bool above = range.lo_open ? value > range.lo : value >= range.lo;
+    const bool below = range.hi_open ? value < range.hi : value <= range.hi;
+    if (!bounded || (above && below)) return {};
+    return std::string("field '") + field + "': " + fmt_exact(value) +
+           " outside " + (range.lo_open ? "(" : "[") + fmt_exact(range.lo) +
+           ", " + fmt_exact(range.hi) + (range.hi_open ? ")" : "]");
+}
+
+std::string chip_field_error(const CellSpec& cell) {
+    std::string error;
+    visit_fields([&](const auto& field) {
+        if (error.empty()) error = field.error(field.of(cell));
+    });
+    return error;
+}
+
 SweepBuilder::SweepBuilder(std::string name) : name_(std::move(name)) {}
 
 SweepBuilder& SweepBuilder::workload(const WorkloadSpec& w) {
@@ -138,141 +157,29 @@ SweepBuilder& SweepBuilder::schemes(const std::vector<Scheme>& s) {
     schemes_ = s;
     return *this;
 }
-SweepBuilder& SweepBuilder::density(double d) { return densities({d}); }
-SweepBuilder& SweepBuilder::densities(const std::vector<double>& d) {
-    densities_ = d;
-    return *this;
-}
-SweepBuilder& SweepBuilder::sa1_fraction(double f) { return sa1_fractions({f}); }
-SweepBuilder& SweepBuilder::sa1_fractions(const std::vector<double>& f) {
-    sa1_fractions_ = f;
-    return *this;
-}
-SweepBuilder& SweepBuilder::cluster_shape(double shape) {
-    return cluster_shapes({shape});
-}
-SweepBuilder& SweepBuilder::cluster_shapes(const std::vector<double>& shapes) {
-    cluster_shapes_ = shapes;
-    return *this;
-}
-SweepBuilder& SweepBuilder::post_density(double d) {
-    return post_densities({d});
-}
-SweepBuilder& SweepBuilder::post_densities(const std::vector<double>& d) {
-    post_densities_ = d;
-    return *this;
-}
-SweepBuilder& SweepBuilder::post_epoch_span(std::size_t epochs) {
-    return post_epoch_spans({epochs});
-}
-SweepBuilder& SweepBuilder::post_epoch_spans(
-    const std::vector<std::size_t>& epochs) {
-    post_epoch_spans_ = epochs;
-    return *this;
-}
-SweepBuilder& SweepBuilder::noise_sigma(double sigma) {
-    return noise_sigmas({sigma});
-}
-SweepBuilder& SweepBuilder::noise_sigmas(const std::vector<double>& sigmas) {
-    noise_sigmas_ = sigmas;
-    return *this;
-}
-SweepBuilder& SweepBuilder::clip_threshold(float tau) {
-    return clip_thresholds({tau});
-}
-SweepBuilder& SweepBuilder::clip_thresholds(const std::vector<float>& taus) {
-    clip_thresholds_ = taus;
-    return *this;
-}
-SweepBuilder& SweepBuilder::endurance_mean(double writes) {
-    return endurance_means({writes});
-}
-SweepBuilder& SweepBuilder::endurance_means(const std::vector<double>& writes) {
-    endurance_means_ = writes;
-    return *this;
-}
-SweepBuilder& SweepBuilder::hot_spot_fraction(double fraction) {
-    return hot_spot_fractions({fraction});
-}
-SweepBuilder& SweepBuilder::hot_spot_fractions(
-    const std::vector<double>& fractions) {
-    hot_spot_fractions_ = fractions;
-    return *this;
-}
-SweepBuilder& SweepBuilder::arrival_period(std::size_t batches) {
-    return arrival_periods({batches});
-}
-SweepBuilder& SweepBuilder::arrival_periods(
-    const std::vector<std::size_t>& batches) {
-    arrival_periods_ = batches;
-    return *this;
-}
-SweepBuilder& SweepBuilder::detect_period(std::size_t steps) {
-    return detect_periods({steps});
-}
-SweepBuilder& SweepBuilder::detect_periods(const std::vector<std::size_t>& steps) {
-    detect_periods_ = steps;
-    return *this;
-}
-SweepBuilder& SweepBuilder::spare_columns(std::size_t columns) {
-    return spare_columns(std::vector<std::size_t>{columns});
-}
-SweepBuilder& SweepBuilder::spare_columns(const std::vector<std::size_t>& columns) {
-    spare_columns_ = columns;
-    return *this;
-}
-SweepBuilder& SweepBuilder::readback_tolerance(double tolerance) {
-    return readback_tolerances({tolerance});
-}
-SweepBuilder& SweepBuilder::readback_tolerances(
-    const std::vector<double>& tolerances) {
-    readback_tolerances_ = tolerances;
-    return *this;
-}
-SweepBuilder& SweepBuilder::partitioner(const std::string& name) {
-    return partitioners({name});
-}
-SweepBuilder& SweepBuilder::partitioners(const std::vector<std::string>& names) {
-    partitioners_ = names;
-    return *this;
-}
-SweepBuilder& SweepBuilder::partition_count(int k) {
-    return partition_counts({k});
-}
-SweepBuilder& SweepBuilder::partition_counts(const std::vector<int>& k) {
-    partition_counts_ = k;
-    return *this;
-}
-SweepBuilder& SweepBuilder::prune_fraction(double fraction) {
-    return prune_fractions({fraction});
-}
-SweepBuilder& SweepBuilder::prune_fractions(const std::vector<double>& fractions) {
-    prune_fractions_ = fractions;
-    return *this;
-}
 SweepBuilder& SweepBuilder::seed(std::uint64_t s) { return seeds({s}); }
 SweepBuilder& SweepBuilder::seeds(const std::vector<std::uint64_t>& s) {
     seeds_ = s;
     return *this;
 }
 SweepBuilder& SweepBuilder::scenario(const FaultScenario& base) {
-    scenario_ = base;
+    base_.faults = base;
     return *this;
 }
 SweepBuilder& SweepBuilder::hardware(const HardwareOverrides& hw) {
-    hardware_ = hw;
+    base_.hardware = hw;
     return *this;
 }
 SweepBuilder& SweepBuilder::mode(CellMode m) {
-    mode_ = m;
+    base_.mode = m;
     return *this;
 }
 SweepBuilder& SweepBuilder::record_curve(bool on) {
-    record_curve_ = on;
+    base_.record_curve = on;
     return *this;
 }
 SweepBuilder& SweepBuilder::epochs(std::size_t e) {
-    epochs_ = e;
+    base_.epochs = e;
     return *this;
 }
 SweepBuilder& SweepBuilder::seed_policy(SeedPolicy p) {
@@ -280,166 +187,46 @@ SweepBuilder& SweepBuilder::seed_policy(SeedPolicy p) {
     return *this;
 }
 
-std::size_t SweepBuilder::size() const {
-    const std::size_t densities = densities_ ? densities_->size() : 1;
-    const std::size_t sa1s = sa1_fractions_ ? sa1_fractions_->size() : 1;
-    const std::size_t clusters = cluster_shapes_ ? cluster_shapes_->size() : 1;
-    const std::size_t posts = post_densities_ ? post_densities_->size() : 1;
-    const std::size_t spans = post_epoch_spans_ ? post_epoch_spans_->size() : 1;
-    const std::size_t noises = noise_sigmas_ ? noise_sigmas_->size() : 1;
-    const std::size_t clips = clip_thresholds_ ? clip_thresholds_->size() : 1;
-    const std::size_t wears = endurance_means_ ? endurance_means_->size() : 1;
-    const std::size_t hots = hot_spot_fractions_ ? hot_spot_fractions_->size() : 1;
-    const std::size_t arrivals = arrival_periods_ ? arrival_periods_->size() : 1;
-    const std::size_t detects = detect_periods_ ? detect_periods_->size() : 1;
-    const std::size_t spares = spare_columns_ ? spare_columns_->size() : 1;
-    const std::size_t tols =
-        readback_tolerances_ ? readback_tolerances_->size() : 1;
-    const std::size_t parts = partitioners_ ? partitioners_->size() : 1;
-    const std::size_t pcounts = partition_counts_ ? partition_counts_->size() : 1;
-    const std::size_t prunes = prune_fractions_ ? prune_fractions_->size() : 1;
-    return workloads_.size() * densities * sa1s * clusters * posts * spans *
-           noises * clips * wears * hots * arrivals * detects * spares * tols *
-           parts * pcounts * prunes * schemes_.size() * seeds_.size();
-}
-
 ExperimentPlan SweepBuilder::build() const {
     FARE_CHECK(!workloads_.empty(), "sweep '" + name_ + "' has no workloads");
     FARE_CHECK(!schemes_.empty(), "sweep '" + name_ + "' has no schemes");
     FARE_CHECK(!seeds_.empty(), "sweep '" + name_ + "' has no seeds");
-
-    const std::vector<double> densities =
-        densities_ ? *densities_ : std::vector<double>{scenario_.density};
-    const std::vector<double> sa1s =
-        sa1_fractions_ ? *sa1_fractions_ : std::vector<double>{scenario_.sa1_fraction};
-    const std::vector<double> clusters =
-        cluster_shapes_ ? *cluster_shapes_
-                        : std::vector<double>{scenario_.cluster_shape};
-    const std::vector<double> posts =
-        post_densities_ ? *post_densities_
-                        : std::vector<double>{scenario_.post_total_density};
-    const std::vector<std::size_t> spans =
-        post_epoch_spans_ ? *post_epoch_spans_
-                          : std::vector<std::size_t>{scenario_.post_epochs};
-    const std::vector<double> noises =
-        noise_sigmas_ ? *noise_sigmas_
-                      : std::vector<double>{scenario_.read_noise_sigma};
-    const std::vector<float> clips =
-        clip_thresholds_ ? *clip_thresholds_
-                         : std::vector<float>{hardware_.clip_threshold};
-    const std::vector<double> endurances =
-        endurance_means_ ? *endurance_means_
-                         : std::vector<double>{scenario_.wear.endurance_mean_writes};
-    const std::vector<double> hots =
-        hot_spot_fractions_ ? *hot_spot_fractions_
-                            : std::vector<double>{scenario_.wear.hot_spot_fraction};
-    const std::vector<std::size_t> arrivals =
-        arrival_periods_ ? *arrival_periods_
-                         : std::vector<std::size_t>{scenario_.arrival_period_batches};
-    const std::vector<std::size_t> detects =
-        detect_periods_
-            ? *detect_periods_
-            : std::vector<std::size_t>{hardware_.online.detect_period_batches};
-    const std::vector<std::size_t> spares =
-        spare_columns_ ? *spare_columns_
-                       : std::vector<std::size_t>{hardware_.online.spare_columns};
-    const std::vector<double> tols =
-        readback_tolerances_
-            ? *readback_tolerances_
-            : std::vector<double>{hardware_.online.readback_tolerance};
-    const std::vector<std::string> parts =
-        partitioners_ ? *partitioners_ : std::vector<std::string>{std::string()};
-    const std::vector<int> pcounts =
-        partition_counts_ ? *partition_counts_ : std::vector<int>{0};
-    const std::vector<double> prunes =
-        prune_fractions_ ? *prune_fractions_
-                         : std::vector<double>{hardware_.prune_fraction};
-    // Catch typo'd axis values at build time, not mid-sweep on a worker.
-    for (const double d : densities)
-        FARE_CHECK(d >= 0.0 && d <= 1.0,
-                   "sweep '" + name_ + "': fault density outside [0,1]");
-    for (const double f : sa1s)
-        FARE_CHECK(f >= 0.0 && f <= 1.0,
-                   "sweep '" + name_ + "': SA1 fraction outside [0,1]");
-    for (const double post : posts)
-        FARE_CHECK(post >= 0.0 && post <= 1.0,
-                   "sweep '" + name_ + "': post-deployment density outside [0,1]");
-    for (const double sigma : noises)
-        FARE_CHECK(sigma >= 0.0,
-                   "sweep '" + name_ + "': read-noise sigma must be >= 0");
-    for (const float tau : clips)
-        FARE_CHECK(tau > 0.0f,
-                   "sweep '" + name_ + "': clip threshold must be > 0");
-    for (const double mean : endurances)
-        FARE_CHECK(mean >= 0.0,
-                   "sweep '" + name_ + "': endurance mean must be >= 0");
-    for (const double hot : hots)
-        FARE_CHECK(hot >= 0.0 && hot <= 1.0,
-                   "sweep '" + name_ + "': hot-spot fraction outside [0,1]");
-    for (const double tol : tols)
-        FARE_CHECK(tol >= 0.0,
-                   "sweep '" + name_ + "': readback tolerance must be >= 0");
-    for (const std::string& pname : parts)
-        if (!pname.empty()) {
-            const auto found = try_find_partitioner(pname);
-            FARE_CHECK(found.ok(), "sweep '" + name_ + "': " + found.error());
-        }
-    for (const int pc : pcounts)
-        FARE_CHECK(pc >= 0,
-                   "sweep '" + name_ + "': partition count must be >= 0");
-    for (const double prune : prunes)
-        FARE_CHECK(prune >= 0.0 && prune < 1.0,
-                   "sweep '" + name_ + "': prune fraction outside [0,1)");
+    // Axis values were checked as they were set; the template stands in for
+    // every unset axis.
+    const std::string error = chip_field_error(base_);
+    FARE_CHECK(error.empty(), "sweep '" + name_ + "': " + error);
 
     ExperimentPlan plan;
     plan.name = name_;
-    plan.cells.reserve(size());
-    // The full cross-product is 19 axes deep; index-odometer enumeration
-    // replaces the nested-loop pyramid while keeping the documented
+    // Index-odometer enumeration over workload, the chip-field axes (unset
+    // ones have length 1), scheme and seed, keeping the documented
     // workload-major order (rightmost axis spins fastest).
-    const std::size_t extents[] = {
-        workloads_.size(), densities.size(), sa1s.size(),     clusters.size(),
-        posts.size(),      spans.size(),     noises.size(),   clips.size(),
-        endurances.size(), hots.size(),      arrivals.size(), detects.size(),
-        spares.size(),     tols.size(),      parts.size(),    pcounts.size(),
-        prunes.size(),     schemes_.size(),  seeds_.size()};
-    constexpr std::size_t kAxes = sizeof(extents) / sizeof(extents[0]);
-    std::size_t index[kAxes] = {};
-    for (std::size_t produced = 0; produced < size(); ++produced) {
-        CellSpec cell;
+    std::vector<std::size_t> extents{workloads_.size()};
+    for (const Axis& axis : axes_) extents.push_back(axis.size);
+    extents.push_back(schemes_.size());
+    extents.push_back(seeds_.size());
+    std::vector<std::size_t> index(extents.size(), 0);
+    const std::size_t scheme_axis = extents.size() - 2;
+    const std::size_t seed_axis = extents.size() - 1;
+    std::size_t cells = 1;
+    for (const std::size_t extent : extents) cells *= extent;
+    plan.cells.reserve(cells);
+    for (std::size_t produced = 0; produced < cells; ++produced) {
+        CellSpec cell = base_;
         cell.workload = workloads_[index[0]];
-        cell.scheme = schemes_[index[17]];
-        cell.faults = scenario_;
-        cell.faults.density = densities[index[1]];
-        cell.faults.sa1_fraction = sa1s[index[2]];
-        cell.faults.cluster_shape = clusters[index[3]];
-        cell.faults.post_total_density = posts[index[4]];
-        cell.faults.post_epochs = spans[index[5]];
-        cell.faults.read_noise_sigma = noises[index[6]];
-        cell.faults.wear.endurance_mean_writes = endurances[index[8]];
-        cell.faults.wear.hot_spot_fraction = hots[index[9]];
-        cell.faults.arrival_period_batches = arrivals[index[10]];
-        if (scenario_.post_sa1_follows_pre)
-            cell.faults.post_sa1_fraction = sa1s[index[2]];
-        cell.hardware = hardware_;
-        cell.hardware.clip_threshold = clips[index[7]];
-        cell.hardware.online.detect_period_batches = detects[index[11]];
-        cell.hardware.online.spare_columns = spares[index[12]];
-        cell.hardware.online.readback_tolerance = tols[index[13]];
-        cell.partitioner = parts[index[14]];
-        cell.partition_count = pcounts[index[15]];
-        cell.hardware.prune_fraction = prunes[index[16]];
-        cell.mode = mode_;
-        cell.record_curve = record_curve_;
-        cell.epochs = epochs_;
-        cell.seed = seeds_[index[18]];
+        for (std::size_t a = 0; a < axes_.size(); ++a)
+            if (axes_[a].set) axes_[a].set(cell, index[1 + a]);
+        if (cell.faults.post_sa1_follows_pre)
+            cell.faults.post_sa1_fraction = cell.faults.sa1_fraction;
+        cell.scheme = schemes_[index[scheme_axis]];
+        cell.seed = seeds_[index[seed_axis]];
         if (seed_policy_ == SeedPolicy::kDerived) {
             CellSpec coords = cell;  // key() sans seed
             coords.seed = 0;
-            cell.seed = splitmix64(seeds_[index[18]] ^ fnv1a(coords.key()));
+            cell.seed = splitmix64(seeds_[index[seed_axis]] ^ fnv1a(coords.key()));
         }
         plan.cells.push_back(std::move(cell));
-        for (std::size_t axis = kAxes; axis-- > 0;) {
+        for (std::size_t axis = extents.size(); axis-- > 0;) {
             if (++index[axis] < extents[axis]) break;
             index[axis] = 0;
         }

@@ -6,11 +6,16 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <limits>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
+#include "common/error.hpp"
 #include "fare/scenario.hpp"
+#include "graph/partitioner.hpp"
 #include "sim/registry.hpp"
 
 namespace fare {
@@ -83,17 +88,125 @@ struct ExperimentPlan {
     bool empty() const { return cells.empty(); }
 };
 
+/// Valid values of a chip field: a number lies in [lo, hi], either end
+/// open; a string must name a registered partitioner ("" = the workload
+/// default).
+struct FieldRange {
+    double lo = -std::numeric_limits<double>::infinity();
+    double hi = std::numeric_limits<double>::infinity();
+    bool lo_open = false;
+    bool hi_open = false;
+};
+
+/// Why `value` lies outside `field`'s range ("" when it does not).
+std::string field_range_error(const char* field, const FieldRange& range,
+                              double value);
+
+/// Where a struct of chip fields sits: its object path in the record's spec
+/// ("" = the spec itself) and how to reach it in a cell.
+template <class Of>
+struct FieldBlock {
+    const char* outer;
+    const char* inner;
+    Of of;
+};
+
+/// One chip field of a CellSpec: its record name, the member holding it,
+/// the record schema version that introduced it, its valid values and the
+/// block it sits in.
+template <class S, class T, class Of>
+struct CellField {
+    using Value = T;
+
+    const char* name;
+    T S::*member;
+    int since;
+    FieldRange range;
+    FieldBlock<Of> block;
+
+    /// The field inside `cell` (const when `cell` is).
+    auto& of(auto& cell) const { return block.of(cell).*member; }
+    /// Why `value` is not valid for this field ("" when it is).
+    std::string error(const T& value) const {
+        if constexpr (std::is_same_v<T, std::string>) {
+            const auto found = try_find_partitioner(value);
+            return value.empty() || found.ok()
+                       ? std::string()
+                       : std::string("field '") + name + "': " + found.error();
+        } else {
+            return field_range_error(name, range, static_cast<double>(value));
+        }
+    }
+};
+
+/// The chip fields of a CellSpec, one row per leaf in record order. The
+/// record JSON (sim/serialization.hpp) and SweepBuilder::axis are driven
+/// from here; CellSpec::key() and the display line stay hand-written.
+template <class Visit>
+void visit_fields(Visit&& visit) {
+    using F = FaultScenario;
+    using W = WearSpec;
+    using H = HardwareOverrides;
+    using M = RowMatchWeights;
+    using O = OnlinePolicySpec;
+    constexpr FieldRange any{};
+    constexpr FieldRange unit{.lo = 0.0, .hi = 1.0};
+    constexpr FieldRange non_negative{.lo = 0.0};
+    constexpr FieldRange positive{.lo = 0.0, .lo_open = true};
+    constexpr FieldRange at_least_one{.lo = 1.0};
+    constexpr FieldRange below_one{.lo = 0.0, .hi = 1.0, .hi_open = true};
+    const FieldBlock spec{"", "", [](auto& c) -> auto& { return c; }};
+    const FieldBlock faults{"faults", "", [](auto& c) -> auto& { return c.faults; }};
+    const FieldBlock wear{"faults", "wear", [](auto& c) -> auto& { return c.faults.wear; }};
+    const FieldBlock hw{"hardware", "", [](auto& c) -> auto& { return c.hardware; }};
+    const FieldBlock match{"hardware", "",
+                           [](auto& c) -> auto& { return c.hardware.match_weights; }};
+    const FieldBlock online{"hardware", "online",
+                            [](auto& c) -> auto& { return c.hardware.online; }};
+    visit(CellField{"partitioner", &CellSpec::partitioner, 4, any, spec});
+    visit(CellField{"partition_count", &CellSpec::partition_count, 4, non_negative, spec});
+    visit(CellField{"density", &F::density, 2, unit, faults});
+    visit(CellField{"sa1_fraction", &F::sa1_fraction, 2, unit, faults});
+    visit(CellField{"cluster_shape", &F::cluster_shape, 2, any, faults});
+    visit(CellField{"post_total_density", &F::post_total_density, 2, unit, faults});
+    visit(CellField{"post_epochs", &F::post_epochs, 2, any, faults});
+    visit(CellField{"post_sa1_fraction", &F::post_sa1_fraction, 2, unit, faults});
+    visit(CellField{"post_sa1_follows_pre", &F::post_sa1_follows_pre, 2, any, faults});
+    visit(CellField{"faults_on_weights", &F::faults_on_weights, 2, any, faults});
+    visit(CellField{"faults_on_adjacency", &F::faults_on_adjacency, 2, any, faults});
+    visit(CellField{"read_noise_sigma", &F::read_noise_sigma, 2, non_negative, faults});
+    visit(CellField{"soft_error_rate", &F::soft_error_rate, 3, unit, faults});
+    visit(CellField{"endurance_mean_writes", &W::endurance_mean_writes, 2, non_negative, wear});
+    visit(CellField{"weibull_shape", &W::weibull_shape, 2, positive, wear});
+    visit(CellField{"hot_spot_fraction", &W::hot_spot_fraction, 2, unit, wear});
+    visit(CellField{"hot_spot_severity", &W::hot_spot_severity, 2, at_least_one, wear});
+    visit(CellField{"writes_per_step", &W::writes_per_step, 2, at_least_one, wear});
+    visit(CellField{"arrival_period_batches", &F::arrival_period_batches, 2, any, faults});
+    visit(CellField{"num_tiles", &H::num_tiles, 2, any, hw});
+    visit(CellField{"clip_threshold", &H::clip_threshold, 2, positive, hw});
+    visit(CellField{"match_sa0", &M::sa0, 2, any, match});
+    visit(CellField{"match_sa1", &M::sa1, 2, any, match});
+    visit(CellField{"spare_column_fraction", &H::spare_column_fraction, 2, any, hw});
+    visit(CellField{"max_adjacency_pool", &H::max_adjacency_pool, 2, any, hw});
+    visit(CellField{"prune_fraction", &H::prune_fraction, 5, below_one, hw});
+    visit(CellField{"detect_period_batches", &O::detect_period_batches, 3, any, online});
+    visit(CellField{"march_window", &O::march_window, 3, any, online});
+    visit(CellField{"readback_tolerance", &O::readback_tolerance, 3, non_negative, online});
+    visit(CellField{"spare_columns", &O::spare_columns, 3, any, online});
+    visit(CellField{"reprogram_pulses", &O::reprogram_pulses, 3, any, online});
+    visit(CellField{"partition_aware_mapping", &H::partition_aware_mapping, 4, any, hw});
+}
+
+/// Why a chip field of `cell` lies outside its range ("" when none does).
+std::string chip_field_error(const CellSpec& cell);
+
 /// Cross-product builder over the evaluation axes. Unset axes default to a
-/// single element taken from the scenario / spec templates, so a builder
+/// single element taken from the scenario / hardware templates, so a builder
 /// with only a workload and a scheme yields exactly one cell.
 ///
-/// Enumeration order is deterministic: workload-major, then density, then
-/// SA1 fraction, then cluster shape, then post-deployment density, then
-/// post-deployment epoch span, then read-noise sigma, then clip threshold,
-/// then write-endurance mean, then hot-spot fraction, then arrival period,
-/// then detect period, then spare columns, then readback tolerance, then
-/// partitioner, then partition count, then prune fraction, then scheme,
-/// then seed — the row/column order the paper's tables use.
+/// Enumeration order is deterministic: workload-major, then the chip-field
+/// axes in record order (visit_fields), then scheme, then seed — the
+/// row/column order the paper's tables use.
 class SweepBuilder {
 public:
     explicit SweepBuilder(std::string name);
@@ -108,78 +221,25 @@ public:
     SweepBuilder& model_families(const std::vector<std::string>& names);
     SweepBuilder& scheme(Scheme s);
     SweepBuilder& schemes(const std::vector<Scheme>& s);
-    SweepBuilder& density(double d);
-    SweepBuilder& densities(const std::vector<double>& d);
-    SweepBuilder& sa1_fraction(double f);
-    SweepBuilder& sa1_fractions(const std::vector<double>& f);
-    /// Gamma–Poisson clustering shape of the fault centres (<= 0 = no
-    /// clustering). Unset: the scenario template's cluster_shape.
-    SweepBuilder& cluster_shape(double shape);
-    SweepBuilder& cluster_shapes(const std::vector<double>& shapes);
-    /// Post-deployment total added density axis (Fig. 6; 0 = no wear
-    /// stream for that row). Unset: the template's post_total_density.
-    SweepBuilder& post_density(double d);
-    SweepBuilder& post_densities(const std::vector<double>& d);
-    /// Epoch boundaries the post-deployment arrival spreads over (0 = the
-    /// full training run). Unset: the template's post_epochs.
-    SweepBuilder& post_epoch_span(std::size_t epochs);
-    SweepBuilder& post_epoch_spans(const std::vector<std::size_t>& epochs);
-    /// Multiplicative read-noise sigma axis (extension E3). Unset: the
-    /// scenario template's read_noise_sigma.
-    SweepBuilder& noise_sigma(double sigma);
-    SweepBuilder& noise_sigmas(const std::vector<double>& sigmas);
-    /// Clipping threshold tau axis (paper §IV-B ablations). Unset: the
-    /// hardware template's clip_threshold.
-    SweepBuilder& clip_threshold(float tau);
-    SweepBuilder& clip_thresholds(const std::vector<float>& taus);
-    /// Write-endurance mean axis (live wear; 0 = wear disabled for that
-    /// row). Unset: the scenario template's wear.endurance_mean_writes.
-    /// Shape / severity / step charge come from the template's wear block.
-    SweepBuilder& endurance_mean(double writes);
-    SweepBuilder& endurance_means(const std::vector<double>& writes);
-    /// Endurance hot-spot fraction axis. Unset: the template's
-    /// wear.hot_spot_fraction.
-    SweepBuilder& hot_spot_fraction(double fraction);
-    SweepBuilder& hot_spot_fractions(const std::vector<double>& fractions);
-    /// Mid-epoch arrival cadence axis (0 = epoch boundaries only). Unset:
-    /// the template's arrival_period_batches.
-    SweepBuilder& arrival_period(std::size_t batches);
-    SweepBuilder& arrival_periods(const std::vector<std::size_t>& batches);
-    /// Online detection cadence axis in training steps (0 = online policy
-    /// disabled for that row). Only the online schemes consult it — other
-    /// schemes' cell keys normalise the policy away, so shared rows dedupe.
-    /// Unset: the hardware template's online.detect_period_batches.
-    SweepBuilder& detect_period(std::size_t steps);
-    SweepBuilder& detect_periods(const std::vector<std::size_t>& steps);
-    /// Per-crossbar spare-column budget axis of the online correction
-    /// policy. Unset: the hardware template's online.spare_columns.
-    SweepBuilder& spare_columns(std::size_t columns);
-    SweepBuilder& spare_columns(const std::vector<std::size_t>& columns);
-    /// Readback signature-error escalation threshold axis. Unset: the
-    /// hardware template's online.readback_tolerance.
-    SweepBuilder& readback_tolerance(double tolerance);
-    SweepBuilder& readback_tolerances(const std::vector<double>& tolerances);
-    /// Cluster-partitioner axis by registry name ("" = workload default).
-    /// Names are validated against registered_partitioners() at build time.
-    SweepBuilder& partitioner(const std::string& name);
-    SweepBuilder& partitioners(const std::vector<std::string>& names);
-    /// Cluster-partition count axis (0 = workload default).
-    SweepBuilder& partition_count(int k);
-    SweepBuilder& partition_counts(const std::vector<int>& k);
-    /// Significance-pruning axis: fraction of smallest-|w| weights per
-    /// matrix forced to zero on the crossbars, which relaxes the fault
-    /// matching objective (faults under pruned cells are harmless — see
-    /// HardwareOverrides::prune_fraction). 0 = no pruning; key-inert at 0.
-    SweepBuilder& prune_fraction(double fraction);
-    SweepBuilder& prune_fractions(const std::vector<double>& fractions);
+    /// Sweep one chip field over `values`, e.g.
+    /// `.axis(&FaultScenario::read_noise_sigma, {0.0, 0.02})` or
+    /// `.axis(&WearSpec::endurance_mean_writes, {4e4, 8e4})`. Values are
+    /// range-checked here; setting an axis again replaces it.
+    template <class S, class T>
+    SweepBuilder& axis(T S::*member, std::type_identity_t<std::vector<T>> values);
+    /// Shorthands for the most common axes.
+    SweepBuilder& density(double d) { return axis(&FaultScenario::density, {d}); }
+    SweepBuilder& sa1_fraction(double f) { return axis(&FaultScenario::sa1_fraction, {f}); }
+    SweepBuilder& prune_fractions(const std::vector<double>& f) {
+        return axis(&HardwareOverrides::prune_fraction, f);
+    }
     SweepBuilder& seed(std::uint64_t s);
     SweepBuilder& seeds(const std::vector<std::uint64_t>& s);
 
-    /// Scenario template: density / SA1 axes overwrite its corresponding
-    /// fields per cell; everything else (post-deployment arrival, phase
-    /// restriction, noise, clustering) is copied through. While the template
-    /// has post_sa1_follows_pre set (the default), the SA1 axis also mirrors
-    /// into the wear stream's ratio.
+    /// Scenario template: chip-field axes overwrite its fields per cell;
+    /// everything else is copied through. While a cell's
+    /// post_sa1_follows_pre is set (the default), its post_sa1_fraction
+    /// follows its sa1_fraction.
     SweepBuilder& scenario(const FaultScenario& base);
     SweepBuilder& hardware(const HardwareOverrides& hw);
     SweepBuilder& mode(CellMode m);
@@ -187,38 +247,48 @@ public:
     SweepBuilder& epochs(std::size_t e);
     SweepBuilder& seed_policy(SeedPolicy p);
 
-    /// Number of cells build() will produce.
-    std::size_t size() const;
-
     ExperimentPlan build() const;
 
 private:
+    /// One chip-field axis: its length and a setter writing value i into a
+    /// cell (none while the axis is unset).
+    struct Axis {
+        std::size_t size = 1;
+        std::function<void(CellSpec&, std::size_t)> set;
+    };
+
     std::string name_;
     std::vector<WorkloadSpec> workloads_;
     std::vector<Scheme> schemes_{Scheme::kFaultFree};
-    std::optional<std::vector<double>> densities_;
-    std::optional<std::vector<double>> sa1_fractions_;
-    std::optional<std::vector<double>> cluster_shapes_;
-    std::optional<std::vector<double>> post_densities_;
-    std::optional<std::vector<std::size_t>> post_epoch_spans_;
-    std::optional<std::vector<double>> noise_sigmas_;
-    std::optional<std::vector<float>> clip_thresholds_;
-    std::optional<std::vector<double>> endurance_means_;
-    std::optional<std::vector<double>> hot_spot_fractions_;
-    std::optional<std::vector<std::size_t>> arrival_periods_;
-    std::optional<std::vector<std::size_t>> detect_periods_;
-    std::optional<std::vector<std::size_t>> spare_columns_;
-    std::optional<std::vector<double>> readback_tolerances_;
-    std::optional<std::vector<std::string>> partitioners_;
-    std::optional<std::vector<int>> partition_counts_;
-    std::optional<std::vector<double>> prune_fractions_;
+    std::vector<Axis> axes_;  ///< indexed by visit_fields row
     std::vector<std::uint64_t> seeds_{1};
-    FaultScenario scenario_;
-    HardwareOverrides hardware_;
-    CellMode mode_ = CellMode::kTrain;
-    bool record_curve_ = false;
-    std::optional<std::size_t> epochs_;
+    CellSpec base_;  ///< template: scenario, hardware, mode, curve, epochs
     SeedPolicy seed_policy_ = SeedPolicy::kShared;
 };
+
+template <class S, class T>
+SweepBuilder& SweepBuilder::axis(T S::*member,
+                                 std::type_identity_t<std::vector<T>> values) {
+    bool found = false;
+    std::size_t row = 0;
+    visit_fields([&](const auto& field) {
+        if constexpr (std::is_same_v<decltype(field.member), T S::*>) {
+            if (field.member == member) {
+                for (const T& value : values) {
+                    const std::string error = field.error(value);
+                    FARE_CHECK(error.empty(), "sweep '" + name_ + "': " + error);
+                }
+                if (axes_.size() <= row) axes_.resize(row + 1);
+                axes_[row] = {values.size(), [field, values](CellSpec& cell, std::size_t i) {
+                                  field.of(cell) = values[i];
+                              }};
+                found = true;
+            }
+        }
+        ++row;
+    });
+    FARE_CHECK(found, "sweep '" + name_ + "': axis member is not a chip field");
+    return *this;
+}
 
 }  // namespace fare

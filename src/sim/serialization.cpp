@@ -6,6 +6,8 @@
 #include <cstdlib>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
+#include <type_traits>
 
 #include "common/table.hpp"
 
@@ -324,21 +326,23 @@ double dnum_or(const JsonValue& v, const char* key, double fallback) {
     return m ? m->as_double() : fallback;
 }
 
-std::uint64_t u64_or(const JsonValue& v, const char* key,
-                     std::uint64_t fallback) {
-    const JsonValue* m = v.find(key);
-    return m ? u64_value(*m, key) : fallback;
-}
-
-bool bool_or(const JsonValue& v, const char* key, bool fallback) {
-    const JsonValue* m = v.find(key);
-    return m ? m->as_bool() : fallback;
-}
-
 std::string string_or(const JsonValue& v, const char* key,
                       const std::string& fallback) {
     const JsonValue* m = v.find(key);
     return m ? m->as_string() : fallback;
+}
+
+/// One chip-field value of type T from its member `m` named `key`.
+template <class T>
+T read_value(const JsonValue& m, const char* key) {
+    if constexpr (std::is_same_v<T, bool>)
+        return m.as_bool();
+    else if constexpr (std::is_same_v<T, std::string>)
+        return m.as_string();
+    else if constexpr (std::is_floating_point_v<T>)
+        return static_cast<T>(m.as_double());
+    else
+        return static_cast<T>(u64_value(m, key));
 }
 
 }  // namespace
@@ -401,9 +405,55 @@ Expected<JsonValue> parse_json(const std::string& text, JsonLimits limits) {
 // Full-fidelity CellResult round trip.
 // ---------------------------------------------------------------------------
 
+namespace {
+
+template <class T>
+void write_value(std::ostream& os, const T& value) {
+    if constexpr (std::is_same_v<T, bool>)
+        os << (value ? "true" : "false");
+    else if constexpr (std::is_same_v<T, std::string>)
+        os << '"' << json_escape(value) << '"';
+    else if constexpr (std::is_floating_point_v<T>)
+        os << json_num(value);
+    else
+        os << value;
+}
+
+/// The chip fields of `s` in record order, each opening and closing the
+/// blocks its row lives in. Fields since v5 are written only off their
+/// default, so an older reader's records keep their exact bytes.
+void write_chip_fields(std::ostream& os, const CellSpec& s) {
+    static const CellSpec defaults;
+    std::string_view open[2] = {"", ""};  // the blocks the writer is inside
+    const char* sep = ",";                // the spec object has members already
+    visit_fields([&](const auto& field) {
+        const auto& value = field.of(s);
+        if (field.since >= 5 && value == field.of(defaults)) return;
+        const std::string_view block[2] = {field.block.outer, field.block.inner};
+        for (int depth = 1; depth >= 0; --depth) {  // leave other blocks
+            if (!open[depth].empty() &&
+                (open[0] != block[0] || open[depth] != block[depth])) {
+                os << '}';
+                open[depth] = "";
+            }
+        }
+        for (int depth = 0; depth < 2; ++depth) {  // enter this row's blocks
+            if (open[depth] == block[depth]) continue;
+            os << sep << '"' << block[depth] << "\":{";
+            open[depth] = block[depth];
+            sep = "";
+        }
+        os << sep << '"' << field.name << "\":";
+        write_value(os, value);
+        sep = ",";
+    });
+    for (int depth = 1; depth >= 0; --depth)
+        if (!open[depth].empty()) os << '}';
+}
+
+}  // namespace
+
 std::string cell_spec_to_json(const CellSpec& s) {
-    const FaultScenario& f = s.faults;
-    const HardwareOverrides& h = s.hardware;
     std::ostringstream os;
     os << "{"
        << "\"dataset\":\"" << json_escape(s.workload.dataset) << "\""
@@ -417,45 +467,9 @@ std::string cell_spec_to_json(const CellSpec& s) {
        << ",\"seed\":" << s.seed << ",\"hardware_seed\":"
        << (s.hardware_seed ? std::to_string(*s.hardware_seed) : "null")
        << ",\"record_curve\":" << (s.record_curve ? "true" : "false")
-       << ",\"epochs\":" << (s.epochs ? std::to_string(*s.epochs) : "null")
-       << ",\"partitioner\":\"" << json_escape(s.partitioner) << "\""
-       << ",\"partition_count\":" << s.partition_count
-       << ",\"faults\":{"
-       << "\"density\":" << json_num(f.density)
-       << ",\"sa1_fraction\":" << json_num(f.sa1_fraction)
-       << ",\"cluster_shape\":" << json_num(f.cluster_shape)
-       << ",\"post_total_density\":" << json_num(f.post_total_density)
-       << ",\"post_epochs\":" << f.post_epochs
-       << ",\"post_sa1_fraction\":" << json_num(f.post_sa1_fraction)
-       << ",\"post_sa1_follows_pre\":" << (f.post_sa1_follows_pre ? "true" : "false")
-       << ",\"faults_on_weights\":" << (f.faults_on_weights ? "true" : "false")
-       << ",\"faults_on_adjacency\":" << (f.faults_on_adjacency ? "true" : "false")
-       << ",\"read_noise_sigma\":" << json_num(f.read_noise_sigma)
-       << ",\"soft_error_rate\":" << json_num(f.soft_error_rate)
-       << ",\"wear\":{"
-       << "\"endurance_mean_writes\":" << json_num(f.wear.endurance_mean_writes)
-       << ",\"weibull_shape\":" << json_num(f.wear.weibull_shape)
-       << ",\"hot_spot_fraction\":" << json_num(f.wear.hot_spot_fraction)
-       << ",\"hot_spot_severity\":" << json_num(f.wear.hot_spot_severity)
-       << ",\"writes_per_step\":" << f.wear.writes_per_step << '}'
-       << ",\"arrival_period_batches\":" << f.arrival_period_batches << '}'
-       << ",\"hardware\":{"
-       << "\"num_tiles\":" << h.num_tiles
-       << ",\"clip_threshold\":" << json_num(h.clip_threshold)
-       << ",\"match_sa0\":" << json_num(h.match_weights.sa0)
-       << ",\"match_sa1\":" << json_num(h.match_weights.sa1)
-       << ",\"spare_column_fraction\":" << json_num(h.spare_column_fraction)
-       << ",\"max_adjacency_pool\":" << h.max_adjacency_pool;
-    if (h.prune_fraction != 0.0)
-        os << ",\"prune_fraction\":" << json_num(h.prune_fraction);
-    os << ",\"online\":{"
-       << "\"detect_period_batches\":" << h.online.detect_period_batches
-       << ",\"march_window\":" << h.online.march_window
-       << ",\"readback_tolerance\":" << json_num(h.online.readback_tolerance)
-       << ",\"spare_columns\":" << h.online.spare_columns
-       << ",\"reprogram_pulses\":" << h.online.reprogram_pulses << '}'
-       << ",\"partition_aware_mapping\":"
-       << (h.partition_aware_mapping ? "true" : "false") << "}}";
+       << ",\"epochs\":" << (s.epochs ? std::to_string(*s.epochs) : "null");
+    write_chip_fields(os, s);
+    os << '}';
     return os.str();
 }
 
@@ -548,54 +562,18 @@ CellSpec spec_from_json_impl(const JsonValue& spec) {
     const JsonValue& epochs = member(spec, "epochs");
     if (epochs.kind != JsonValue::Kind::kNull)
         s.epochs = static_cast<std::size_t>(u64_value(epochs, "epochs"));
-    s.partitioner = string_or(spec, "partitioner", "");  // v4
-    s.partition_count = static_cast<int>(u64_or(spec, "partition_count", 0));
-
-    const JsonValue& f = member(spec, "faults");
-    FaultScenario& faults = s.faults;
-    faults.density = dnum(f, "density");
-    faults.sa1_fraction = dnum(f, "sa1_fraction");
-    faults.cluster_shape = dnum(f, "cluster_shape");
-    faults.post_total_density = dnum(f, "post_total_density");
-    faults.post_epochs = static_cast<std::size_t>(u64(f, "post_epochs"));
-    faults.post_sa1_fraction = dnum(f, "post_sa1_fraction");
-    faults.post_sa1_follows_pre = member(f, "post_sa1_follows_pre").as_bool();
-    faults.faults_on_weights = member(f, "faults_on_weights").as_bool();
-    faults.faults_on_adjacency = member(f, "faults_on_adjacency").as_bool();
-    faults.read_noise_sigma = dnum(f, "read_noise_sigma");
-    faults.soft_error_rate = dnum_or(f, "soft_error_rate", 0.0);  // v3
-    const JsonValue& wear = member(f, "wear");
-    faults.wear.endurance_mean_writes = dnum(wear, "endurance_mean_writes");
-    faults.wear.weibull_shape = dnum(wear, "weibull_shape");
-    faults.wear.hot_spot_fraction = dnum(wear, "hot_spot_fraction");
-    faults.wear.hot_spot_severity = dnum(wear, "hot_spot_severity");
-    faults.wear.writes_per_step = u64(wear, "writes_per_step");
-    faults.arrival_period_batches =
-        static_cast<std::size_t>(u64(f, "arrival_period_batches"));
-
-    const JsonValue& h = member(spec, "hardware");
-    HardwareOverrides& hw = s.hardware;
-    hw.num_tiles = static_cast<int>(u64(h, "num_tiles"));
-    hw.clip_threshold = static_cast<float>(dnum(h, "clip_threshold"));
-    hw.match_weights.sa0 = dnum(h, "match_sa0");
-    hw.match_weights.sa1 = dnum(h, "match_sa1");
-    hw.spare_column_fraction = dnum(h, "spare_column_fraction");
-    hw.max_adjacency_pool =
-        static_cast<std::size_t>(u64(h, "max_adjacency_pool"));
-    hw.prune_fraction = dnum_or(h, "prune_fraction", 0.0);  // v5
-    if (const JsonValue* online = h.find("online")) {        // v3
-        hw.online.detect_period_batches =
-            static_cast<std::size_t>(u64(*online, "detect_period_batches"));
-        hw.online.march_window =
-            static_cast<std::size_t>(u64(*online, "march_window"));
-        hw.online.readback_tolerance = dnum(*online, "readback_tolerance");
-        hw.online.spare_columns =
-            static_cast<std::size_t>(u64(*online, "spare_columns"));
-        hw.online.reprogram_pulses =
-            static_cast<std::uint32_t>(u64(*online, "reprogram_pulses"));
-    }
-    hw.partition_aware_mapping =
-        bool_or(h, "partition_aware_mapping", false);  // v4
+    // Chip fields: those introduced after v2 may be absent (an older
+    // record) and keep their defaults.
+    visit_fields([&](const auto& field) {
+        using Field = std::decay_t<decltype(field)>;
+        const auto find = [&](const JsonValue* in, const char* key) -> const JsonValue* {
+            if (!in || *key == '\0') return in;
+            return field.since > 2 ? in->find(key) : &member(*in, key);
+        };
+        const JsonValue* m = find(find(find(&spec, field.block.outer), field.block.inner),
+                                  field.name);
+        if (m) field.of(s) = read_value<typename Field::Value>(*m, field.name);
+    });
     return s;
 }
 
@@ -615,6 +593,8 @@ Expected<CellResult> cell_result_from_json(const JsonValue& v) {
     try {
         CellResult r;
         r.spec = spec_from_json_impl(member(v, "spec"));
+        const std::string range_error = chip_field_error(r.spec);
+        if (!range_error.empty()) bad_field(range_error);
 
         const JsonValue& run = member(v, "run");
         const Expected<Scheme> run_scheme =

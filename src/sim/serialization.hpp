@@ -91,12 +91,16 @@ Expected<JsonValue> parse_json(const std::string& text, JsonLimits limits = {});
 /// Full-fidelity CellSpec serialization (the "spec" member of a CellResult
 /// record). The remote-execution protocol ships whole specs to workers —
 /// canonical keys alone are not invertible — so the spec object is exposed
-/// on its own here. Byte-identical to what cell_result_to_json embeds.
+/// on its own here. Byte-identical to what cell_result_to_json embeds. The
+/// decoder leaves chip-field ranges to the worker's run_cell(), so an
+/// out-of-range cell fails as a reportable cell error.
 std::string cell_spec_to_json(const CellSpec& spec);
 Expected<CellSpec> cell_spec_from_json(const JsonValue& value);
 
 /// Full-fidelity CellResult serialization: every spec field, both metric
-/// payloads, the training curve, and the cache/timing metadata.
+/// payloads, the training curve, and the cache/timing metadata. The decoder
+/// rejects a chip field outside its range (sim/plan.hpp visit_fields) with
+/// an error naming the field.
 std::string cell_result_to_json(const CellResult& result);
 Expected<CellResult> cell_result_from_json(const JsonValue& value);
 

@@ -11,10 +11,10 @@ namespace {
 
 FaultyHardwareConfig test_config(double density, double sa1) {
     FaultyHardwareConfig cfg;
-    cfg.accelerator.num_tiles = 1;
-    cfg.injection.density = density;
-    cfg.injection.sa1_fraction = sa1;
-    cfg.injection.seed = 77;
+    cfg.hardware.num_tiles = 1;
+    cfg.faults.density = density;
+    cfg.faults.sa1_fraction = sa1;
+    cfg.seed = 77;
     return cfg;
 }
 
@@ -81,7 +81,7 @@ TEST(FaultyHardwareTest, FareClipsWeights) {
     Rng rng(2);
     auto params = make_params(rng);
     FaultyHardwareConfig cfg = test_config(0.05, 0.5);
-    cfg.clip_threshold = 2.0f;
+    cfg.hardware.clip_threshold = 2.0f;
     FaultyHardware hw(Scheme::kFARe, cfg);
     hw.bind_params(pointers(params));
     for (std::size_t i = 0; i < params.size(); ++i)
@@ -102,7 +102,7 @@ TEST(FaultyHardwareTest, PruningZeroesBottomWeightsAndMasksFaults) {
     Rng rng(9);
     auto params = make_params(rng);
     FaultyHardwareConfig cfg = test_config(0.2, 1.0);  // heavy SA1 damage
-    cfg.prune_fraction = 0.5;
+    cfg.hardware.prune_fraction = 0.5;
     FaultyHardware hw(Scheme::kFaultUnaware, cfg);
     hw.bind_params(pointers(params));
     const Matrix& w = params[0];
@@ -125,7 +125,7 @@ TEST(FaultyHardwareTest, PruningZeroesBottomWeightsAndMasksFaults) {
 
     // Same chip without pruning: the bottom half is NOT all-zero (quantised
     // small weights plus SA1 explosions keep plenty of them nonzero).
-    cfg.prune_fraction = 0.0;
+    cfg.hardware.prune_fraction = 0.0;
     FaultyHardware dense(Scheme::kFaultUnaware, cfg);
     dense.bind_params(pointers(params));
     const Matrix dense_out = dense.effective_weights(0, w);
@@ -186,8 +186,8 @@ TEST(FaultyHardwareTest, DisablingPhaseKnobsWorks) {
     Rng rng(7);
     auto params = make_params(rng);
     FaultyHardwareConfig cfg = test_config(0.05, 0.5);
-    cfg.faults_on_weights = false;
-    cfg.faults_on_adjacency = false;
+    cfg.faults.faults_on_weights = false;
+    cfg.faults.faults_on_adjacency = false;
     FaultyHardware hw(Scheme::kFaultUnaware, cfg);
     hw.bind_params(pointers(params));
     const BitMatrix ideal = random_batch(100, rng);
@@ -201,8 +201,8 @@ TEST(FaultyHardwareTest, PostDeploymentFaultsGrow) {
     Rng rng(8);
     auto params = make_params(rng);
     FaultyHardwareConfig cfg = test_config(0.01, 0.1);
-    cfg.post_total_density = 0.02;
-    cfg.post_epochs = 4;
+    cfg.faults.post_total_density = 0.02;
+    cfg.faults.post_epochs = 4;
     FaultyHardware hw(Scheme::kFARe, cfg);
     hw.bind_params(pointers(params));
     const BitMatrix ideal = random_batch(150, rng);

@@ -169,10 +169,11 @@ TEST(CompiledOverlayTest, ValidatesGeometry) {
 
 TEST(HardwareVersionTest, StampsTrackFaultEvents) {
     FaultyHardwareConfig config;
-    config.injection.density = 0.05;
-    config.injection.seed = 3;
-    config.post_total_density = 0.02;
-    config.post_epochs = 4;
+    config.hardware.num_tiles = 4;
+    config.faults.density = 0.05;
+    config.seed = 3;
+    config.faults.post_total_density = 0.02;
+    config.faults.post_epochs = 4;
     FaultyHardware hw(Scheme::kFaultUnaware, config);
 
     Matrix w(64, 16, 0.25f);
@@ -202,11 +203,12 @@ TEST(HardwareVersionTest, WearStampsInvalidateExactlyOnArrival) {
     // must move exactly at the checkpoints where cells actually wore out —
     // never on quiet checkpoints (the tentpole contract of the wear PR).
     FaultyHardwareConfig config;
-    config.injection.density = 0.0;
-    config.injection.seed = 21;
-    config.wear.endurance_mean_writes = 40.0;  // wears out within ~40 steps
-    config.wear.weibull_shape = 2.0;
-    config.arrival_period_batches = 1;  // check after every step
+    config.hardware.num_tiles = 4;
+    config.faults.density = 0.0;
+    config.seed = 21;
+    config.faults.wear.endurance_mean_writes = 40.0;  // wears out within ~40 steps
+    config.faults.wear.weibull_shape = 2.0;
+    config.faults.arrival_period_batches = 1;  // check after every step
     FaultyHardware hw(Scheme::kFaultUnaware, config);
 
     Matrix w(64, 16, 0.25f);
@@ -233,7 +235,7 @@ TEST(HardwareVersionTest, WearStampsInvalidateExactlyOnArrival) {
     // The worn fault state is observable: corruption now differs from a
     // pristine chip's, and matches a fresh BIST image of the region.
     FaultyHardwareConfig pristine = config;
-    pristine.wear.endurance_mean_writes = 0.0;
+    pristine.faults.wear.endurance_mean_writes = 0.0;
     FaultyHardware clean(Scheme::kFaultUnaware, pristine);
     clean.bind_params(params);
     EXPECT_NE(hw.effective_weights(0, w), clean.effective_weights(0, w));
@@ -250,10 +252,11 @@ TEST(HardwareVersionTest, QuietWearNeverInvalidates) {
     // Endurance far beyond the run's write horizon: no arrivals, so stamps
     // must stay put across every step and epoch boundary.
     FaultyHardwareConfig config;
-    config.injection.density = 0.05;
-    config.injection.seed = 23;
-    config.wear.endurance_mean_writes = 1e15;
-    config.arrival_period_batches = 2;
+    config.hardware.num_tiles = 4;
+    config.faults.density = 0.05;
+    config.seed = 23;
+    config.faults.wear.endurance_mean_writes = 1e15;
+    config.faults.arrival_period_batches = 2;
     FaultyHardware hw(Scheme::kFaultUnaware, config);
     Matrix w(64, 16, 0.25f);
     std::vector<Matrix*> params{&w};
@@ -278,8 +281,9 @@ TEST(HardwareVersionTest, BaseDefaultIsNeverCacheable) {
 
 TEST(HardwareVersionTest, ReadNoiseIsNeverCacheable) {
     FaultyHardwareConfig config;
-    config.injection.density = 0.0;
-    config.read_noise_sigma = 0.01;
+    config.hardware.num_tiles = 4;
+    config.faults.density = 0.0;
+    config.faults.read_noise_sigma = 0.01;
     FaultyHardware hw(Scheme::kFaultUnaware, config);
     const std::uint64_t v1 = hw.weights_state_version();
     const std::uint64_t v2 = hw.weights_state_version();

@@ -6,6 +6,7 @@
 #include <set>
 
 #include "common/error.hpp"
+#include "fare/baselines.hpp"
 #include "sim/plan.hpp"
 
 namespace fare {
@@ -112,25 +113,52 @@ TEST(FaultScenarioTest, LoweringMatchesFields) {
     hw.num_tiles = 2;
     hw.match_weights = {1.0, 1.0};
     const FaultyHardwareConfig cfg = to_hardware_config(s, hw, 7, 40);
-    EXPECT_EQ(cfg.accelerator.num_tiles, 2);
-    EXPECT_DOUBLE_EQ(cfg.injection.density, 0.03);
-    EXPECT_DOUBLE_EQ(cfg.injection.sa1_fraction, 0.5);
-    EXPECT_DOUBLE_EQ(cfg.injection.cluster_shape, 2.0);
-    EXPECT_EQ(cfg.injection.seed, 7u);
-    EXPECT_DOUBLE_EQ(cfg.post_total_density, 0.01);
-    EXPECT_DOUBLE_EQ(cfg.post_sa1_fraction, 0.5);
-    EXPECT_EQ(cfg.post_epochs, 40u);  // unpinned: spreads over training
-    EXPECT_DOUBLE_EQ(cfg.match_weights.sa1, 1.0);
+    EXPECT_EQ(cfg.faults.key(), s.key());
+    EXPECT_EQ(cfg.hardware.key(), hw.key());
+    EXPECT_EQ(cfg.seed, 7u);
+    EXPECT_EQ(cfg.train_epochs, 40u);
 
-    s.post_epochs = 10;  // pinned schedule wins over the training length
-    EXPECT_EQ(to_hardware_config(s, hw, 7, 40).post_epochs, 10u);
+    // The chip FaultyHardware builds: the overrides' tile count, injected
+    // with the scenario's pre-deployment faults under the config's seed.
+    const FaultyHardware chip(Scheme::kFaultUnaware, cfg);
+    Accelerator expected(AcceleratorConfig{.tile = {}, .num_tiles = 2});
+    expected.inject_pre_deployment_faults(
+        {.density = 0.03, .sa1_fraction = 0.5, .cluster_shape = 2.0, .seed = 7});
+    ASSERT_EQ(chip.accelerator().num_crossbars(), expected.num_crossbars());
+    for (std::size_t i = 0; i < expected.num_crossbars(); ++i) {
+        const FaultMap& got = chip.accelerator().crossbar(i).fault_map();
+        const FaultMap& want = expected.crossbar(i).fault_map();
+        EXPECT_EQ(got.num_sa0(), want.num_sa0()) << "crossbar " << i;
+        EXPECT_EQ(got.num_sa1(), want.num_sa1()) << "crossbar " << i;
+    }
+}
+
+TEST(FaultScenarioTest, UnpinnedArrivalSpreadsOverTraining) {
+    // post_epochs == 0 spreads the stream over train_epochs: the same chip
+    // as pinning post_epochs to that length, whatever the pinned run's
+    // training length.
+    const auto arrived = [](std::size_t post_epochs, std::size_t train_epochs) {
+        FaultScenario s = FaultScenario::pre_deployment(0.0, 0.5);
+        s.with_post_deployment(0.04);
+        s.post_epochs = post_epochs;
+        FaultyHardware chip(Scheme::kFaultUnaware,
+                            to_hardware_config(s, {}, 3, train_epochs));
+        chip.on_epoch_end(0);
+        std::size_t faults = 0;
+        for (const FaultMap& map : chip.accelerator().true_fault_maps())
+            faults += map.num_faults();
+        return faults;
+    };
+    EXPECT_GT(arrived(0, 4), 0u);
+    EXPECT_EQ(arrived(0, 4), arrived(4, 40));  // unpinned: spreads over training
+    EXPECT_NE(arrived(0, 4), arrived(0, 40));
 }
 
 TEST(SweepBuilderTest, CrossProductEnumeration) {
     const ExperimentPlan plan = SweepBuilder("grid")
                                     .workloads(fig6_workloads())
-                                    .densities({0.01, 0.03})
-                                    .sa1_fractions({0.1, 0.5})
+                                    .axis(&FaultScenario::density, {0.01, 0.03})
+                                    .axis(&FaultScenario::sa1_fraction, {0.1, 0.5})
                                     .schemes({Scheme::kFaultUnaware, Scheme::kFARe})
                                     .seeds({1, 2, 3})
                                     .build();
@@ -161,7 +189,7 @@ TEST(SweepBuilderTest, PinnedPostSa1SurvivesTheAxis) {
     const ExperimentPlan plan = SweepBuilder("pinned")
                                     .workload(find_workload("PPI", GnnKind::kGCN))
                                     .scenario(pinned)
-                                    .sa1_fractions({0.1, 0.5})
+                                    .axis(&FaultScenario::sa1_fraction, {0.1, 0.5})
                                     .scheme(Scheme::kFARe)
                                     .build();
     ASSERT_EQ(plan.size(), 2u);
@@ -181,9 +209,9 @@ TEST(SweepBuilderTest, WearAxes) {
         SweepBuilder("wear_grid")
             .workload(w)
             .scenario(scenario)
-            .endurance_means({1e4, 2e4})
-            .hot_spot_fractions({0.0, 0.25})
-            .arrival_periods({0, 2})
+            .axis(&WearSpec::endurance_mean_writes, {1e4, 2e4})
+            .axis(&WearSpec::hot_spot_fraction, {0.0, 0.25})
+            .axis(&FaultScenario::arrival_period_batches, {0, 2})
             .schemes({Scheme::kFaultUnaware, Scheme::kFARe})
             .build();
     EXPECT_EQ(plan.size(), 2u * 2 * 2 * 2);
@@ -214,12 +242,17 @@ TEST(SweepBuilderTest, WearAxes) {
         defaults.cells[0].faults.wear.endurance_mean_writes,
         scenario.wear.endurance_mean_writes);
 
-    // Axis validation fires at build time.
-    EXPECT_THROW(SweepBuilder("bad").workload(w).endurance_means({-1.0}).build(),
+    // Axis values are validated before any cell is built.
+    EXPECT_THROW(SweepBuilder("bad")
+                     .workload(w)
+                     .axis(&WearSpec::endurance_mean_writes, {-1.0})
+                     .build(),
                  InvalidArgument);
-    EXPECT_THROW(
-        SweepBuilder("bad").workload(w).hot_spot_fractions({1.5}).build(),
-        InvalidArgument);
+    EXPECT_THROW(SweepBuilder("bad")
+                     .workload(w)
+                     .axis(&WearSpec::hot_spot_fraction, {1.5})
+                     .build(),
+                 InvalidArgument);
 }
 
 TEST(SweepBuilderTest, NoiseAndClipAxes) {
@@ -228,8 +261,8 @@ TEST(SweepBuilderTest, NoiseAndClipAxes) {
         SweepBuilder("robustness")
             .workload(w)
             .scenario(FaultScenario::pre_deployment(0.03, 0.5))
-            .noise_sigmas({0.0, 0.02, 0.05})
-            .clip_thresholds({0.5f, 1.0f})
+            .axis(&FaultScenario::read_noise_sigma, {0.0, 0.02, 0.05})
+            .axis(&HardwareOverrides::clip_threshold, {0.5f, 1.0f})
             .schemes({Scheme::kFaultUnaware, Scheme::kFARe})
             .build();
     EXPECT_EQ(plan.size(), 3u * 2 * 2);
@@ -265,12 +298,16 @@ TEST(SweepBuilderTest, NoiseAndClipAxes) {
     EXPECT_DOUBLE_EQ(defaults.cells[0].faults.read_noise_sigma, 0.07);
     EXPECT_FLOAT_EQ(defaults.cells[0].hardware.clip_threshold, 0.8f);
 
-    EXPECT_THROW(
-        SweepBuilder("bad").workload(w).noise_sigmas({-0.1}).build(),
-        InvalidArgument);
-    EXPECT_THROW(
-        SweepBuilder("bad").workload(w).clip_thresholds({0.0f}).build(),
-        InvalidArgument);
+    EXPECT_THROW(SweepBuilder("bad")
+                     .workload(w)
+                     .axis(&FaultScenario::read_noise_sigma, {-0.1})
+                     .build(),
+                 InvalidArgument);
+    EXPECT_THROW(SweepBuilder("bad")
+                     .workload(w)
+                     .axis(&HardwareOverrides::clip_threshold, {0.0f})
+                     .build(),
+                 InvalidArgument);
 }
 
 TEST(SweepBuilderTest, ClusterAndPostDeploymentAxes) {
@@ -280,9 +317,9 @@ TEST(SweepBuilderTest, ClusterAndPostDeploymentAxes) {
             .workload(w)
             .density(0.03)
             .sa1_fraction(0.5)
-            .cluster_shapes({0.0, 1.5})
-            .post_densities({0.0, 0.01})
-            .post_epoch_spans({0, 10})
+            .axis(&FaultScenario::cluster_shape, {0.0, 1.5})
+            .axis(&FaultScenario::post_total_density, {0.0, 0.01})
+            .axis(&FaultScenario::post_epochs, {0, 10})
             .schemes({Scheme::kFaultUnaware, Scheme::kFARe})
             .build();
     EXPECT_EQ(plan.size(), 2u * 2 * 2 * 2);
@@ -307,8 +344,8 @@ TEST(SweepBuilderTest, ClusterAndPostDeploymentAxes) {
     // axes (post_sa1_follows_pre default).
     const ExperimentPlan mirrored = SweepBuilder("mirror")
                                         .workload(w)
-                                        .sa1_fractions({0.1, 0.9})
-                                        .post_density(0.01)
+                                        .axis(&FaultScenario::sa1_fraction, {0.1, 0.9})
+                                        .axis(&FaultScenario::post_total_density, {0.01})
                                         .scheme(Scheme::kFARe)
                                         .build();
     ASSERT_EQ(mirrored.size(), 2u);
@@ -323,26 +360,53 @@ TEST(SweepBuilderTest, ClusterAndPostDeploymentAxes) {
             Scheme::kFARe).build();
     const ExperimentPlan via_axis = SweepBuilder("fig6ish")
                                         .workload(w)
-                                        .post_density(0.01)
-                                        .post_epoch_span(0)
+                                        .axis(&FaultScenario::post_total_density, {0.01})
+                                        .axis(&FaultScenario::post_epochs, {0})
                                         .scheme(Scheme::kFARe)
                                         .build();
     ASSERT_EQ(via_template.size(), via_axis.size());
     EXPECT_EQ(via_template.cells[0].key(), via_axis.cells[0].key());
 
-    EXPECT_THROW(
-        SweepBuilder("bad").workload(w).post_densities({1.5}).build(),
-        InvalidArgument);
+    EXPECT_THROW(SweepBuilder("bad")
+                     .workload(w)
+                     .axis(&FaultScenario::post_total_density, {1.5})
+                     .build(),
+                 InvalidArgument);
 }
 
 TEST(SweepBuilderTest, RejectsOutOfRangeAxisValues) {
     const WorkloadSpec w = find_workload("PPI", GnnKind::kGCN);
-    EXPECT_THROW(
-        SweepBuilder("typo").workload(w).densities({0.03, 3.0}).build(),
-        InvalidArgument);
-    EXPECT_THROW(
-        SweepBuilder("typo").workload(w).sa1_fractions({-0.1}).build(),
-        InvalidArgument);
+    EXPECT_THROW(SweepBuilder("typo")
+                     .workload(w)
+                     .axis(&FaultScenario::density, {0.03, 3.0})
+                     .build(),
+                 InvalidArgument);
+    EXPECT_THROW(SweepBuilder("typo")
+                     .workload(w)
+                     .axis(&FaultScenario::sa1_fraction, {-0.1})
+                     .build(),
+                 InvalidArgument);
+}
+
+TEST(SweepBuilderTest, AxesEnumerateInRecordOrder) {
+    // Axes enumerate in visit_fields order, not call order: the clip
+    // threshold (hardware block) spins faster than the endurance mean
+    // (faults block). Setting an axis again replaces it, and a member
+    // outside the table is rejected.
+    const ExperimentPlan plan =
+        SweepBuilder("order")
+            .workload(find_workload("PPI", GnnKind::kGCN))
+            .axis(&HardwareOverrides::clip_threshold, {0.5f, 1.0f})
+            .axis(&WearSpec::endurance_mean_writes, {1e4})
+            .axis(&WearSpec::endurance_mean_writes, {1e4, 2e4})
+            .scheme(Scheme::kFARe)
+            .build();
+    ASSERT_EQ(plan.size(), 4u);
+    EXPECT_FLOAT_EQ(plan.cells[1].hardware.clip_threshold, 1.0f);
+    EXPECT_DOUBLE_EQ(plan.cells[1].faults.wear.endurance_mean_writes, 1e4);
+    EXPECT_DOUBLE_EQ(plan.cells[2].faults.wear.endurance_mean_writes, 2e4);
+    EXPECT_FLOAT_EQ(plan.cells[2].hardware.clip_threshold, 0.5f);
+    EXPECT_THROW(SweepBuilder("bad").axis(&CellSpec::seed, {1}), InvalidArgument);
 }
 
 TEST(SweepBuilderTest, DefaultsAndTemplate) {
@@ -362,7 +426,7 @@ TEST(SweepBuilderTest, DerivedSeedsAreStableAndDistinct) {
     const auto build = [&] {
         return SweepBuilder("seeds")
             .workload(w)
-            .densities({0.01, 0.03})
+            .axis(&FaultScenario::density, {0.01, 0.03})
             .schemes({Scheme::kFaultUnaware, Scheme::kFARe})
             .seed(99)
             .seed_policy(SeedPolicy::kDerived)
@@ -441,8 +505,8 @@ TEST(SweepBuilderTest, PartitionerAxes) {
         SweepBuilder("parts")
             .workload(w)
             .density(0.03)
-            .partitioners({"fennel", "refennel"})
-            .partition_counts({8, 40})
+            .axis(&CellSpec::partitioner, {"fennel", "refennel"})
+            .axis(&CellSpec::partition_count, {8, 40})
             .schemes({Scheme::kFaultUnaware, Scheme::kFARe})
             .seeds({1, 2})
             .build();
@@ -469,12 +533,14 @@ TEST(SweepBuilderTest, UnknownPartitionerRejectedAtBuildTime) {
     const WorkloadSpec w = find_workload("PPI", GnnKind::kGCN);
     EXPECT_THROW(SweepBuilder("typo")
                      .workload(w)
-                     .partitioners({"fennel", "metis"})
+                     .axis(&CellSpec::partitioner, {"fennel", "metis"})
                      .build(),
                  InvalidArgument);
-    EXPECT_THROW(
-        SweepBuilder("typo").workload(w).partition_counts({-4}).build(),
-        InvalidArgument);
+    EXPECT_THROW(SweepBuilder("typo")
+                     .workload(w)
+                     .axis(&CellSpec::partition_count, {-4})
+                     .build(),
+                 InvalidArgument);
 }
 
 TEST(CellSpecTest, PartitionDefaultsAreKeyInert) {

@@ -129,11 +129,11 @@ TEST(RedundantColsTest, RepairsReduceCorruptionDeterministically) {
     for (auto& p : params) ptrs.push_back(&p);
 
     FaultyHardwareConfig hw;
-    hw.accelerator.num_tiles = 1;
-    hw.injection.density = 0.05;
-    hw.injection.sa1_fraction = 0.5;
-    hw.injection.seed = 9;
-    hw.spare_column_fraction = 0.25;
+    hw.hardware.num_tiles = 1;
+    hw.faults.density = 0.05;
+    hw.faults.sa1_fraction = 0.5;
+    hw.seed = 9;
+    hw.hardware.spare_column_fraction = 0.25;
 
     BitMatrix adj(200, 200);
     for (std::size_t r = 0; r < 200; ++r)

@@ -134,7 +134,7 @@ TEST(ModelFamilyTest, SweepBuilderPruneAxis) {
     EXPECT_NE(plan.cells[0].key(), plan.cells[1].key());
     EXPECT_THROW(SweepBuilder("bad")
                      .workload(find_workload("PPI", GnnKind::kGCN))
-                     .prune_fraction(1.0)
+                     .axis(&HardwareOverrides::prune_fraction, {1.0})
                      .schemes({Scheme::kFARe})
                      .build(),
                  InvalidArgument);

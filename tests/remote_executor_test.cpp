@@ -36,7 +36,7 @@ namespace {
 ExperimentPlan tiny_plan() {
     return SweepBuilder("fabric_tiny")
         .workload(find_workload("PPI", GnnKind::kGCN))
-        .densities({0.01, 0.05})
+        .axis(&FaultScenario::density, {0.01, 0.05})
         .sa1_fraction(0.5)
         .schemes({Scheme::kFaultFree, Scheme::kFaultUnaware, Scheme::kFARe})
         .epochs(3)

@@ -187,6 +187,27 @@ TEST(SerializationTest, CorruptInputIsAnErrorNotAThrow) {
     EXPECT_TRUE(cell_record_from_json(line).ok());
 }
 
+TEST(SerializationTest, OutOfRangeChipFieldsAreCorrupt) {
+    // Values the builders would reject are corrupt records too, and the
+    // error names the field (the range comes from visit_fields).
+    const auto corrupt = [](const std::string& field, auto&& poke) {
+        CellRecord record;
+        record.key = "k-range";
+        record.result = sample_result();
+        poke(record.result.spec);
+        const Expected<CellRecord> back =
+            cell_record_from_json(cell_record_to_json(record));
+        ASSERT_FALSE(back.ok()) << field;
+        EXPECT_NE(back.error().find("'" + field + "'"), std::string::npos)
+            << back.error();
+    };
+    corrupt("density", [](CellSpec& s) { s.faults.density = 1.5; });
+    corrupt("read_noise_sigma",
+            [](CellSpec& s) { s.faults.read_noise_sigma = -0.01; });
+    corrupt("prune_fraction", [](CellSpec& s) { s.hardware.prune_fraction = 1.0; });
+    corrupt("partitioner", [](CellSpec& s) { s.partitioner = "metis"; });
+}
+
 TEST(SerializationTest, WrongSchemaVersionIsSkippable) {
     CellRecord record;
     record.schema = kCellJsonSchemaVersion + 1;

@@ -20,7 +20,7 @@ namespace {
 ExperimentPlan tiny_plan(const std::string& name = "shard_tiny") {
     return SweepBuilder(name)
         .workload(find_workload("PPI", GnnKind::kGCN))
-        .densities({0.01, 0.05})
+        .axis(&FaultScenario::density, {0.01, 0.05})
         .sa1_fraction(0.5)
         .schemes({Scheme::kFaultFree, Scheme::kFaultUnaware, Scheme::kFARe})
         .epochs(2)

@@ -22,7 +22,7 @@ ExperimentPlan tiny_plan(const std::string& name = "tiny") {
     ExperimentPlan plan =
         SweepBuilder(name)
             .workload(find_workload("PPI", GnnKind::kGCN))
-            .densities({0.01, 0.05})
+            .axis(&FaultScenario::density, {0.01, 0.05})
             .sa1_fraction(0.5)
             .schemes({Scheme::kFaultFree, Scheme::kFaultUnaware, Scheme::kFARe})
             .epochs(3)

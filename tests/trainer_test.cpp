@@ -175,13 +175,13 @@ TEST(TrainerTest, LiveWearArrivesMidEpochAndDegradesTraining) {
     tc.epochs = 8;
 
     FaultyHardwareConfig config;
-    config.accelerator.num_tiles = 1;
-    config.injection.density = 0.0;
-    config.injection.seed = 5;
-    config.wear.endurance_mean_writes = 2000.0;
-    config.wear.writes_per_step = 100;  // ~3200 writes over the run
-    config.wear.hot_spot_fraction = 0.25;
-    config.arrival_period_batches = 1;
+    config.hardware.num_tiles = 1;
+    config.faults.density = 0.0;
+    config.seed = 5;
+    config.faults.wear.endurance_mean_writes = 2000.0;
+    config.faults.wear.writes_per_step = 100;  // ~3200 writes over the run
+    config.faults.wear.hot_spot_fraction = 0.25;
+    config.faults.arrival_period_batches = 1;
 
     FaultyHardware worn_hw(Scheme::kFaultUnaware, config);
     Trainer worn(ds, tc, &worn_hw);
@@ -189,7 +189,7 @@ TEST(TrainerTest, LiveWearArrivesMidEpochAndDegradesTraining) {
     EXPECT_GT(worn_hw.wear_faults(), 0u);
 
     FaultyHardwareConfig pristine = config;
-    pristine.wear.endurance_mean_writes = 0.0;
+    pristine.faults.wear.endurance_mean_writes = 0.0;
     FaultyHardware clean_hw(Scheme::kFaultUnaware, pristine);
     Trainer clean(ds, tc, &clean_hw);
     const TrainResult clean_result = clean.run();
