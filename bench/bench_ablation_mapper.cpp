@@ -75,7 +75,7 @@ int main() {
         bool identity_assignment = false;
         bool row_reorder_only = false;
     };
-    MapperConfig base;  // block 128, weights {1,4}, b-Suitor, removals on
+    MapperConfig base;  // block 128, weights {1,4}, b-Suitor
     std::vector<Variant> variants;
     variants.push_back({"FARe full (b-Suitor, SA1 wt, Pi)", base});
     {

@@ -7,14 +7,6 @@
 namespace fare {
 
 namespace {
-std::uint64_t splitmix64(std::uint64_t& x) {
-    x += 0x9E3779B97F4A7C15ULL;
-    std::uint64_t z = x;
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-    return z ^ (z >> 31);
-}
-
 inline std::uint64_t rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));
 }
@@ -22,8 +14,10 @@ inline std::uint64_t rotl(std::uint64_t x, int k) {
 
 Rng::Rng(std::uint64_t seed) {
     // SplitMix64 expansion guarantees a non-zero state even for seed == 0.
-    std::uint64_t sm = seed;
-    for (auto& s : s_) s = splitmix64(sm);
+    for (auto& s : s_) {
+        s = splitmix64(seed);
+        seed += 0x9E3779B97F4A7C15ULL;
+    }
 }
 
 std::uint64_t Rng::next_u64() {

@@ -6,9 +6,30 @@
 #pragma once
 
 #include <cstdint>
+#include <string_view>
 #include <vector>
 
 namespace fare {
+
+/// SplitMix64 step: add the golden-ratio increment to `x`, then mix. Rng's
+/// seed expander and the hash behind derived seeds and per-cell wear draws
+/// (inline: the wear model calls it for every cell it draws).
+inline std::uint64_t splitmix64(std::uint64_t x) {
+    x += 0x9E3779B97F4A7C15ULL;
+    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
+    x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
+    return x ^ (x >> 31);
+}
+
+/// 64-bit FNV-1a: a string hash that is stable across platforms.
+inline std::uint64_t fnv1a(std::string_view s) {
+    std::uint64_t h = 1469598103934665603ULL;
+    for (const char c : s) {
+        h ^= static_cast<unsigned char>(c);
+        h *= 1099511628211ULL;
+    }
+    return h;
+}
 
 /// xoshiro256** PRNG (Blackman & Vigna) seeded via SplitMix64.
 ///

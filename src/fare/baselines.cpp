@@ -61,17 +61,14 @@ FaultyHardware::FaultyHardware(Scheme scheme, const FaultyHardwareConfig& config
       accelerator_(AcceleratorConfig{.tile = {}, .num_tiles = config.hardware.num_tiles}),
       clipper_(config.hardware.clip_threshold),
       mapper_(MapperConfig{accelerator_.config().tile.crossbar_rows,
-                           config.hardware.match_weights,
-                           /*exact_row_matching=*/false,
-                           /*enable_crossbar_removal=*/true,
-                           /*enable_block_removal=*/true}),
+                           config.hardware.match_weights}),
       online_engine_(config.hardware.online),
       timing_(TimingConfig{.tile = accelerator_.config().tile}),
       wear_rng_(config.seed ^ 0xD15EA5EULL),
       noise_rng_(config.seed ^ 0x4015EULL) {
     FARE_CHECK(scheme != Scheme::kFaultFree,
                "use IdealQuantizedHardware for the fault-free scheme");
-    FARE_CHECK(!online() || config.hardware.online.enabled(),
+    FARE_CHECK(!traits().online || config.hardware.online.enabled(),
                "online scheme needs an enabled policy "
                "(OnlinePolicySpec.detect_period_batches > 0)");
     accelerator_.inject_pre_deployment_faults(
@@ -101,59 +98,47 @@ void FaultyHardware::bind_params(const std::vector<Matrix*>& params) {
         region.range = accelerator_.allocate(grid_r * grid_c);
         params_.push_back(std::move(region));
     }
-    refresh_weight_grids();
+    rebuild_weight_view(/*scan=*/true);
 }
 
-void FaultyHardware::refresh_weight_grids() {
+std::vector<FaultMap> FaultyHardware::fault_view(CrossbarRange range, bool scan) {
     // The hardware-visible fault information comes from BIST scans of the
-    // allocated crossbars, exactly as FARe's flow prescribes (§IV-A).
+    // allocated crossbars, exactly as FARe's flow prescribes (§IV-A). The
+    // march detects exactly the true map, so reading it instead equals a
+    // rescan minus its charges.
+    const auto spares = static_cast<std::size_t>(
+        config_.hardware.spare_column_fraction * accelerator_.config().tile.crossbar_cols);
+    std::vector<FaultMap> maps;
+    maps.reserve(range.count);
+    for (std::size_t xb = range.first; xb < range.first + range.count; ++xb) {
+        FaultMap map = scan ? bist_scan(accelerator_.crossbar(xb)).detected
+                            : accelerator_.crossbar(xb).fault_map();
+        if (scan) ++bist_scans_;
+        if (traits().spare_columns) map = repair_worst_columns(map, spares);
+        // Online repair view: faults on substituted columns are routed to
+        // spare columns and disappear from the image.
+        if (traits().online) map = online_engine_.repaired_map(xb, std::move(map));
+        maps.push_back(std::move(map));
+    }
+    return maps;
+}
+
+void FaultyHardware::rebuild_weight_view(bool scan) {
     const auto xb_rows = accelerator_.config().tile.crossbar_rows;
     const auto xb_cols = accelerator_.config().tile.crossbar_cols;
     for (auto& region : params_) {
-        std::vector<FaultMap> maps;
-        maps.reserve(region.range.count);
-        for (std::size_t i = 0; i < region.range.count; ++i) {
-            maps.push_back(
-                bist_scan(accelerator_.crossbar(region.range.first + i)).detected);
-            ++bist_scans_;
-            if (scheme_ == Scheme::kRedundantCols)
-                maps.back() = repair_worst_columns(
-                    maps.back(), static_cast<std::size_t>(
-                                     config_.hardware.spare_column_fraction * xb_cols));
-        }
         // Cover every physical crossbar row (not just the rows the logical
         // matrix occupies): NR exploits the unused rows as relocation targets.
         const std::size_t grid_r = (region.rows + xb_rows - 1) / xb_rows;
-        region.grid = WeightFaultGrid(grid_r * xb_rows, region.cols, maps, xb_rows,
-                                      xb_cols);
-        // Identity-placement overlay, recompiled only on these (rare) BIST
-        // refreshes. NR replaces it with a permuted overlay once it has seen
+        region.grid = WeightFaultGrid(grid_r * xb_rows, region.cols,
+                                      fault_view(region.range, scan), xb_rows, xb_cols);
+        // Identity-placement overlay, recompiled only on these (rare)
+        // rebuilds. NR replaces it with a permuted overlay once it has seen
         // this epoch's weights (the permutation depends on them).
         region.overlay = CompiledFaultOverlay(region.grid, region.rows, region.cols);
+        region.nr_perm_fresh = false;
     }
-    // Fault grids changed: any cached NR permutation is stale (covers both
-    // epoch-end rescans and a re-bind of the same hardware).
-    std::fill(nr_perm_fresh_.begin(), nr_perm_fresh_.end(), false);
     ++weights_version_;
-}
-
-std::vector<FaultMap> FaultyHardware::build_adjacency_pool_maps() const {
-    std::vector<FaultMap> maps;
-    maps.reserve(adj_range_.count);
-    for (std::size_t i = 0; i < adj_range_.count; ++i) {
-        maps.push_back(accelerator_.crossbar(adj_range_.first + i).fault_map());
-        if (scheme_ == Scheme::kRedundantCols)
-            maps.back() = repair_worst_columns(
-                maps.back(),
-                static_cast<std::size_t>(config_.hardware.spare_column_fraction *
-                                         accelerator_.config().tile.crossbar_cols));
-        // Online repair view: faults on substituted columns are routed to
-        // spare columns and disappear from the pool image.
-        if (online())
-            maps.back() =
-                online_engine_.repaired_map(adj_range_.first + i, maps.back());
-    }
-    return maps;
 }
 
 void FaultyHardware::set_batch_partitions(
@@ -229,7 +214,7 @@ void FaultyHardware::preprocess(const std::vector<BitMatrix>& batch_adjacency) {
         }
     }
 
-    adj_maps_ = build_adjacency_pool_maps();
+    adj_maps_ = fault_view(adj_range_, /*scan=*/false);
     mappings_.clear();
     mappings_.reserve(batch_adjacency.size());
     for (std::size_t b = 0; b < batch_adjacency.size(); ++b) {
@@ -238,15 +223,14 @@ void FaultyHardware::preprocess(const std::vector<BitMatrix>& batch_adjacency) {
             config_.hardware.partition_aware_mapping && b < placements_.size()
                 ? &placements_[b]
                 : nullptr;
-        switch (scheme_) {
-            case Scheme::kFARe:
-            case Scheme::kOnlineFARe:
+        switch (traits().mapping) {
+            case MappingPolicy::kFaultAware:
                 mappings_.push_back(mapper_.map_batch(adj, adj_maps_, placement));
                 break;
-            case Scheme::kNeuronReorder:
+            case MappingPolicy::kNeuronReorder:
                 mappings_.push_back(mapper_.map_row_reorder(adj, adj_maps_));
                 break;
-            default:
+            case MappingPolicy::kIdentity:
                 mappings_.push_back(mapper_.map_identity(adj, adj_maps_));
                 break;
         }
@@ -256,9 +240,7 @@ void FaultyHardware::preprocess(const std::vector<BitMatrix>& batch_adjacency) {
 
 Matrix FaultyHardware::effective_weights(std::size_t idx, const Matrix& w) {
     FARE_CHECK(idx < params_.size(), "unbound parameter index");
-    const bool clip = scheme_ == Scheme::kFARe ||
-                      scheme_ == Scheme::kClippingOnly ||
-                      scheme_ == Scheme::kOnlineFARe;
+    const bool clip = traits().clips;
     // Significance pruning: program the bottom-|w| fraction as exact zeros
     // and force them back to zero on read-out, masking any fault underneath.
     // A pure function of `w`, so it needs no cache-invalidation plumbing.
@@ -283,13 +265,11 @@ Matrix FaultyHardware::effective_weights(std::size_t idx, const Matrix& w) {
         auto& region = params_[idx];
         const std::optional<float> threshold =
             clip ? std::optional<float>(clipper_.threshold()) : std::nullopt;
-        if (scheme_ == Scheme::kNeuronReorder) {
+        if (traits().mapping == MappingPolicy::kNeuronReorder) {
             // The permutation (and therefore the compiled overlay) is stale
-            // after every BIST refresh; both are rebuilt from this epoch's
-            // weights on the first read-out, then applied per batch.
-            const bool stale = nr_perm_fresh_.size() <= idx ||
-                               !nr_perm_fresh_[idx] || !region.overlay.compiled();
-            if (stale) {
+            // after every weight-view rebuild; both are rebuilt from this
+            // epoch's weights on the first read-out, then applied per batch.
+            if (!region.nr_perm_fresh || !region.overlay.compiled()) {
                 const auto perm = nr_weight_permutation(idx, *stored, pruned);
                 region.overlay =
                     CompiledFaultOverlay(region.grid, w.rows(), w.cols(), perm);
@@ -328,17 +308,15 @@ std::vector<std::uint16_t> FaultyHardware::nr_weight_permutation(
     // documented weaknesses are kept faithfully: SA0 and SA1 count alike (no
     // criticality model) and a mismatch near the MSB weighs the same as one
     // near the LSB (no significance model) — the unit is too coarse (§V-D).
-    const auto& region = params_[idx];
+    auto& region = params_[idx];
     const std::size_t n = w.rows();
     const std::size_t phys = region.grid.rows();
     FARE_CHECK(n <= phys, "weight matrix taller than its crossbar column");
 
-    if (nr_perm_.size() <= idx) nr_perm_.resize(params_.size());
-    if (nr_perm_fresh_.size() <= idx) nr_perm_fresh_.resize(params_.size(), false);
-    auto& cached = nr_perm_[idx];
+    auto& cached = region.nr_perm;
     if (cached.size() != n) cached = identity_perm(static_cast<std::uint16_t>(n));
     // Stationary within an epoch: reuse the epoch's permutation (see header).
-    if (nr_perm_fresh_[idx]) return cached;
+    if (region.nr_perm_fresh) return cached;
     // Small discount for keeping the previous placement across the epoch
     // boundary (avoids gratuitous relocation after a BIST refresh).
     constexpr double kStickiness = 0.25;
@@ -376,7 +354,7 @@ std::vector<std::uint16_t> FaultyHardware::nr_weight_permutation(
     for (std::size_t r = 0; r < n; ++r)
         perm[r] = static_cast<std::uint16_t>(assignment.row_to_col[r]);
     cached = perm;
-    nr_perm_fresh_[idx] = true;
+    region.nr_perm_fresh = true;
     return perm;
 }
 
@@ -387,55 +365,22 @@ BitMatrix FaultyHardware::effective_adjacency(std::size_t batch_idx,
     return mapper_.apply(ideal, mappings_[batch_idx], adj_maps_);
 }
 
-void FaultyHardware::refresh_after_arrival() {
-    // BIST refresh of the regions in use (the paper re-enables BIST at every
-    // epoch boundary, ~0.13% time overhead); it also invalidates the cached
-    // NR reorder, so the next batch recomputes it.
-    refresh_weight_grids();
-    adj_maps_ = build_adjacency_pool_maps();
-    if (scheme_ == Scheme::kFARe) {
-        // Row-only re-permutation on top of the standing assignment Pi.
-        for (std::size_t b = 0; b < mappings_.size(); ++b)
-            mapper_.repermute(mappings_[b], batch_bits_[b], adj_maps_);
-    } else if (scheme_ == Scheme::kNeuronReorder) {
+void FaultyHardware::refresh_fault_state(bool scan, bool remap) {
+    // The paper re-enables BIST at every epoch boundary (~0.13% time
+    // overhead); the rebuilt grids also invalidate NR's cached reorder, so
+    // the next read-out recomputes it.
+    rebuild_weight_view(scan);
+    adj_maps_ = fault_view(adj_range_, /*scan=*/false);
+    if (remap) {
+        // FARe: row-only re-permutation on top of the standing assignment
+        // Pi. NR: a fresh row reorder.
         for (std::size_t b = 0; b < mappings_.size(); ++b) {
-            AdjacencyMapping remapped =
-                mapper_.map_row_reorder(batch_bits_[b], adj_maps_);
-            mappings_[b] = std::move(remapped);
+            if (traits().mapping == MappingPolicy::kFaultAware)
+                mapper_.repermute(mappings_[b], batch_bits_[b], adj_maps_);
+            else if (traits().mapping == MappingPolicy::kNeuronReorder)
+                mappings_[b] = mapper_.map_row_reorder(batch_bits_[b], adj_maps_);
         }
     }
-    ++adjacency_version_;
-}
-
-void FaultyHardware::rebuild_weight_overlays_from_truth() {
-    // Online corruption refresh: the overlays mirror the crossbars' *true*
-    // fault state (filtered through the engine's repair view) without a BIST
-    // march — no scan cost, no march wear. Behaviourally BIST is exact here,
-    // so this equals a rescan minus its charges.
-    const auto xb_rows = accelerator_.config().tile.crossbar_rows;
-    const auto xb_cols = accelerator_.config().tile.crossbar_cols;
-    for (auto& region : params_) {
-        std::vector<FaultMap> maps;
-        maps.reserve(region.range.count);
-        for (std::size_t i = 0; i < region.range.count; ++i) {
-            const std::size_t xb = region.range.first + i;
-            maps.push_back(online_engine_.repaired_map(
-                xb, accelerator_.crossbar(xb).fault_map()));
-        }
-        const std::size_t grid_r = (region.rows + xb_rows - 1) / xb_rows;
-        region.grid = WeightFaultGrid(grid_r * xb_rows, region.cols, maps,
-                                      xb_rows, xb_cols);
-        region.overlay =
-            CompiledFaultOverlay(region.grid, region.rows, region.cols);
-    }
-    ++weights_version_;
-}
-
-void FaultyHardware::refresh_corruption_only() {
-    rebuild_weight_overlays_from_truth();
-    adj_maps_ = build_adjacency_pool_maps();
-    // No re-permutation and no mapping update: the new damage stays
-    // un-mitigated until a detection round discovers it.
     ++adjacency_version_;
 }
 
@@ -449,12 +394,7 @@ void FaultyHardware::run_detection_round() {
     if (!outcome.state_changed) return;
     // Knowledge refresh: the march already paid the scan cost, so the
     // mitigation state rebuilds from the repaired truth.
-    rebuild_weight_overlays_from_truth();
-    adj_maps_ = build_adjacency_pool_maps();
-    if (scheme_ == Scheme::kOnlineFARe)
-        for (std::size_t b = 0; b < mappings_.size(); ++b)
-            mapper_.repermute(mappings_[b], batch_bits_[b], adj_maps_);
-    ++adjacency_version_;
+    refresh_fault_state(/*scan=*/false, /*remap=*/true);
 }
 
 std::vector<std::size_t> FaultyHardware::in_use_crossbars() const {
@@ -471,28 +411,30 @@ std::size_t FaultyHardware::arrival_checkpoint(double uniform_quantum,
                                                bool force_refresh) {
     std::size_t arrived = 0;
     std::vector<std::size_t> touched;
-    std::vector<std::size_t>* touched_out = online() ? &touched : nullptr;
+    const bool online = traits().online;
+    std::vector<std::size_t>* touched_out = online ? &touched : nullptr;
     if (uniform_quantum > 0.0)
         arrived += accelerator_.inject_post_deployment_faults(
-            uniform_quantum, config_.faults.post_sa1_fraction, wear_rng_, touched_out);
+            uniform_quantum, config_.faults.post_sa1_fraction, wear_rng_,
+            /*soft=*/false, touched_out);
     if (config_.faults.soft_error_rate > 0.0)
-        arrived += accelerator_.inject_soft_faults(
+        arrived += accelerator_.inject_post_deployment_faults(
             config_.faults.soft_error_rate, config_.faults.post_sa1_fraction, wear_rng_,
-            touched_out);
+            /*soft=*/true, touched_out);
     const std::vector<WornCell> worn = wear_model_.advance(accelerator_);
     arrived += worn.size();
-    if (online()) {
+    if (online) {
         for (const WornCell& cell : worn) touched.push_back(cell.crossbar);
         online_engine_.note_arrivals(global_step_, touched);
-        // Online schemes: corruption becomes visible immediately, but the
-        // mitigation state stays stale until the next detection round.
-        if (arrived > 0 || force_refresh) refresh_corruption_only();
-        return arrived;
     }
-    // Tentpole contract: overlays / stamps invalidate exactly when fault
-    // state actually changed (force_refresh keeps the legacy schedule's
-    // unconditional per-epoch BIST refresh).
-    if (arrived > 0 || force_refresh) refresh_after_arrival();
+    // Overlays / stamps invalidate exactly when fault state actually
+    // changed (force_refresh keeps the legacy schedule's unconditional
+    // per-epoch BIST refresh). Online schemes see the corruption at once,
+    // but with no BIST and no re-permutation: the new damage stays
+    // un-mitigated until a detection round discovers it — the
+    // detection-latency cost the online schemes pay.
+    if (arrived > 0 || force_refresh)
+        refresh_fault_state(/*scan=*/!online, /*remap=*/!online);
     return arrived;
 }
 
@@ -527,9 +469,7 @@ void FaultyHardware::on_step_end(std::size_t epoch, std::size_t step,
     ++global_step_;
 
     const std::size_t period = config_.faults.arrival_period_batches;
-    const bool sources = config_.faults.post_total_density > 0.0 ||
-                         config_.faults.soft_error_rate > 0.0 || wear_model_.enabled();
-    if (period > 0 && (step + 1) % period == 0 && sources)
+    if (period > 0 && (step + 1) % period == 0 && config_.faults.arrivals_live())
         arrival_checkpoint(uniform_checkpoint_quantum(),
                            /*force_refresh=*/false);
 
@@ -537,7 +477,8 @@ void FaultyHardware::on_step_end(std::size_t epoch, std::size_t step,
     // every detect_period_batches global steps, whether or not anything
     // arrived (the march/readback cost is paid regardless — that is the
     // point of the frontier).
-    if (online() && global_step_ % config_.hardware.online.detect_period_batches == 0)
+    if (traits().online &&
+        global_step_ % config_.hardware.online.detect_period_batches == 0)
         run_detection_round();
 }
 
@@ -567,16 +508,14 @@ void FaultyHardware::on_epoch_end(std::size_t epoch) {
     // time of this epoch's off-home-tile blocks (measured whether or not the
     // mapping was biased — the win shows up as the biased/unbiased delta).
     accumulate_noc_epoch();
-    const bool post_on = config_.faults.post_total_density > 0.0;
-    const bool wear_on = wear_model_.enabled();
-    const bool soft_on = config_.faults.soft_error_rate > 0.0;
-    if (!post_on && !wear_on && !soft_on) return;
+    if (!config_.faults.arrivals_live()) return;
     // Legacy schedule (uniform stream only, epoch-boundary arrivals): keep
     // the unconditional per-epoch BIST refresh — bit-compatible with the
     // pre-wear implementation. Every other combination refreshes only when
     // faults actually arrived.
-    const bool legacy =
-        post_on && !wear_on && config_.faults.arrival_period_batches == 0;
+    const bool legacy = config_.faults.post_total_density > 0.0 &&
+                        !wear_model_.enabled() &&
+                        config_.faults.arrival_period_batches == 0;
     arrival_checkpoint(uniform_checkpoint_quantum(), legacy);
 }
 

@@ -20,7 +20,8 @@
 //
 // All faulty schemes share one simulated accelerator: faults are injected
 // into its crossbars, weight regions are allocated per model parameter, and
-// an adjacency pool serves the streaming batch blocks.
+// an adjacency pool serves the streaming batch blocks. What sets a scheme
+// apart is its SchemeTraits row (reram/timing_model.hpp).
 #pragma once
 
 #include <memory>
@@ -117,39 +118,31 @@ public:
     double inter_tile_seconds() const { return noc_seconds_; }
 
 private:
-    /// Rescan the weight regions (BIST), rebuild their fault grids and
-    /// recompile the per-region fault overlays. Bumps the weights version:
-    /// anything cached off effective_weights() must recompute.
-    void refresh_weight_grids();
-    /// Rebuild the cached adjacency-pool fault maps (BIST image of the pool).
-    /// Called only when the pool's faults may have changed; every per-batch
-    /// consumer reads the cache instead of re-copying ~pool-size maps.
-    std::vector<FaultMap> build_adjacency_pool_maps() const;
+    const SchemeTraits& traits() const { return scheme_traits(scheme_); }
+    /// The scheme's view of the fault maps of `range`, one per crossbar: a
+    /// BIST scan (counted in bist_scans) or, without `scan`, the true map —
+    /// what an exact march would detect, with no scan charged and no march
+    /// wear. Then the redundant-columns repair and the online engine's
+    /// spare-column substitutions. The only place fault maps reach a scheme.
+    std::vector<FaultMap> fault_view(CrossbarRange range, bool scan);
+    /// Rebuild every weight region's fault grid and identity overlay from
+    /// fault_view and bump the weights version: anything cached off
+    /// effective_weights() must recompute, and NR's permutations are stale.
+    void rebuild_weight_view(bool scan);
+    /// Rebuild everything derived from the crossbar fault maps: the weight
+    /// view, the adjacency-pool image (always the true maps) and, with
+    /// `remap`, FARe's row re-permutation or NR's row reorder of every batch
+    /// mapping; then bump the adjacency version.
+    void refresh_fault_state(bool scan, bool remap);
     /// One arrival checkpoint: inject `uniform_quantum` added density of
     /// the uniform post-deployment stream (0 skips it), advance the wear
-    /// model, and — iff any fault actually arrived — rescan/recompile the
-    /// fault state and bump both version stamps. `force_refresh` keeps the
-    /// legacy unconditional per-epoch BIST refresh of the uniform-only
-    /// schedule. Returns the number of arrivals.
+    /// model, and — iff any fault actually arrived — refresh the fault
+    /// state. `force_refresh` keeps the legacy unconditional per-epoch BIST
+    /// refresh of the uniform-only schedule. Returns the number of arrivals.
     std::size_t arrival_checkpoint(double uniform_quantum, bool force_refresh);
     /// This checkpoint's share of the uniform post-deployment stream: the
     /// per-epoch quantum split across the epoch's arrival checkpoints.
     double uniform_checkpoint_quantum() const;
-    /// Rebuild everything derived from the crossbar fault maps after an
-    /// arrival: BIST rescan + overlay recompile of the weight regions, the
-    /// adjacency-pool image, and the schemes' re-permutations.
-    void refresh_after_arrival();
-    /// True for the schemes driving the online tolerance engine.
-    bool online() const { return scheme_is_online(scheme_); }
-    /// Online schemes: refresh *corruption truth only* after an arrival —
-    /// overlays and the adjacency-pool image are rebuilt from the crossbars'
-    /// true maps (filtered through the engine's repair view), with no BIST
-    /// march and no mapping/permutation update. New damage lands un-mitigated
-    /// until the next detection round discovers it: that gap is the
-    /// detection-latency cost the online schemes pay.
-    void refresh_corruption_only();
-    /// Weight-region overlays from the repaired true maps (no march cost).
-    void rebuild_weight_overlays_from_truth();
     /// One detection round of the online engine: partial march + readback
     /// escalation + targeted repair, costs charged through the timing model;
     /// mitigation state (overlays, pool image, FARe re-permutation) refreshes
@@ -190,12 +183,13 @@ private:
         std::size_t rows = 0, cols = 0;
         WeightFaultGrid grid;
         /// Fault grid folded into branchless per-weight masks; recompiled on
-        /// BIST rescan (all schemes) and NR re-permutation, applied per batch.
+        /// every weight-view rebuild and NR re-permutation, applied per batch.
         CompiledFaultOverlay overlay;
+        /// NR: the region's row permutation, valid this epoch while fresh.
+        std::vector<std::uint16_t> nr_perm;
+        bool nr_perm_fresh = false;
     };
     std::vector<ParamRegion> params_;
-    std::vector<std::vector<std::uint16_t>> nr_perm_;  // per-param cache
-    std::vector<bool> nr_perm_fresh_;                  // valid this epoch?
     /// Count the off-home-tile blocks of every current mapping and charge
     /// their modelled NoC transfer time to noc_seconds_ (one epoch's worth).
     void accumulate_noc_epoch();
@@ -206,9 +200,9 @@ private:
     std::vector<std::vector<int>> batch_parts_;  // node -> partition hints
     std::vector<TilePlacement> placements_;      // one per batch (may be empty)
     double noc_seconds_ = 0.0;
-    std::vector<FaultMap> adj_maps_;          // cached pool BIST image
+    std::vector<FaultMap> adj_maps_;          // cached pool fault view
     std::size_t bist_scans_ = 0;
-    std::uint64_t weights_version_ = 0;    // bumped by refresh_weight_grids
+    std::uint64_t weights_version_ = 0;    // bumped by rebuild_weight_view
     std::uint64_t adjacency_version_ = 0;  // bumped on preprocess/wear events
 };
 

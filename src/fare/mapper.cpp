@@ -103,30 +103,27 @@ AdjacencyMapping FaultAwareMapper::map_batch(
     // compatible block cannot overlap crossbar j's SA1 faults down to the
     // sparsest block's edge density, exclude the crossbar — worst offenders
     // first, but never below one crossbar per block.
-    if (config_.enable_crossbar_removal) {
-        const double cells = static_cast<double>(n) * static_cast<double>(n);
-        std::vector<std::pair<double, std::size_t>> candidates;  // (nonoverlap, j)
-        for (std::size_t j : live_xbars) {
-            double min_nonoverlap = std::numeric_limits<double>::infinity();
-            for (std::size_t i : live_blocks)
-                min_nonoverlap =
-                    std::min(min_nonoverlap, results[i * m + j].sa1_nonoverlap);
-            if (min_nonoverlap / cells > min_density)
-                candidates.emplace_back(min_nonoverlap, j);
-        }
-        std::sort(candidates.rbegin(), candidates.rend());
-        const std::size_t max_removals = live_xbars.size() - live_blocks.size();
-        if (candidates.size() > max_removals) candidates.resize(max_removals);
-        for (const auto& [nonoverlap, j] : candidates) {
-            mapping.removed_crossbars.push_back(j);
-            live_xbars.erase(std::find(live_xbars.begin(), live_xbars.end(), j));
-        }
+    const double cells = static_cast<double>(n) * static_cast<double>(n);
+    std::vector<std::pair<double, std::size_t>> candidates;  // (nonoverlap, j)
+    for (std::size_t j : live_xbars) {
+        double min_nonoverlap = std::numeric_limits<double>::infinity();
+        for (std::size_t i : live_blocks)
+            min_nonoverlap =
+                std::min(min_nonoverlap, results[i * m + j].sa1_nonoverlap);
+        if (min_nonoverlap / cells > min_density)
+            candidates.emplace_back(min_nonoverlap, j);
+    }
+    std::sort(candidates.rbegin(), candidates.rend());
+    const std::size_t max_removals = live_xbars.size() - live_blocks.size();
+    if (candidates.size() > max_removals) candidates.resize(max_removals);
+    for (const auto& [nonoverlap, j] : candidates) {
+        mapping.removed_crossbars.push_back(j);
+        live_xbars.erase(std::find(live_xbars.begin(), live_xbars.end(), j));
     }
 
     // Block-removal rule (Algorithm 1 line 14): with b = m there is no slack
     // left; drop the sparsest block to the host to regain freedom.
-    if (config_.enable_block_removal && live_blocks.size() == live_xbars.size() &&
-        live_blocks.size() > 1) {
+    if (live_blocks.size() == live_xbars.size() && live_blocks.size() > 1) {
         double min_nonoverlap = std::numeric_limits<double>::infinity();
         for (std::size_t j : live_xbars)
             for (std::size_t i : live_blocks)

@@ -37,8 +37,6 @@ struct MapperConfig {
     std::uint16_t block_size = 128;  ///< n (crossbar rows)
     RowMatchWeights weights;
     bool exact_row_matching = false;  ///< Hungarian instead of b-Suitor
-    bool enable_crossbar_removal = true;
-    bool enable_block_removal = true;
     /// When > 0 and the pool is larger, prune it to this many candidate
     /// crossbars (the cleanest by weighted fault count) before the full
     /// cost-matrix computation — "efficient resource utilization" (§IV-A)

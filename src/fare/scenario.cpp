@@ -115,8 +115,7 @@ std::string FaultScenario::key() const {
         os << ";post=0";
         // Worn-out cells and soft errors take their polarity from the stream
         // ratio too; sa1= already carries it when the two ratios agree.
-        if ((wear.enabled() || soft_error_rate > 0.0) &&
-            !(density > 0.0 && post_sa1_fraction == sa1_fraction))
+        if (arrivals_live() && !(density > 0.0 && post_sa1_fraction == sa1_fraction))
             os << ";psa1=" << num(post_sa1_fraction);
     }
     os << ";fw=" << faults_on_weights << ";fa=" << faults_on_adjacency
@@ -133,8 +132,7 @@ std::string FaultScenario::key() const {
     // Soft errors are appended only when live — legacy keys stay byte-stable.
     if (soft_error_rate > 0.0) os << ";soft=" << num(soft_error_rate);
     // The cadence only matters while some arrival source is active.
-    if (arrival_period_batches > 0 &&
-        (wear.enabled() || post_total_density > 0.0 || soft_error_rate > 0.0))
+    if (arrival_period_batches > 0 && arrivals_live())
         os << ";arr=" << arrival_period_batches;
     return os.str();
 }

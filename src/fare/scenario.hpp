@@ -94,6 +94,11 @@ struct FaultScenario {
 
     /// True when the scenario injects nothing (no SAFs, no wear, no noise).
     bool fault_free() const;
+    /// True when faults arrive during training: the uniform post-deployment
+    /// stream, soft errors or wear.
+    bool arrivals_live() const {
+        return post_total_density > 0.0 || soft_error_rate > 0.0 || wear.enabled();
+    }
 
     /// Canonical serialization — equal keys => behaviourally identical
     /// scenarios. Used for cell memoization.

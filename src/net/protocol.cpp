@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <sstream>
 
+#include "common/rng.hpp"
 #include "sim/serialization.hpp"
 
 namespace fare::net {
@@ -214,25 +215,11 @@ WireMessage make_auth(const std::string& proof) {
 
 std::string auth_proof(const std::string& secret, const std::string& challenge,
                        const std::string& role) {
-    // FNV-1a over secret:challenge:role, then a splitmix-style finalizer —
-    // deterministic across platforms, never leaks the secret itself. See the
-    // header: a handshake gate, not cryptography.
-    std::uint64_t h = 1469598103934665603ull;
-    const auto fold = [&h](const std::string& s) {
-        for (const char c : s) {
-            h ^= static_cast<unsigned char>(c);
-            h *= 1099511628211ull;
-        }
-        h ^= static_cast<unsigned char>(':');
-        h *= 1099511628211ull;
-    };
-    fold(secret);
-    fold(challenge);
-    fold(role);
-    h += 0x9e3779b97f4a7c15ull;
-    h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ull;
-    h = (h ^ (h >> 27)) * 0x94d049bb133111ebull;
-    h ^= h >> 31;
+    // FNV-1a over "secret:challenge:role:", then SplitMix64 — deterministic
+    // across platforms, never leaks the secret itself. See the header: a
+    // handshake gate, not cryptography.
+    const std::uint64_t h =
+        splitmix64(fnv1a(secret + ':' + challenge + ':' + role + ':'));
     char buf[17];
     std::snprintf(buf, sizeof(buf), "%016llx",
                   static_cast<unsigned long long>(h));

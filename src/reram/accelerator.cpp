@@ -7,29 +7,22 @@ namespace fare {
 
 Accelerator::Accelerator(const AcceleratorConfig& config) : config_(config) {
     FARE_CHECK(config.num_tiles > 0, "accelerator needs at least one tile");
-    tiles_.reserve(static_cast<std::size_t>(config.num_tiles));
-    for (int i = 0; i < config.num_tiles; ++i) tiles_.emplace_back(config.tile);
-}
-
-std::size_t Accelerator::num_crossbars() const {
-    return tiles_.size() * static_cast<std::size_t>(config_.tile.crossbars_per_tile);
+    FARE_CHECK(config.tile.crossbars_per_tile > 0, "tile needs at least one crossbar");
+    const std::size_t count =
+        num_tiles() * static_cast<std::size_t>(config.tile.crossbars_per_tile);
+    crossbars_.reserve(count);
+    for (std::size_t i = 0; i < count; ++i)
+        crossbars_.emplace_back(config.tile.crossbar_rows, config.tile.crossbar_cols);
 }
 
 Crossbar& Accelerator::crossbar(std::size_t flat_index) {
     FARE_CHECK(flat_index < num_crossbars(), "crossbar index out of range");
-    const auto per_tile = static_cast<std::size_t>(config_.tile.crossbars_per_tile);
-    return tiles_[flat_index / per_tile].crossbar(flat_index % per_tile);
+    return crossbars_[flat_index];
 }
 
 const Crossbar& Accelerator::crossbar(std::size_t flat_index) const {
     FARE_CHECK(flat_index < num_crossbars(), "crossbar index out of range");
-    const auto per_tile = static_cast<std::size_t>(config_.tile.crossbars_per_tile);
-    return tiles_[flat_index / per_tile].crossbar(flat_index % per_tile);
-}
-
-Tile& Accelerator::tile(std::size_t i) {
-    FARE_CHECK(i < tiles_.size(), "tile index out of range");
-    return tiles_[i];
+    return crossbars_[flat_index];
 }
 
 CrossbarRange Accelerator::allocate(std::size_t count) {
@@ -54,22 +47,11 @@ void Accelerator::inject_pre_deployment_faults(const FaultInjectionConfig& confi
 }
 
 std::size_t Accelerator::inject_post_deployment_faults(
-    double added_density, double sa1_fraction, Rng& rng,
+    double added_density, double sa1_fraction, Rng& rng, bool soft,
     std::vector<std::size_t>* touched) {
     std::vector<FaultMap> maps = true_fault_maps();
     const std::size_t added = inject_additional_faults(
-        maps, added_density, sa1_fraction, rng, /*soft=*/false, touched);
-    for (std::size_t i = 0; i < maps.size(); ++i)
-        crossbar(i).set_fault_map(std::move(maps[i]));
-    return added;
-}
-
-std::size_t Accelerator::inject_soft_faults(double added_density,
-                                            double sa1_fraction, Rng& rng,
-                                            std::vector<std::size_t>* touched) {
-    std::vector<FaultMap> maps = true_fault_maps();
-    const std::size_t added = inject_additional_faults(
-        maps, added_density, sa1_fraction, rng, /*soft=*/true, touched);
+        maps, added_density, sa1_fraction, rng, soft, touched);
     for (std::size_t i = 0; i < maps.size(); ++i)
         crossbar(i).set_fault_map(std::move(maps[i]));
     return added;
@@ -92,11 +74,11 @@ std::vector<FaultMap> Accelerator::true_fault_maps() const {
 }
 
 double Accelerator::total_area_mm2() const {
-    return config_.tile.area_mm2 * static_cast<double>(tiles_.size());
+    return config_.tile.area_mm2 * static_cast<double>(num_tiles());
 }
 
 double Accelerator::peak_power_w() const {
-    return config_.tile.power_w * static_cast<double>(tiles_.size());
+    return config_.tile.power_w * static_cast<double>(num_tiles());
 }
 
 }  // namespace fare

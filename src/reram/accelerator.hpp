@@ -1,5 +1,6 @@
-// The ReRAM PIM accelerator: a pool of tiles with flat crossbar addressing,
-// fault injection, BIST scanning and region allocation.
+// The ReRAM PIM accelerator: the crossbars of its tiles under flat,
+// tile-major addressing, with fault injection, BIST scanning and region
+// allocation.
 //
 // Weight matrices are allocated to a fixed crossbar range once (they stay
 // resident across training); adjacency blocks stream through a separate range
@@ -11,6 +12,7 @@
 #include <vector>
 
 #include "reram/bist.hpp"
+#include "reram/crossbar.hpp"
 #include "reram/tile.hpp"
 
 namespace fare {
@@ -33,14 +35,12 @@ public:
     explicit Accelerator(const AcceleratorConfig& config = {});
 
     const AcceleratorConfig& config() const { return config_; }
-    std::size_t num_crossbars() const;
-    std::size_t num_tiles() const { return tiles_.size(); }
+    std::size_t num_crossbars() const { return crossbars_.size(); }
+    std::size_t num_tiles() const { return static_cast<std::size_t>(config_.num_tiles); }
 
     /// Flat indexing across tiles: crossbar i lives in tile i / per_tile.
     Crossbar& crossbar(std::size_t flat_index);
     const Crossbar& crossbar(std::size_t flat_index) const;
-
-    Tile& tile(std::size_t i);
 
     /// Reserve the next `count` unallocated crossbars. Throws ResourceError
     /// when the pool is exhausted.
@@ -55,20 +55,15 @@ public:
 
     /// Wear: add faults on top of the existing maps (post-deployment).
     /// Returns the number of faults actually added (the Poisson draws may
-    /// yield zero — callers skip their BIST refresh then). When `touched`
-    /// is non-null the flat indices of crossbars that received at least one
+    /// yield zero — callers skip their BIST refresh then). `soft` places
+    /// soft-error arrivals instead: stuck-ats re-formable by the online
+    /// correction path (Crossbar::reform), which schemes without online
+    /// correction see as ordinary permanent stuck-ats. When `touched` is
+    /// non-null the flat indices of crossbars that received at least one
     /// fault are appended to it (online detection-latency bookkeeping).
     std::size_t inject_post_deployment_faults(
-        double added_density, double sa1_fraction, Rng& rng,
+        double added_density, double sa1_fraction, Rng& rng, bool soft = false,
         std::vector<std::size_t>* touched = nullptr);
-
-    /// Soft-error arrival: like inject_post_deployment_faults but the placed
-    /// stuck-ats are *soft* — re-formable by the online correction path
-    /// (Crossbar::reform). Schemes without online correction see them as
-    /// ordinary permanent stuck-ats.
-    std::size_t inject_soft_faults(double added_density, double sa1_fraction,
-                                   Rng& rng,
-                                   std::vector<std::size_t>* touched = nullptr);
 
     /// Run BIST across all crossbars; returns one detected map per crossbar.
     std::vector<FaultMap> bist_scan_all();
@@ -82,7 +77,7 @@ public:
 
 private:
     AcceleratorConfig config_;
-    std::vector<Tile> tiles_;
+    std::vector<Crossbar> crossbars_;  // tile-major
     std::size_t next_free_ = 0;
 };
 

@@ -149,7 +149,7 @@ OnlineRoundOutcome OnlineToleranceEngine::detection_round(
 }
 
 FaultMap OnlineToleranceEngine::repaired_map(std::size_t crossbar_index,
-                                             const FaultMap& truth) const {
+                                             FaultMap truth) const {
     auto it = repairs_.find(crossbar_index);
     if (it == repairs_.end() || it->second.substituted.empty()) return truth;
     FaultMap out(truth.rows(), truth.cols());

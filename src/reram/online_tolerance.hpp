@@ -114,8 +114,7 @@ public:
 
     /// Mitigation view of a crossbar: faults on substituted columns are
     /// routed to (assumed fault-free) spare columns and dropped from the map.
-    FaultMap repaired_map(std::size_t crossbar_index,
-                          const FaultMap& truth) const;
+    FaultMap repaired_map(std::size_t crossbar_index, FaultMap truth) const;
 
     bool exhausted(std::size_t crossbar_index) const;
     std::size_t spares_used(std::size_t crossbar_index) const;

@@ -1,14 +1,14 @@
-// ReRAM tile: the unit of Table III.
+// ReRAM tile specification: the unit of Table III. The Accelerator holds
+// every tile's crossbars in one flat, tile-major array; TileSpec sizes them
+// and rolls up the chip's area and power.
 //
 //   96 ADCs (8-bit), 12x128x8 DACs (1-bit), 96 crossbars of 128x128 cells,
 //   10 MHz array clock, 2-bit/cell, 8 comparators (16-bit @ 2 GHz) and 8
 //   2:1 muxes implementing weight clipping, 0.34 W, 0.157 mm^2.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <vector>
-
-#include "reram/crossbar.hpp"
 
 namespace fare {
 
@@ -33,25 +33,6 @@ struct TileSpec {
     std::size_t cells_per_tile() const {
         return cells_per_crossbar() * static_cast<std::size_t>(crossbars_per_tile);
     }
-};
-
-/// A tile owns its crossbars. Crossbars are addressed 0..crossbars_per_tile.
-class Tile {
-public:
-    explicit Tile(const TileSpec& spec = {});
-
-    const TileSpec& spec() const { return spec_; }
-    std::size_t num_crossbars() const { return crossbars_.size(); }
-
-    Crossbar& crossbar(std::size_t i);
-    const Crossbar& crossbar(std::size_t i) const;
-
-    /// Total cell writes across all crossbars (wear accounting).
-    std::uint64_t total_writes() const;
-
-private:
-    TileSpec spec_;
-    std::vector<Crossbar> crossbars_;
 };
 
 }  // namespace fare

@@ -8,53 +8,34 @@
 
 namespace fare {
 
-const char* scheme_name(Scheme s) {
-    switch (s) {
-        case Scheme::kFaultFree: return "fault-free";
-        case Scheme::kFaultUnaware: return "fault-unaware";
-        case Scheme::kNeuronReorder: return "NR";
-        case Scheme::kClippingOnly: return "Weight Clipping";
-        case Scheme::kFARe: return "FARe";
-        case Scheme::kRedundantCols: return "Redundant Columns";
-        case Scheme::kOnlineFARe: return "Online FARe";
-        case Scheme::kOnlineNaive: return "Online Naive";
-    }
-    return "?";
-}
-
 const std::vector<Scheme>& all_schemes() {
-    static const std::vector<Scheme> kSchemes = {
-        Scheme::kFaultFree,     Scheme::kFaultUnaware, Scheme::kNeuronReorder,
-        Scheme::kClippingOnly,  Scheme::kFARe,         Scheme::kRedundantCols,
-        Scheme::kOnlineFARe,    Scheme::kOnlineNaive,
-    };
+    static const std::vector<Scheme> kSchemes = [] {
+        std::vector<Scheme> out;
+        for (std::size_t i = 0; i < std::size(kSchemeTraits); ++i)
+            out.push_back(static_cast<Scheme>(i));
+        return out;
+    }();
     return kSchemes;
 }
 
 Expected<Scheme> parse_scheme(const std::string& name) {
-    std::string lower = name;
-    std::transform(lower.begin(), lower.end(), lower.begin(),
-                   [](unsigned char c) { return std::tolower(c); });
-    std::replace(lower.begin(), lower.end(), '_', '-');
-    std::replace(lower.begin(), lower.end(), ' ', '-');
-    if (lower == "fault-free" || lower == "faultfree" || lower == "ideal")
-        return Scheme::kFaultFree;
-    if (lower == "fault-unaware" || lower == "unaware" || lower == "naive")
-        return Scheme::kFaultUnaware;
-    if (lower == "nr" || lower == "neuron-reorder" || lower == "neuron-reordering")
-        return Scheme::kNeuronReorder;
-    if (lower == "weight-clipping" || lower == "clipping" || lower == "clip")
-        return Scheme::kClippingOnly;
-    if (lower == "fare") return Scheme::kFARe;
-    if (lower == "redundant-columns" || lower == "redundant" || lower == "spare")
-        return Scheme::kRedundantCols;
-    if (lower == "online-fare") return Scheme::kOnlineFARe;
-    if (lower == "online-naive" || lower == "online")
-        return Scheme::kOnlineNaive;
-    return Expected<Scheme>::failure(
-        "unknown scheme: '" + name +
-        "' (expected fault-free | fault-unaware | NR | clipping | FARe | "
-        "redundant-columns | online-FARe | online-naive)");
+    const auto normalise = [](std::string s) {
+        std::transform(s.begin(), s.end(), s.begin(), [](unsigned char c) {
+            return c == '_' || c == ' ' ? '-' : static_cast<char>(std::tolower(c));
+        });
+        return s;
+    };
+    const std::string lower = normalise(name);
+    std::string names;
+    for (const Scheme s : all_schemes()) {
+        const SchemeTraits& t = scheme_traits(s);
+        if (lower == normalise(t.name)) return s;
+        for (const char* alias : t.aliases)
+            if (alias != nullptr && lower == alias) return s;
+        names += std::string(names.empty() ? "" : " | ") + t.name;
+    }
+    return Expected<Scheme>::failure("unknown scheme: '" + name + "' (expected " +
+                                     names + ")");
 }
 
 TimingModel::TimingModel(const TimingConfig& config) : config_(config) {
@@ -148,22 +129,20 @@ std::size_t TimingModel::num_stages(const WorkloadTiming& w, bool with_clipping)
 ExecutionBreakdown TimingModel::training_time(Scheme scheme,
                                               const WorkloadTiming& w) const {
     ExecutionBreakdown out;
+    const SchemeTraits& traits = scheme_traits(scheme);
     const double stage = stage_delay_s(w);
-    const bool clipping = scheme == Scheme::kClippingOnly ||
-                          scheme == Scheme::kFARe ||
-                          scheme == Scheme::kOnlineFARe;
-    const std::size_t stages = num_stages(w, clipping);
+    const std::size_t stages = num_stages(w, traits.clips);
     const std::size_t total_batches = w.batches_per_epoch * w.epochs;
 
     out.pipeline =
         static_cast<double>(total_batches + stages - 1) * stage;
 
-    if (scheme == Scheme::kRedundantCols) {
+    if (traits.spare_columns) {
         // Column-repair indirection sits in the sense path of every wave.
         out.pipeline *= 1.10;
     }
 
-    if (scheme == Scheme::kNeuronReorder) {
+    if (traits.mapping == MappingPolicy::kNeuronReorder) {
         // Per-batch stall: re-match the reorder units against the fault map
         // on the just-updated weights, then reprogram the physically moved
         // rows. The matching instance has one vertex per reorder unit
@@ -176,15 +155,16 @@ ExecutionBreakdown TimingModel::training_time(Scheme scheme,
         out.stalls = static_cast<double>(total_batches) * (t_match + t_rewrite);
     }
 
-    if (scheme == Scheme::kOnlineNaive) {
-        // The rotating partial march replaces the per-epoch full scan; its
-        // steady-state duty cycle is the same order as FARe's BIST refresh.
-        // The *measured* march/readback/reprogram time of a concrete run is
+    if (traits.mapping == MappingPolicy::kFaultAware || traits.online) {
+        // Per-epoch BIST refresh for post-deployment faults (~0.13%/epoch).
+        // The online schemes' rotating partial march replaces the per-epoch
+        // full scan; its steady-state duty cycle is the same order. The
+        // *measured* march/readback/reprogram time of a concrete run is
         // charged separately through SchemeRunResult::online.
         out.bist = config_.bist_epoch_overhead * out.pipeline;
     }
 
-    if (scheme == Scheme::kFARe || scheme == Scheme::kOnlineFARe) {
+    if (traits.mapping == MappingPolicy::kFaultAware) {
         // Preprocessing on the critical path: only the FIRST batch's mapping
         // — subsequent batches are mapped on the host while the pipeline
         // executes the current one (paper §IV-A: "generates the mapping for
@@ -200,8 +180,6 @@ ExecutionBreakdown TimingModel::training_time(Scheme scheme,
         out.preprocess =
             static_cast<double>(blocks_per_batch) *
             (preselect + static_cast<double>(candidates_per_block) * per_pair);
-        // Per-epoch BIST refresh for post-deployment faults (~0.13%/epoch).
-        out.bist = config_.bist_epoch_overhead * out.pipeline;
     }
     return out;
 }
@@ -214,6 +192,7 @@ double TimingModel::normalized_time(Scheme scheme, const WorkloadTiming& w) cons
 EnergyBreakdown TimingModel::training_energy(Scheme scheme,
                                              const WorkloadTiming& w) const {
     EnergyBreakdown out;
+    const SchemeTraits& traits = scheme_traits(scheme);
     const auto xb_rows = static_cast<std::size_t>(config_.tile.crossbar_rows);
     const auto weights_per_row =
         static_cast<std::size_t>(config_.tile.crossbar_cols) / 8;
@@ -247,7 +226,7 @@ EnergyBreakdown TimingModel::training_energy(Scheme scheme,
     // batch is mapped somewhere) or per-batch reorder (NR).
     const double per_pair_ops =
         host_matching_latency_s(xb_rows, 8.0) * config_.host_ops_per_sec;
-    if (scheme == Scheme::kFARe || scheme == Scheme::kOnlineFARe) {
+    if (traits.mapping == MappingPolicy::kFaultAware) {
         const double pairs =
             static_cast<double>(w.batches_per_epoch) *
             static_cast<double>(grid * grid) * 4.0;  // pruned candidates
@@ -255,7 +234,7 @@ EnergyBreakdown TimingModel::training_energy(Scheme scheme,
         out.overhead = config_.bist_epoch_overhead *
                        training_time(scheme, w).pipeline / 1.0 *
                        config_.tile.power_w;  // BIST runtime at tile power
-    } else if (scheme == Scheme::kNeuronReorder) {
+    } else if (traits.mapping == MappingPolicy::kNeuronReorder) {
         const double match_ops = host_matching_latency_s(w.hidden, 8.0) *
                                  config_.host_ops_per_sec;
         out.host = static_cast<double>(total_batches) * match_ops *
@@ -263,7 +242,7 @@ EnergyBreakdown TimingModel::training_energy(Scheme scheme,
         // Reorder rewrites every weight row each batch — extra write energy.
         out.writes += static_cast<double>(total_batches) * weight_cells_per_batch *
                       config_.write_energy_per_cell_j;
-    } else if (scheme == Scheme::kRedundantCols) {
+    } else if (traits.spare_columns) {
         // Spare columns are active in every wave: compute/write energy scale
         // with the provisioned redundancy.
         out.compute *= 1.0 + config_.spare_column_fraction;

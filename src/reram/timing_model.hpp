@@ -16,6 +16,7 @@
 // effective ops/s rate. Absolute values are a model; Fig. 7 reports ratios.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -38,7 +39,50 @@ enum class Scheme {
     kOnlineNaive,    ///< online detection/correction only (naive mapping)
 };
 
-const char* scheme_name(Scheme s);
+/// How a scheme places adjacency blocks on the pool's crossbars.
+enum class MappingPolicy {
+    kIdentity,       ///< block i on crossbar i, rows unpermuted
+    kNeuronReorder,  ///< NR: equal-weight row permutation, identity blocks
+    kFaultAware,     ///< FARe's Algorithm 1: row matching + block assignment
+};
+
+/// Everything FaultyHardware and TimingModel decide per scheme. The defaults
+/// are the fault-unaware baseline: no clipping, identity mapping, no spare
+/// columns, offline.
+struct SchemeTraits {
+    const char* name = "";  ///< scheme_name()
+    /// parse_scheme() spellings besides the name (lower case, '-' for
+    /// spaces and underscores); unused slots are null.
+    std::array<const char*, 2> aliases{};
+    bool clips = false;  ///< clamp read-out weights to tau (§IV-B)
+    MappingPolicy mapping = MappingPolicy::kIdentity;
+    bool spare_columns = false;  ///< spare columns repair the worst-faulted ones
+    bool online = false;         ///< runs the detection/correction engine
+};
+
+/// One row per Scheme, in enum order.
+inline constexpr SchemeTraits kSchemeTraits[] = {
+    {.name = "fault-free", .aliases = {"faultfree", "ideal"}},
+    {.name = "fault-unaware", .aliases = {"unaware", "naive"}},
+    {.name = "NR",
+     .aliases = {"neuron-reorder", "neuron-reordering"},
+     .mapping = MappingPolicy::kNeuronReorder},
+    {.name = "Weight Clipping", .aliases = {"clipping", "clip"}, .clips = true},
+    {.name = "FARe", .clips = true, .mapping = MappingPolicy::kFaultAware},
+    {.name = "Redundant Columns", .aliases = {"redundant", "spare"}, .spare_columns = true},
+    {.name = "Online FARe",
+     .clips = true,
+     .mapping = MappingPolicy::kFaultAware,
+     .online = true},
+    {.name = "Online Naive", .aliases = {"online"}, .online = true},
+};
+static_assert(std::size(kSchemeTraits) == 1 + static_cast<std::size_t>(Scheme::kOnlineNaive));
+
+inline const SchemeTraits& scheme_traits(Scheme s) {
+    return kSchemeTraits[static_cast<std::size_t>(s)];
+}
+
+inline const char* scheme_name(Scheme s) { return scheme_traits(s).name; }
 
 /// Every scheme, in enum order — the registry view used by `fare-run --list`
 /// and sweeps that want "all of them" without hand-maintaining a list.
@@ -46,13 +90,11 @@ const std::vector<Scheme>& all_schemes();
 
 /// Schemes that run the in-training detection/correction engine
 /// (reram/online_tolerance.hpp).
-inline bool scheme_is_online(Scheme s) {
-    return s == Scheme::kOnlineFARe || s == Scheme::kOnlineNaive;
-}
+inline bool scheme_is_online(Scheme s) { return scheme_traits(s).online; }
 
-/// Parse a scheme by its scheme_name() spelling or a CLI-friendly alias
-/// ("fare", "nr", "clipping", "unaware", "redundant", "fault-free"),
-/// case-insensitive. A miss returns a structured error listing the options.
+/// Parse a scheme by its scheme_name() spelling or one of its aliases,
+/// case-insensitive, with spaces and underscores read as '-'. A miss returns
+/// a structured error listing the names.
 Expected<Scheme> parse_scheme(const std::string& name);
 
 /// Static description of one training workload (per dataset/model).

@@ -4,19 +4,12 @@
 #include <limits>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "reram/accelerator.hpp"
 
 namespace fare {
 
 namespace {
-
-/// splitmix64 finalizer: the per-cell hash behind every deterministic draw.
-std::uint64_t mix64(std::uint64_t x) {
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-}
 
 /// Uniform double in (0, 1) — strictly inside so log()/quantile transforms
 /// are finite.
@@ -57,16 +50,16 @@ WearModel::WearModel(std::size_t num_crossbars, std::uint16_t rows,
 
 double WearModel::cell_uniform(std::size_t crossbar, std::uint16_t row,
                                std::uint16_t col, std::uint64_t salt) const {
-    std::uint64_t h = mix64(seed_ ^ salt);
-    h = mix64(h ^ static_cast<std::uint64_t>(crossbar));
-    h = mix64(h ^ (static_cast<std::uint64_t>(row) << 16 | col));
+    std::uint64_t h = splitmix64(seed_ ^ salt);
+    h = splitmix64(h ^ static_cast<std::uint64_t>(crossbar));
+    h = splitmix64(h ^ (static_cast<std::uint64_t>(row) << 16 | col));
     return to_unit(h);
 }
 
 bool WearModel::is_hot_spot(std::size_t crossbar) const {
     if (!enabled() || spec_.hot_spot_fraction <= 0.0) return false;
-    const std::uint64_t h =
-        mix64(mix64(seed_ ^ 0x407507ULL) ^ static_cast<std::uint64_t>(crossbar));
+    const std::uint64_t h = splitmix64(splitmix64(seed_ ^ 0x407507ULL) ^
+                                       static_cast<std::uint64_t>(crossbar));
     return to_unit(h) < spec_.hot_spot_fraction;
 }
 

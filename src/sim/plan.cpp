@@ -5,32 +5,11 @@
 #include <sstream>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "common/table.hpp"
 #include "nn/model_family.hpp"
 
 namespace fare {
-
-namespace {
-
-/// FNV-1a over a string — stable basis for SeedPolicy::kDerived.
-std::uint64_t fnv1a(const std::string& s) {
-    std::uint64_t h = 1469598103934665603ull;
-    for (const char c : s) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 1099511628211ull;
-    }
-    return h;
-}
-
-/// splitmix64 finalizer: decorrelates seeds that differ in few bits.
-std::uint64_t splitmix64(std::uint64_t x) {
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-}
-
-}  // namespace
 
 const char* cell_mode_name(CellMode mode) {
     return mode == CellMode::kTrain ? "train" : "deploy";
@@ -223,6 +202,8 @@ ExperimentPlan SweepBuilder::build() const {
         if (seed_policy_ == SeedPolicy::kDerived) {
             CellSpec coords = cell;  // key() sans seed
             coords.seed = 0;
+            // FNV-1a of the key is a stable basis; SplitMix64 decorrelates
+            // seeds that differ in few bits.
             cell.seed = splitmix64(seeds_[index[seed_axis]] ^ fnv1a(coords.key()));
         }
         plan.cells.push_back(std::move(cell));

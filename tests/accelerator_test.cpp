@@ -29,21 +29,16 @@ TEST(TileTest, SpecDefaultsMatchTableIII) {
     EXPECT_EQ(spec.cells_per_crossbar(), 128u * 128u);
 }
 
-TEST(TileTest, OwnsCrossbars) {
-    Tile tile(small_config().tile);
-    EXPECT_EQ(tile.num_crossbars(), 8u);
-    tile.crossbar(0).program(0, 0, 1);
-    EXPECT_EQ(tile.total_writes(), 1u);
-    EXPECT_THROW(tile.crossbar(8), InvalidArgument);
-}
-
 TEST(AcceleratorTest, FlatCrossbarAddressing) {
     Accelerator acc(small_config());
     EXPECT_EQ(acc.num_crossbars(), 16u);
     EXPECT_EQ(acc.num_tiles(), 2u);
     acc.crossbar(9).program(1, 1, 2);  // lives in tile 1
-    EXPECT_EQ(acc.tile(1).total_writes(), 1u);
-    EXPECT_EQ(acc.tile(0).total_writes(), 0u);
+    for (std::size_t i = 0; i < acc.num_crossbars(); ++i)
+        EXPECT_EQ(acc.crossbar(i).total_writes(), i == 9 ? 1u : 0u) << i;
+    EXPECT_THROW(acc.crossbar(16), InvalidArgument);
+    const Accelerator& view = acc;
+    EXPECT_THROW(view.crossbar(16), InvalidArgument);
 }
 
 TEST(AcceleratorTest, AllocationIsExclusive) {

@@ -2,6 +2,8 @@
 // workload lookup, and the model / scheme name parsers.
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "common/error.hpp"
 #include "sim/registry.hpp"
 
@@ -57,11 +59,25 @@ TEST(SchemeParseTest, NamesAndAliases) {
     EXPECT_EQ(parse_scheme("FARe").value(), Scheme::kFARe);
     EXPECT_EQ(parse_scheme("redundant columns").value(), Scheme::kRedundantCols);
     // Round-trip every scheme_name() spelling.
-    for (const Scheme s :
-         {Scheme::kFaultFree, Scheme::kFaultUnaware, Scheme::kNeuronReorder,
-          Scheme::kClippingOnly, Scheme::kFARe, Scheme::kRedundantCols}) {
+    for (const Scheme s : all_schemes())
         EXPECT_EQ(parse_scheme(scheme_name(s)).value(), s) << scheme_name(s);
-    }
+    // Every CLI alias.
+    const std::pair<const char*, Scheme> aliases[] = {
+        {"faultfree", Scheme::kFaultFree},
+        {"ideal", Scheme::kFaultFree},
+        {"unaware", Scheme::kFaultUnaware},
+        {"naive", Scheme::kFaultUnaware},
+        {"neuron-reorder", Scheme::kNeuronReorder},
+        {"neuron-reordering", Scheme::kNeuronReorder},
+        {"clipping", Scheme::kClippingOnly},
+        {"clip", Scheme::kClippingOnly},
+        {"redundant", Scheme::kRedundantCols},
+        {"spare", Scheme::kRedundantCols},
+        {"online", Scheme::kOnlineNaive},
+    };
+    for (const auto& [alias, s] : aliases)
+        EXPECT_EQ(parse_scheme(alias).value(), s) << alias;
+    EXPECT_EQ(parse_scheme("Neuron_Reordering").value(), Scheme::kNeuronReorder);
     const auto miss = parse_scheme("magic");
     ASSERT_FALSE(miss.ok());
     EXPECT_NE(miss.error().find("magic"), std::string::npos);

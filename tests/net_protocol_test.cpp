@@ -241,6 +241,14 @@ TEST(ProtocolTest, PathologicalNestingIsBoundedOnTheNetworkPath) {
     EXPECT_TRUE(parse_json(deep).ok());
 }
 
+TEST(ProtocolTest, AuthProofIsPinned) {
+    // Workers and coordinators of different builds must keep agreeing on the
+    // handshake proof: the hash is part of the wire contract.
+    EXPECT_EQ(auth_proof("s3cret", "abc123", "worker"), "703782d6f773d410");
+    EXPECT_NE(auth_proof("s3cret", "abc123", "coordinator"),
+              auth_proof("s3cret", "abc123", "worker"));
+}
+
 TEST(EndpointTest, ParsesHostPortPairs) {
     Expected<Endpoint> e = parse_endpoint("127.0.0.1:7070");
     ASSERT_TRUE(e.ok()) << e.error();
