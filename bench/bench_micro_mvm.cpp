@@ -1,13 +1,17 @@
 // Micro-benchmarks for the ReRAM simulator primitives: bit-sliced MVM, the
-// value-corruption fast path (what the training loop uses), BIST scans and
-// fault injection. Quantifies the speedup DESIGN.md §3.1 claims for the
-// corruption path over the bit-exact engine.
+// value-corruption fast path (what the training loop uses), BIST scans,
+// wear-out checkpoints and fault injection. Quantifies the speedup
+// DESIGN.md §3.1 claims for the corruption path over the bit-exact engine.
 #include <benchmark/benchmark.h>
 
+#include <optional>
+
 #include "common/rng.hpp"
+#include "reram/accelerator.hpp"
 #include "reram/bist.hpp"
 #include "reram/corruption.hpp"
 #include "reram/mvm_engine.hpp"
+#include "reram/wear_model.hpp"
 
 namespace {
 
@@ -59,6 +63,36 @@ void BM_BistScan(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_BistScan);
+
+// The wear_arrival plan's wear: one tile of 96 crossbars of 128x128, a
+// quarter of them hot spots, 40k-write mean lifetimes, 1000 array writes per
+// training step and an arrival checkpoint every 2 steps over 10 steps. The
+// chip and the model are built (and torn down) outside the timed region.
+void BM_WearAdvance(benchmark::State& state) {
+    AcceleratorConfig config;
+    config.num_tiles = 1;
+    WearSpec spec;
+    spec.endurance_mean_writes = 40e3;
+    spec.hot_spot_fraction = 0.25;
+    std::optional<Accelerator> chip;
+    std::optional<WearModel> model;
+    std::size_t arrivals = 0;
+    for (auto _ : state) {
+        state.PauseTiming();
+        chip.emplace(config);
+        model.emplace(chip->num_crossbars(), config.tile.crossbar_rows,
+                      config.tile.crossbar_cols, spec, 0.1, 7);
+        state.ResumeTiming();
+        for (int step = 1; step <= 10; ++step) {
+            for (std::size_t x = 0; x < chip->num_crossbars(); ++x)
+                chip->crossbar(x).add_uniform_writes(1000);
+            if (step % 2 == 0) arrivals += model->advance(*chip).size();
+        }
+    }
+    state.counters["arrivals"] = benchmark::Counter(
+        static_cast<double>(arrivals), benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_WearAdvance)->Unit(benchmark::kMillisecond);
 
 void BM_FaultInjection(benchmark::State& state) {
     const auto crossbars = static_cast<std::size_t>(state.range(0));

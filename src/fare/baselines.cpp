@@ -17,8 +17,9 @@ Matrix IdealQuantizedHardware::effective_weights(std::size_t, const Matrix& w) {
 namespace {
 
 /// Flattened mask of the bottom `fraction` of weights by |w|. Ties break on
-/// flat index (stable sort), so the mask is a deterministic pure function of
-/// the weights — identical across threads, workers and reruns.
+/// flat index, so the mask is a deterministic pure function of the weights —
+/// identical across threads, workers and reruns. Selecting the k smallest
+/// (|w|, index) pairs picks the same set a stable sort's first k would.
 std::vector<std::uint8_t> significance_prune_mask(const Matrix& w,
                                                   double fraction) {
     const std::size_t total = w.size();
@@ -28,9 +29,10 @@ std::vector<std::uint8_t> significance_prune_mask(const Matrix& w,
     const auto flat = w.flat();
     std::vector<std::uint32_t> order(total);
     for (std::size_t i = 0; i < total; ++i) order[i] = static_cast<std::uint32_t>(i);
-    std::stable_sort(order.begin(), order.end(),
-                     [&flat](std::uint32_t a, std::uint32_t b) {
-                         return std::abs(flat[a]) < std::abs(flat[b]);
+    std::nth_element(order.begin(), order.begin() + static_cast<std::ptrdiff_t>(k - 1),
+                     order.end(), [&flat](std::uint32_t a, std::uint32_t b) {
+                         const float wa = std::abs(flat[a]), wb = std::abs(flat[b]);
+                         return wa < wb || (wa == wb && a < b);
                      });
     for (std::size_t i = 0; i < k; ++i) mask[order[i]] = 1;
     return mask;

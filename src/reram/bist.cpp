@@ -2,42 +2,22 @@
 
 namespace fare {
 
+namespace {
+
+/// Each march programs every cell three times: all-0, all-max, restore.
+constexpr std::uint64_t kMarchWritesPerCell = 3;
+/// Those three writes plus the two read-backs.
+constexpr std::uint64_t kMarchOpsPerCell = 5;
+
+}  // namespace
+
 BistResult bist_scan(Crossbar& xbar) {
-    const std::uint16_t rows = xbar.rows();
-    const std::uint16_t cols = xbar.cols();
     BistResult result;
-    result.detected = FaultMap(rows, cols);
-
-    // Save original contents (the pristine stored levels; faulty cells keep
-    // whatever they held, programming them is a no-op anyway).
-    std::vector<std::uint8_t> saved(static_cast<std::size_t>(rows) * cols);
-    for (std::uint16_t r = 0; r < rows; ++r)
-        for (std::uint16_t c = 0; c < cols; ++c)
-            saved[static_cast<std::size_t>(r) * cols + c] = xbar.stored(r, c);
-
-    const std::uint8_t lo = 0;
-    const std::uint8_t hi = Crossbar::max_level();
-
-    // March pass 1: write 0 everywhere, read back; non-zero => SA1.
-    for (std::uint16_t r = 0; r < rows; ++r)
-        for (std::uint16_t c = 0; c < cols; ++c) {
-            xbar.program(r, c, lo);
-            if (xbar.read(r, c) != lo) result.detected.add(r, c, FaultType::kSA1);
-            result.cell_ops += 2;
-        }
-    // March pass 2: write max everywhere, read back; below max => SA0.
-    for (std::uint16_t r = 0; r < rows; ++r)
-        for (std::uint16_t c = 0; c < cols; ++c) {
-            xbar.program(r, c, hi);
-            if (xbar.read(r, c) != hi) result.detected.add(r, c, FaultType::kSA0);
-            result.cell_ops += 2;
-        }
-    // Restore.
-    for (std::uint16_t r = 0; r < rows; ++r)
-        for (std::uint16_t c = 0; c < cols; ++c) {
-            xbar.program(r, c, saved[static_cast<std::size_t>(r) * cols + c]);
-            ++result.cell_ops;
-        }
+    result.detected = xbar.fault_map();
+    result.detected.clear_soft_flags();
+    result.cell_ops = kMarchOpsPerCell * static_cast<std::uint64_t>(xbar.rows()) *
+                      xbar.cols();
+    xbar.add_uniform_writes(kMarchWritesPerCell);
     return result;
 }
 

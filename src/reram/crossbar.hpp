@@ -56,7 +56,8 @@ public:
     /// Charge `count` array-level writes: every cell's endurance counter
     /// advances by `count` without changing stored levels. O(1) — this is
     /// the per-training-step accounting hook (the functional simulator does
-    /// not re-program crossbars cell by cell in the hot loop).
+    /// not re-program crossbars cell by cell in the hot loop) and the charge
+    /// of a BIST march, which rewrites every cell's level as it found it.
     void add_uniform_writes(std::uint64_t count) { uniform_writes_ += count; }
 
     /// Accumulated writes of one cell: per-cell program() writes plus the

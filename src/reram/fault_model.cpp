@@ -48,14 +48,17 @@ std::optional<FaultType> FaultMap::at(std::uint16_t row, std::uint16_t col) cons
     return static_cast<FaultType>(cell);
 }
 
+void FaultMap::clear_soft_flags() {
+    std::fill(soft_.begin(), soft_.end(), std::uint8_t{0});
+    num_soft_ = 0;
+}
+
 std::vector<CellFault> FaultMap::all_faults() const {
     std::vector<CellFault> out;
     out.reserve(num_faults());
-    for (std::uint16_t r = 0; r < rows_; ++r)
-        for (std::uint16_t c = 0; c < cols_; ++c) {
-            const auto cell = grid_[index(r, c)];
-            if (cell != 0) out.push_back({r, c, static_cast<FaultType>(cell)});
-        }
+    for_each_fault([&out](std::uint16_t r, std::uint16_t c, FaultType type) {
+        out.push_back({r, c, type});
+    });
     return out;
 }
 

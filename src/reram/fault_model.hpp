@@ -9,7 +9,9 @@
 // with write wear and are injected incrementally between epochs.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <optional>
 #include <span>
 #include <vector>
@@ -46,6 +48,10 @@ public:
     /// correction path after a successful re-form.
     void clear(std::uint16_t row, std::uint16_t col);
 
+    /// Keep every fault but forget which ones are soft: the image a BIST
+    /// march detects, which cannot tell soft from hard.
+    void clear_soft_flags();
+
     /// Fault at a cell, if any.
     std::optional<FaultType> at(std::uint16_t row, std::uint16_t col) const;
 
@@ -60,6 +66,12 @@ public:
 
     /// All faults, sorted by (row, col).
     std::vector<CellFault> all_faults() const;
+
+    /// Call `visit(row, col, type)` for every fault in (row, col) order,
+    /// skipping healthy cells eight at a time: a sparse map costs little
+    /// more than its faults.
+    template <typename Visit>
+    void for_each_fault(Visit&& visit) const;
 
     /// Faults within one crossbar row, sorted by column.
     std::vector<CellFault> row_faults(std::uint16_t row) const;
@@ -79,6 +91,8 @@ public:
     /// Fraction of faulty cells.
     double fault_density() const;
 
+    bool operator==(const FaultMap&) const = default;
+
 private:
     std::size_t index(std::uint16_t r, std::uint16_t c) const {
         return static_cast<std::size_t>(r) * cols_ + c;
@@ -92,6 +106,26 @@ private:
     std::size_t num_sa1_ = 0;
     std::size_t num_soft_ = 0;
 };
+
+template <typename Visit>
+void FaultMap::for_each_fault(Visit&& visit) const {
+    if (num_faults() == 0) return;
+    for (std::uint16_t r = 0; r < rows_; ++r) {
+        const std::uint8_t* cells = grid_.data() + index(r, 0);
+        for (std::size_t c = 0; c < cols_; c += 8) {
+            const std::size_t end = std::min<std::size_t>(c + 8, cols_);
+            if (end - c == 8) {
+                std::uint64_t word;
+                std::memcpy(&word, cells + c, sizeof word);
+                if (word == 0) continue;
+            }
+            for (std::size_t k = c; k < end; ++k)
+                if (cells[k] != 0)
+                    visit(r, static_cast<std::uint16_t>(k),
+                          static_cast<FaultType>(cells[k]));
+        }
+    }
+}
 
 /// Injection parameters (paper §V-A).
 struct FaultInjectionConfig {

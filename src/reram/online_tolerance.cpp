@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <set>
 
 #include "reram/bist.hpp"
 
@@ -19,20 +20,20 @@ void OnlineToleranceEngine::note_arrivals(
 }
 
 double OnlineToleranceEngine::signature_error(
-    const Crossbar& xbar, const CrossbarRepair* repair,
-    const std::set<std::uint32_t>* known) const {
+    const Crossbar& xbar, const CrossbarRepair* repair) const {
     std::uint64_t abs_err = 0;
-    for (std::uint16_t r = 0; r < xbar.rows(); ++r)
-        for (std::uint16_t c = 0; c < xbar.cols(); ++c) {
-            if (repair != nullptr && repair->substituted.count(c) > 0)
-                continue;  // reads routed to the fault-free spare
-            if (known != nullptr &&
-                known->count((static_cast<std::uint32_t>(r) << 16) | c) > 0)
-                continue;  // folded into the fault-adjusted golden value
+    const std::size_t cols = xbar.cols();
+    xbar.fault_map().for_each_fault(
+        [&](std::uint16_t r, std::uint16_t c, FaultType) {
+            // Reads of substituted columns are routed to the fault-free
+            // spare; known faults are folded into the golden value.
+            if (repair != nullptr &&
+                (repair->substituted[c] || repair->known[r * cols + c]))
+                return;
             const int delta = static_cast<int>(xbar.read(r, c)) -
                               static_cast<int>(xbar.stored(r, c));
             abs_err += static_cast<std::uint64_t>(std::abs(delta));
-        }
+        });
     const double cells = static_cast<double>(xbar.rows()) *
                          static_cast<double>(xbar.cols());
     return static_cast<double>(abs_err) /
@@ -48,34 +49,41 @@ void OnlineToleranceEngine::repair_crossbar(std::uint64_t step,
     outcome.march_cell_ops += scan.cell_ops;
 
     CrossbarRepair& repair = repairs_[xb];
-    std::set<std::uint32_t>& known = known_[xb];
-    std::map<std::uint16_t, std::size_t> hard_cols;  // col -> hard fault count
-    for (const CellFault& f : scan.detected.all_faults()) {
-        if (repair.substituted.count(f.col) > 0) continue;  // already on spare
-        const std::uint32_t cell_key =
-            (static_cast<std::uint32_t>(f.row) << 16) | f.col;
-        if (known.insert(cell_key).second) {
+    const std::size_t cols = xbar.cols();
+    if (repair.known.empty()) {
+        repair.known.assign(xbar.rows() * cols, false);
+        repair.substituted.assign(cols, false);
+    }
+    std::vector<std::size_t> hard_faults(cols, 0);  // per column
+    scan.detected.for_each_fault([&](std::uint16_t r, std::uint16_t c,
+                                     FaultType) {
+        if (repair.substituted[c]) return;  // already on spare
+        const std::size_t cell = r * cols + c;
+        if (!repair.known[cell]) {
+            repair.known[cell] = true;
             ++stats_.faults_detected;
             outcome.state_changed = true;
         }
-        if (xbar.fault_map().is_soft(f.row, f.col)) {
+        if (xbar.fault_map().is_soft(r, c)) {
             // Targeted re-programming: forming pulses clear the soft
             // stuck-at; the pulses are charged as writes (repair wears).
-            xbar.reform(f.row, f.col, spec_.reprogram_pulses);
+            xbar.reform(r, c, spec_.reprogram_pulses);
             outcome.repair_pulses += spec_.reprogram_pulses;
             stats_.repair_writes += spec_.reprogram_pulses;
             ++stats_.soft_repaired;
-            known.erase(cell_key);  // healthy again; a re-fail counts anew
+            repair.known[cell] = false;  // a re-fail counts anew
             outcome.state_changed = true;
         } else {
-            ++hard_cols[f.col];
+            ++hard_faults[c];
         }
-    }
+    });
 
     // Redundant-column substitution: worst hard columns first (count desc,
     // column asc — fully deterministic) while spares remain.
-    std::vector<std::pair<std::uint16_t, std::size_t>> order(hard_cols.begin(),
-                                                             hard_cols.end());
+    std::vector<std::pair<std::uint16_t, std::size_t>> order;
+    for (std::size_t c = 0; c < cols; ++c)
+        if (hard_faults[c] > 0)
+            order.emplace_back(static_cast<std::uint16_t>(c), hard_faults[c]);
     std::stable_sort(order.begin(), order.end(),
                      [](const auto& a, const auto& b) {
                          if (a.second != b.second) return a.second > b.second;
@@ -84,8 +92,9 @@ void OnlineToleranceEngine::repair_crossbar(std::uint64_t step,
     std::size_t uncovered = 0;
     for (const auto& [col, count] : order) {
         (void)count;
-        if (repair.substituted.size() < spec_.spare_columns) {
-            repair.substituted.insert(col);
+        if (repair.substituted_count < spec_.spare_columns) {
+            repair.substituted[col] = true;
+            ++repair.substituted_count;
             ++stats_.columns_substituted;
             outcome.state_changed = true;
         } else {
@@ -129,10 +138,7 @@ OnlineRoundOutcome OnlineToleranceEngine::detection_round(
         auto rep = repairs_.find(xb);
         const CrossbarRepair* repair =
             rep == repairs_.end() ? nullptr : &rep->second;
-        auto kn = known_.find(xb);
-        const std::set<std::uint32_t>* known =
-            kn == known_.end() ? nullptr : &kn->second;
-        if (signature_error(accel.crossbar(xb), repair, known) >
+        if (signature_error(accel.crossbar(xb), repair) >
             spec_.readback_tolerance)
             to_march.insert(xb);
     }
@@ -151,12 +157,13 @@ OnlineRoundOutcome OnlineToleranceEngine::detection_round(
 FaultMap OnlineToleranceEngine::repaired_map(std::size_t crossbar_index,
                                              FaultMap truth) const {
     auto it = repairs_.find(crossbar_index);
-    if (it == repairs_.end() || it->second.substituted.empty()) return truth;
-    FaultMap out(truth.rows(), truth.cols());
-    for (const CellFault& f : truth.all_faults())
-        if (it->second.substituted.count(f.col) == 0)
-            out.add(f.row, f.col, f.type, truth.is_soft(f.row, f.col));
-    return out;
+    if (it == repairs_.end() || it->second.substituted_count == 0) return truth;
+    for (std::size_t c = 0; c < truth.cols(); ++c) {
+        if (!it->second.substituted[c]) continue;
+        for (std::uint16_t r = 0; r < truth.rows(); ++r)
+            truth.clear(r, static_cast<std::uint16_t>(c));
+    }
+    return truth;
 }
 
 bool OnlineToleranceEngine::exhausted(std::size_t crossbar_index) const {
@@ -166,7 +173,7 @@ bool OnlineToleranceEngine::exhausted(std::size_t crossbar_index) const {
 
 std::size_t OnlineToleranceEngine::spares_used(std::size_t crossbar_index) const {
     auto it = repairs_.find(crossbar_index);
-    return it == repairs_.end() ? 0 : it->second.substituted.size();
+    return it == repairs_.end() ? 0 : it->second.substituted_count;
 }
 
 }  // namespace fare

@@ -29,7 +29,6 @@
 
 #include <cstdint>
 #include <map>
-#include <set>
 #include <vector>
 
 #include "reram/accelerator.hpp"
@@ -127,7 +126,13 @@ public:
 
 private:
     struct CrossbarRepair {
-        std::set<std::uint16_t> substituted;  ///< logical columns on spares
+        /// Cells already counted in stats_.faults_detected, one bit per cell
+        /// (row-major); a re-form clears its bit so a re-failed cell counts
+        /// again.
+        std::vector<bool> known;
+        /// Logical columns on spares, one bit per column, and their count.
+        std::vector<bool> substituted;
+        std::size_t substituted_count = 0;
         bool exhausted = false;  ///< hard faults remain but spares are gone
     };
 
@@ -137,20 +142,18 @@ private:
 
     /// Relative |read - stored| signature error against the fault-adjusted
     /// golden value: substituted columns and already-known faults are
-    /// excluded, so only *unknown* damage escalates to a march.
-    double signature_error(const Crossbar& xbar, const CrossbarRepair* repair,
-                           const std::set<std::uint32_t>* known) const;
+    /// excluded, so only *unknown* damage escalates to a march. Only faulty
+    /// cells read differently from what they store, so only they are read.
+    double signature_error(const Crossbar& xbar,
+                           const CrossbarRepair* repair) const;
 
     OnlinePolicySpec spec_;
     OnlineToleranceStats stats_;
     std::size_t cursor_ = 0;  ///< rotating march window position
+    /// Repair state of every crossbar marched so far.
     std::map<std::size_t, CrossbarRepair> repairs_;
     /// Crossbar -> earliest un-marched arrival step (latency bookkeeping).
     std::map<std::size_t, std::uint64_t> pending_arrivals_;
-    /// Faults already counted in stats_.faults_detected, per crossbar
-    /// (encoded row<<16|col); re-forms remove entries so a re-failed cell
-    /// counts again.
-    std::map<std::size_t, std::set<std::uint32_t>> known_;
 };
 
 }  // namespace fare

@@ -12,9 +12,16 @@
 //   * a configurable fraction of crossbars are endurance hot spots whose
 //     lifetimes are divided by `hot_spot_severity` (process variation:
 //     weak crossbars wear out first and collect clustered faults);
-//   * advance() scans for cells whose accumulated writes crossed their
+//   * advance() finds the cells whose accumulated writes crossed their
 //     lifetime since the last call and pins them in the crossbar fault
 //     maps as stuck-at faults (polarity drawn per cell from sa1_fraction).
+//
+// advance() pays per cell that can expire, not per healthy cell. A cell's
+// lifetime is a monotone function of its hash quantile u, and no cell can
+// hold more than max_cell_writes() writes, so only cells with u below the
+// Weibull CDF at that bound can have expired. Each crossbar keeps its live
+// cells below a listed quantile in row-major order and lists more, in one
+// pass over the crossbar, only when the bound outgrows them.
 //
 // The model never un-fails a cell and never reports the same cell twice, so
 // callers can refresh BIST images / compiled overlays exactly when advance()
@@ -83,21 +90,40 @@ public:
     double cell_lifetime(std::size_t crossbar, std::uint16_t row,
                          std::uint16_t col) const;
 
-    /// Scan the accelerator's crossbars for cells whose accumulated writes
-    /// crossed their lifetime since the last advance, pin each as a
-    /// stuck-at fault in its crossbar's fault map, and report the new
-    /// arrivals (crossbar-major, row-major — deterministic). Cells already
-    /// faulty for another reason (e.g. manufacturing SAFs) are marked worn
-    /// but keep their existing fault type.
+    /// Find the cells whose accumulated writes crossed their lifetime
+    /// since the last advance, pin each as a stuck-at fault in its
+    /// crossbar's fault map, and report the new arrivals (crossbar-major,
+    /// row-major — deterministic). Cells already faulty for another reason
+    /// (e.g. manufacturing SAFs) are marked worn but keep their existing
+    /// fault type.
     std::vector<WornCell> advance(Accelerator& accelerator);
 
     /// Cells worn out across all advance() calls.
     std::size_t total_worn() const { return total_worn_; }
 
 private:
-    /// Deterministic uniform draw in (0,1) for a cell-level decision.
-    double cell_uniform(std::size_t crossbar, std::uint16_t row,
-                        std::uint16_t col, std::uint64_t salt) const;
+    /// The live cells of one crossbar that may wear out soon: every not yet
+    /// worn cell whose lifetime quantile u is <= listed_u, in row-major
+    /// order. Cells above listed_u carry no state.
+    struct Candidates {
+        double listed_u = 0.0;
+        std::vector<std::uint32_t> cells;  ///< row << 16 | col
+        std::vector<double> u;             ///< each cell's quantile
+    };
+
+    /// Hash state of one crossbar's cell draws under `salt`; each cell's
+    /// uniform in (0,1) finishes it with the cell position, so a pass over
+    /// the crossbar hashes once per cell.
+    std::uint64_t draw_stream(std::size_t crossbar, std::uint64_t salt) const;
+    /// Weibull scale of a crossbar's cells (hot spots divide it).
+    double crossbar_scale(std::size_t crossbar) const;
+    /// Lifetime at quantile u: the one expression behind cell_lifetime()
+    /// and advance(), so both produce the same doubles.
+    double lifetime_at(double u, double scale) const;
+    /// Upper bound on the quantile u of any cell whose lifetime is <= writes.
+    double quantile_bound(double writes, double scale) const;
+    /// Merge into `list` every cell with listed_u < u <= bound.
+    void relist(std::size_t crossbar, Candidates& list, double bound);
 
     WearSpec spec_;
     double sa1_fraction_ = 0.1;
@@ -107,17 +133,10 @@ private:
     std::uint16_t cols_ = 0;
     double weibull_scale_ = 0.0;  ///< lambda such that mean == endurance_mean
 
-    /// Per-crossbar minimum unexpired lifetime: advance() skips crossbars
-    /// whose write counters cannot have crossed any lifetime yet. Negative
-    /// while not yet computed for that crossbar.
-    std::vector<double> min_lifetime_;
-    /// Per-crossbar worn-cell mask, allocated lazily on first arrival scan.
-    std::vector<std::vector<bool>> worn_;
-    /// Per-crossbar lifetime cache (same lazy lifecycle as worn_): the
-    /// draws are pure functions, but recomputing hash + log + pow for every
-    /// cell on every checkpoint scan would put transcendental math back in
-    /// the training hot loop.
-    std::vector<std::vector<double>> lifetimes_;
+    std::vector<Candidates> candidates_;  ///< per crossbar
+    /// relist()'s output buffers, one crossbar long, reused across calls.
+    std::vector<std::uint32_t> relist_cells_;
+    std::vector<double> relist_u_;
     std::size_t total_worn_ = 0;
 };
 

@@ -110,13 +110,17 @@ TEST(FaultyHardwareTest, PruningZeroesBottomWeightsAndMasksFaults) {
 
     // Recompute the significance mask the hardware applies: bottom half by
     // |w|, ties broken by flat index (stable order).
+    const auto stable_order = [](const Matrix& m) {
+        std::vector<std::size_t> order(m.size());
+        for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+        std::stable_sort(order.begin(), order.end(),
+                         [&](std::size_t a, std::size_t b) {
+                             return std::fabs(m.flat()[a]) < std::fabs(m.flat()[b]);
+                         });
+        return order;
+    };
     const std::size_t total = w.rows() * w.cols();
-    std::vector<std::size_t> order(total);
-    for (std::size_t i = 0; i < total; ++i) order[i] = i;
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::size_t a, std::size_t b) {
-                         return std::fabs(w.flat()[a]) < std::fabs(w.flat()[b]);
-                     });
+    const std::vector<std::size_t> order = stable_order(w);
     const std::size_t k = static_cast<std::size_t>(0.5 * total);
     // Every pruned cell reads exactly zero — SA1 faults underneath are
     // masked, never exploding a weight the model does not use.
@@ -133,6 +137,35 @@ TEST(FaultyHardwareTest, PruningZeroesBottomWeightsAndMasksFaults) {
     for (std::size_t i = 0; i < k; ++i)
         if (dense_out.flat()[order[i]] != 0.0f) ++nonzero;
     EXPECT_GT(nonzero, 0u);
+
+    // Ties everywhere: |w| in {0.25, 0.5, 0.75} (exact in Q8.8, never 0) on
+    // a fault-free chip. Exactly the reference's bottom k read zero — ties
+    // go to the lower flat index — and every other weight reads non-zero.
+    std::vector<Matrix> tied_params;
+    tied_params.emplace_back(32, 32);
+    Matrix& tied = tied_params[0];
+    for (auto& v : tied.flat())
+        v = 0.25f * static_cast<float>(1 + rng.next_below(3)) *
+            (rng.next_bool(0.5) ? 1.0f : -1.0f);
+    const std::vector<std::size_t> tied_order = stable_order(tied);
+    for (double fraction : {0.1, 0.5, 0.9}) {
+        SCOPED_TRACE(::testing::Message() << "fraction " << fraction);
+        FaultyHardwareConfig clean = test_config(0.0, 0.1);
+        clean.hardware.prune_fraction = fraction;
+        FaultyHardware pruned_hw(Scheme::kFaultUnaware, clean);
+        pruned_hw.bind_params(pointers(tied_params));
+        const Matrix read = pruned_hw.effective_weights(0, tied);
+        std::vector<bool> bottom(tied.size(), false);
+        const auto tied_k = static_cast<std::size_t>(
+            fraction * static_cast<double>(tied.size()));
+        for (std::size_t i = 0; i < tied_k; ++i) bottom[tied_order[i]] = true;
+        for (std::size_t i = 0; i < tied.size(); ++i) {
+            if (bottom[i])
+                EXPECT_EQ(read.flat()[i], 0.0f) << "pruned idx " << i;
+            else
+                EXPECT_NE(read.flat()[i], 0.0f) << "kept idx " << i;
+        }
+    }
 }
 
 TEST(FaultyHardwareTest, NrPermutationReducesWeightDamage) {
