@@ -90,8 +90,15 @@ CandidateLists::CandidateLists(std::uint32_t num_vertices,
     constexpr auto kNobody = std::numeric_limits<std::uint32_t>::max();
     std::vector<std::uint32_t> seen_by(num_vertices, kNobody);
     for (std::uint32_t u = 0; u < num_vertices; ++u) {
-        std::sort(cands_.begin() + static_cast<std::ptrdiff_t>(pos_[u]),
-                  cands_.begin() + static_cast<std::ptrdiff_t>(end_[u]), proposes_before);
+        // Insertion sort: the row matcher's lists are short and arrive in
+        // partner order, so mostly sorted already.
+        for (std::size_t i = pos_[u] + 1; i < end_[u]; ++i) {
+            const SuitorCandidate entry = cands_[i];
+            std::size_t j = i;
+            for (; j > pos_[u] && proposes_before(entry, cands_[j - 1]); --j)
+                cands_[j] = cands_[j - 1];
+            cands_[j] = entry;
+        }
         std::size_t kept = pos_[u];
         for (std::size_t k = pos_[u]; k < end_[u]; ++k) {
             if (seen_by[cands_[k].v] == u) continue;
@@ -105,15 +112,11 @@ CandidateLists::CandidateLists(std::uint32_t num_vertices,
 BMatching bsuitor_match(std::uint32_t num_vertices,
                         const std::vector<WeightedEdge>& edges,
                         const std::vector<std::uint32_t>& capacity) {
+    FARE_CHECK(capacity.size() == num_vertices, "capacity size mismatch");
     CandidateLists lists(num_vertices, edges);
-    return bsuitor_match_from(num_vertices, capacity,
-                              [&](std::uint32_t u, SuitorCandidate& out) {
-                                  const SuitorCandidate* head = lists.head(u);
-                                  if (head == nullptr) return false;
-                                  out = *head;
-                                  lists.pop(u);
-                                  return true;
-                              });
+    std::vector<std::uint32_t> order(num_vertices);
+    std::iota(order.begin(), order.end(), 0u);
+    return bsuitor_match_from(capacity, std::move(order), lists);
 }
 
 BMatching suitor_match(std::uint32_t num_vertices,

@@ -9,9 +9,11 @@
 //
 // The algorithm is one proposal loop plus a heaviest-first repair
 // (bsuitor_match_from) over a source of each vertex's candidates, heaviest
-// first. bsuitor_match feeds it sorted edge lists; the row matcher feeds it
-// an implicit graph whose candidate order is the same, so both give the same
-// matching bit for bit.
+// first. bsuitor_match feeds it sorted edge lists in natural vertex order;
+// the row matcher feeds it an implicit graph whose candidate order is the
+// same, skips proposals that must fail and starts the strongest rows first.
+// On its bipartite b = 1 graphs every start order ends in the same suitor
+// sets (see bsuitor_match_from), so both give the same matching bit for bit.
 #pragma once
 
 #include <algorithm>
@@ -51,7 +53,8 @@ inline bool proposes_before(const SuitorCandidate& a, const SuitorCandidate& b) 
 
 /// Every vertex's candidates from an edge list, in proposes_before order, in
 /// one flat array. Non-positive weights and self-loops are dropped; parallel
-/// edges keep only their heaviest entry.
+/// edges keep only their heaviest entry. As a bsuitor_match_from source it
+/// offers every candidate and skips nothing.
 class CandidateLists {
 public:
     CandidateLists() = default;
@@ -63,6 +66,15 @@ public:
     }
     /// Mark u's head read.
     void pop(std::uint32_t u) { ++pos_[u]; }
+
+    /// Source interface: read u's next candidate into `out`, or return
+    /// false once u has none left.
+    bool next(std::uint32_t u, SuitorCandidate& out) {
+        if (pos_[u] == end_[u]) return false;
+        out = cands_[pos_[u]++];
+        return true;
+    }
+    void accepted(std::uint32_t, const SuitorCandidate&) {}
 
 private:
     std::vector<SuitorCandidate> cands_;
@@ -102,6 +114,15 @@ public:
         return displaced;
     }
 
+    /// True once v holds capacity[v] suitors: from then on it rejects every
+    /// proposal that does not beat weakest(v).
+    bool full(std::uint32_t v) const { return size_[v] == first_[v + 1] - first_[v]; }
+    /// v's weakest suitor as {weight, proposer}.
+    SuitorCandidate weakest(std::uint32_t v) const {
+        const Proposal& top = slots_[first_[v]];
+        return {top.w, top.from};
+    }
+
     /// Heaviest-first repair of the final suitor relation into a valid
     /// b-matching (see bsuitor.cpp).
     BMatching repair() const;
@@ -125,31 +146,45 @@ private:
 
 }  // namespace detail
 
-/// The b-Suitor proposal loop over an arbitrary candidate source, then the
-/// heaviest-first repair. `next(u, cand)` stores u's next candidate and
-/// returns true, or returns false once u has none left; each vertex's
-/// candidates must come in proposes_before order, with positive weights,
-/// each partner at most once, and the same weight from both endpoints.
-/// `capacity[v]` bounds the edges matched at v.
-template <class NextCandidate>
-BMatching bsuitor_match_from(std::uint32_t num_vertices,
-                             const std::vector<std::uint32_t>& capacity,
-                             NextCandidate&& next) {
-    FARE_CHECK(capacity.size() == num_vertices, "capacity size mismatch");
+/// The b-Suitor proposal loop over a candidate source, then the
+/// heaviest-first repair. `capacity[v]` bounds the edges matched at v.
+/// `order` lists the vertices to start, each once; the loop takes them from
+/// the back, and a displaced vertex resumes next.
+///
+/// The source has two members. `next(u, cand)` stores u's next candidate
+/// and returns true, or returns false once u has none left; each vertex's
+/// candidates come in proposes_before order, with positive weights, each
+/// partner at most once and the same weight from both endpoints.
+/// `accepted(v, weakest)` is called after every accepted proposal that
+/// leaves v full, with v's weakest suitor. A suitor set only gets
+/// stronger, so a proposal v rejects now it rejects at any later time: a
+/// source may skip a candidate only when that proposal would be rejected at
+/// that moment. The proposal sequence then loses only rejections, which
+/// change no state, and every cursor ends where the unskipped loop's would.
+///
+/// On a bipartite graph with b = 1 the loop is two independent
+/// deferred-acceptance runs (each side proposes only to the other, and a
+/// vertex's suitor comes only from the other side), with strict preferences
+/// on both sides: proposes_before for the proposer, heavier-then-higher-id
+/// for the acceptor. Every start order then ends in the same suitor sets
+/// and cursors (Gusfield & Irving 1989, Thm 1.2.2), and the repair reads
+/// only the sets. On other graphs the order can matter.
+template <class Source>
+BMatching bsuitor_match_from(const std::vector<std::uint32_t>& capacity,
+                             std::vector<std::uint32_t> order, Source& source) {
+    for (const std::uint32_t u : order) FARE_CHECK(u < capacity.size(), "start vertex range");
     detail::SuitorSets suitors(capacity);
     std::vector<std::uint32_t> need(capacity);
-    std::vector<std::uint32_t> queue;
-    for (std::uint32_t u = 0; u < num_vertices; ++u)
-        if (need[u] > 0) queue.push_back(u);
-
+    std::vector<std::uint32_t>& queue = order;
     SuitorCandidate cand;
     while (!queue.empty()) {
         const std::uint32_t u = queue.back();
         queue.pop_back();
-        while (need[u] > 0 && next(u, cand)) {
+        while (need[u] > 0 && source.next(u, cand)) {
             const std::uint32_t displaced = suitors.offer(cand.v, cand.w, u);
             if (displaced == detail::SuitorSets::kRejected) continue;
             --need[u];
+            if (suitors.full(cand.v)) source.accepted(cand.v, suitors.weakest(cand.v));
             if (displaced == detail::SuitorSets::kAccepted) continue;
             ++need[displaced];
             queue.push_back(displaced);

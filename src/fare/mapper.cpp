@@ -25,15 +25,13 @@ BinaryBlock FaultAwareMapper::extract_block(const BitMatrix& adj, std::size_t bi
     BinaryBlock block;
     block.size = n;
     block.bits.assign(static_cast<std::size_t>(n) * n, 0);
-    for (std::uint16_t r = 0; r < n; ++r) {
-        const std::size_t src_r = bi * n + r;
-        if (src_r >= adj.rows) break;
-        for (std::uint16_t c = 0; c < n; ++c) {
-            const std::size_t src_c = bj * n + c;
-            if (src_c >= adj.cols) break;
-            block.set(r, c, adj.at(src_r, src_c));
-        }
-    }
+    const std::size_t row0 = bi * n, col0 = bj * n;
+    if (row0 >= adj.rows || col0 >= adj.cols) return block;
+    const std::size_t rows = std::min<std::size_t>(n, adj.rows - row0);
+    const std::size_t cols = std::min<std::size_t>(n, adj.cols - col0);
+    for (std::size_t r = 0; r < rows; ++r)
+        std::copy_n(adj.bits.begin() + static_cast<std::ptrdiff_t>((row0 + r) * adj.cols + col0),
+                    cols, block.bits.begin() + static_cast<std::ptrdiff_t>(r * n));
     return block;
 }
 
@@ -93,11 +91,22 @@ AdjacencyMapping FaultAwareMapper::map_batch(
         }
     }
 
+    // Each block's and each live crossbar's side of the row matchings is
+    // built once and shared by every pair it is in.
     const std::size_t m = crossbars.size();
     std::vector<RowMatchResult> results(b_total * m);
-    for (std::size_t i = 0; i < b_total; ++i)
-        for (std::size_t j : live_xbars)
-            results[i * m + j] = match_rows(blocks[i], crossbars[j], config_.weights);
+    if (config_.exact_row_matching) {
+        for (std::size_t i = 0; i < b_total; ++i)
+            for (std::size_t j : live_xbars)
+                results[i * m + j] = match_rows(blocks[i], crossbars[j], config_.weights);
+    } else {
+        const std::vector<BlockImage> images(blocks.begin(), blocks.end());
+        for (std::size_t j : live_xbars) {
+            const CrossbarProfile xbar(crossbars[j], n, config_.weights);
+            for (std::size_t i = 0; i < b_total; ++i)
+                results[i * m + j] = best_row_permutation(images[i], xbar);
+        }
+    }
 
     // Crossbar-removal rule (Algorithm 1 line 12): if even the most
     // compatible block cannot overlap crossbar j's SA1 faults down to the
@@ -228,22 +237,25 @@ AdjacencyMapping FaultAwareMapper::map_row_reorder(
 BitMatrix FaultAwareMapper::apply(const BitMatrix& adj,
                                   const AdjacencyMapping& mapping,
                                   const std::vector<FaultMap>& crossbars) const {
+    // Each mapped cell reads back as stored, or as its stuck value: fault
+    // codes are SA0 = 1 and SA1 = 2, so code >> 1 is the stuck bit.
     const std::uint16_t n = config_.block_size;
     BitMatrix out = adj;
     for (const BlockAssignment& ba : mapping.assignments) {
-        const std::size_t bi = ba.block_index / mapping.grid;
-        const std::size_t bj = ba.block_index % mapping.grid;
-        const BinaryBlock block = extract_block(adj, bi, bj);
-        const BinaryBlock eff =
-            corrupt_adjacency_block(block, crossbars[ba.crossbar_index], ba.row_perm);
-        for (std::uint16_t r = 0; r < n; ++r) {
-            const std::size_t dst_r = bi * n + r;
-            if (dst_r >= out.rows) break;
-            for (std::uint16_t c = 0; c < n; ++c) {
-                const std::size_t dst_c = bj * n + c;
-                if (dst_c >= out.cols) break;
-                out.set(dst_r, dst_c, eff.at(r, c));
-            }
+        const FaultMap& map = crossbars[ba.crossbar_index];
+        FARE_CHECK(map.rows() >= n && map.cols() >= n, "fault map smaller than block");
+        FARE_CHECK(ba.row_perm.size() == n, "permutation size mismatch");
+        const std::size_t row0 = ba.block_index / mapping.grid * n;
+        const std::size_t col0 = ba.block_index % mapping.grid * n;
+        if (row0 >= out.rows || col0 >= out.cols) continue;
+        const std::size_t rows = std::min<std::size_t>(n, out.rows - row0);
+        const std::size_t cols = std::min<std::size_t>(n, out.cols - col0);
+        for (std::size_t r = 0; r < rows; ++r) {
+            FARE_CHECK(ba.row_perm[r] < map.rows(), "fault position out of range");
+            const std::uint8_t* cells = map.row_cells(ba.row_perm[r]).data();
+            std::uint8_t* dst = out.bits.data() + (row0 + r) * out.cols + col0;
+            for (std::size_t c = 0; c < cols; ++c)
+                if (cells[c] != 0) dst[c] = static_cast<std::uint8_t>(cells[c] >> 1);
         }
     }
     return out;  // host blocks keep their ideal bits

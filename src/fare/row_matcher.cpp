@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
+#include <limits>
 #include <numeric>
 
 #include "common/error.hpp"
@@ -41,204 +42,146 @@ void pack_bits(const std::uint8_t* bytes, std::size_t len, unsigned shift, Word*
     for (; c < len; ++c) out[c / kWordBits] |= Word{(bytes[c] >> shift) & 1u} << (c % kWordBits);
 }
 
-/// First index in [from, limit) whose bit is clear, or `limit`.
-std::size_t next_clear_bit(const Word* bits, std::size_t from, std::size_t limit) {
-    if (from >= limit) return limit;
-    std::size_t w = from / kWordBits;
-    Word free = ~bits[w] & (~Word{0} << (from % kWordBits));
-    while (free == 0) {
-        if (++w * kWordBits >= limit) return limit;
-        free = ~bits[w];
-    }
-    return std::min(limit, w * kWordBits + static_cast<std::size_t>(std::countr_zero(free)));
-}
-
-/// Bit image of one (block, crossbar) pair: the block's rows and columns as
-/// bitsets, and per physical row the columns < n that hold SA0 and SA1
-/// faults. A pairing's mismatches are one mask expression away.
-class BitImage {
-public:
-    BitImage(const BinaryBlock& block, const FaultMap& map)
-        : n_(block.size),
-          phys_(map.rows()),
-          words_(words_for(n_)),
-          bits_(words_ * (2 * std::size_t{n_} + 2 * std::size_t{phys_}), 0) {
-        for (std::uint16_t r = 0; r < n_; ++r) {
-            Word* bits = mutable_at(r);
-            pack_bits(block.bits.data() + std::size_t{r} * n_, n_, 0, bits);
-            for (std::size_t w = 0; w < words_; ++w)
-                for (Word rest = bits[w]; rest != 0; rest &= rest - 1)
-                    set_bit(mutable_at(n_ + w * kWordBits +
-                                       static_cast<std::size_t>(std::countr_zero(rest))),
-                            r);
-        }
-        // Fault cells hold FaultType codes: bit 0 marks SA0 (1), bit 1 SA1 (2).
-        const std::size_t cols = std::min<std::size_t>(n_, map.cols());
-        for (std::uint16_t p = 0; p < phys_; ++p) {
-            const std::uint8_t* cells = map.row_cells(p).data();
-            pack_bits(cells, cols, 0, mutable_at(sa0_slot(p)));
-            pack_bits(cells, cols, 1, mutable_at(sa0_slot(p) + 1));
-        }
-    }
-
-    std::uint16_t n() const { return n_; }
-    std::uint16_t phys() const { return phys_; }
-    std::size_t words() const { return words_; }
-
-    /// Block row r: bit c set when the block stores a 1 at (r, c).
-    const Word* row(std::uint16_t r) const { return at(r); }
-    /// Block column c: bit r set when the block stores a 1 at (r, c).
-    const Word* col(std::uint16_t c) const { return at(n_ + std::size_t{c}); }
-    /// Columns (< n) of physical row p stuck at 0 / at 1.
-    const Word* sa0(std::uint16_t p) const { return at(sa0_slot(p)); }
-    const Word* sa1(std::uint16_t p) const { return sa0(p) + words_; }
-
-    /// Weighted mismatch cost of storing the n-bit row `stored` on physical
-    /// row p: w0 per SA0 cell under a 1 and w1 per SA1 cell under a 0, added
-    /// in column order — the per-fault running sum of the reference path,
-    /// so the two agree bit for bit for any weights.
-    double cost(const Word* stored, std::uint16_t p, const RowMatchWeights& weights) const {
-        double cost = 0.0;
-        for (std::size_t w = 0; w < words_; ++w) {
-            const Word sa1_cells = sa1(p)[w];
-            for (Word miss = (sa0(p)[w] & stored[w]) | (sa1_cells & ~stored[w]); miss != 0;
-                 miss &= miss - 1)
-                cost += ((sa1_cells >> std::countr_zero(miss)) & 1u) != 0 ? weights.sa1
-                                                                          : weights.sa0;
-        }
-        return cost;
-    }
-
-    /// Cost of the whole block under perm (logical r -> physical perm[r]):
-    /// row costs added in row order.
-    double cost(const std::vector<std::uint16_t>& perm, const RowMatchWeights& weights) const {
-        double total = 0.0;
-        for (std::uint16_t r = 0; r < n_; ++r) total += cost(row(r), perm[r], weights);
-        return total;
-    }
-
-    /// SA1 cells under a stored 0 across the block under perm.
-    std::size_t sa1_misses(const std::vector<std::uint16_t>& perm) const {
-        std::size_t count = 0;
-        for (std::uint16_t r = 0; r < n_; ++r)
-            for (std::size_t w = 0; w < words_; ++w)
-                count += static_cast<std::size_t>(std::popcount(sa1(perm[r])[w] & ~row(r)[w]));
-        return count;
-    }
-
-private:
-    // Bitsets in order: n block rows, n block columns, then (SA0, SA1) per
-    // physical row.
-    std::size_t sa0_slot(std::uint16_t p) const { return 2 * std::size_t{n_} + 2 * std::size_t{p}; }
-    const Word* at(std::size_t slot) const { return bits_.data() + slot * words_; }
-    Word* mutable_at(std::size_t slot) { return bits_.data() + slot * words_; }
-
-    std::uint16_t n_;
-    std::uint16_t phys_;
-    std::size_t words_;
-    std::vector<Word> bits_;
-};
-
-/// Checked image of `block` under `perm` for the public cost functions.
-BitImage checked_image(const BinaryBlock& block, const FaultMap& map,
-                       const std::vector<std::uint16_t>& perm) {
+/// Checks `perm` against `block` and `map` for the public cost functions.
+void check_perm(const BinaryBlock& block, const FaultMap& map,
+                const std::vector<std::uint16_t>& perm) {
     FARE_CHECK(perm.size() == block.size, "perm size mismatch");
     for (const std::uint16_t p : perm)
         FARE_CHECK(p < map.rows(), "perm target out of range");
-    return BitImage(block, map);
 }
 
-/// FARe's row benefit graph (benefit(r, p) = base(p) - cost(r, p), kept when
-/// positive) over logical rows [0, n) and faulty physical rows [n, n + F),
-/// without materialising it. A block row with no 1 in p's fault columns
-/// ("does not touch p") meets every SA1 of p under a 0 and no SA0 under a
-/// 1, so all such rows share p's default benefit d(p) = base(p) - w1·|SA1_p|
-/// (the SA1 term summed per fault); only the touching pairs get explicit
-/// lists. next() merges a vertex's explicit list with its default class in
-/// proposes_before order, which is exactly the order of the materialised
-/// graph's sorted lists.
-class ImplicitBenefitGraph {
-public:
-    ImplicitBenefitGraph(const BitImage& image, const RowMatchWeights& weights)
-        : n_(image.n()), row_words_(image.words()), base_(image.phys(), 0.0) {
-        // Storing p's own SA0 mask mismatches every fault of p; storing
-        // zeros mismatches exactly its SA1 cells, as does every row that
-        // does not touch p.
-        const std::vector<Word> zeros(row_words_, 0);
-        for (std::uint16_t p = 0; p < image.phys(); ++p) {
-            base_[p] = image.cost(image.sa0(p), p, weights);
-            if (base_[p] > 0.0) {
-                faulty_.push_back(p);
-                default_.push_back(base_[p] - image.cost(zeros.data(), p, weights));
-            }
-        }
-        const std::size_t num_faulty = faulty_.size();
-        faulty_words_ = words_for(num_faulty);
-        touches_.assign(num_faulty * row_words_, 0);
-        touched_by_.assign(std::size_t{n_} * faulty_words_, 0);
+/// Physical rows cleanest first: base ascending, ties to the lower id.
+std::vector<std::uint16_t> cleanest_order(const std::vector<double>& base) {
+    std::vector<std::uint16_t> order(base.size());
+    std::iota(order.begin(), order.end(), std::uint16_t{0});
+    std::sort(order.begin(), order.end(), [&](std::uint16_t a, std::uint16_t b) {
+        if (base[a] != base[b]) return base[a] < base[b];
+        return a < b;
+    });
+    return order;
+}
 
-        // Explicit lists: every touching pair (block-column bitsets OR-ed over
-        // p's fault columns), priced off the image.
+/// Assemble the permutation: matched pairs first, then the remaining
+/// logical rows on the remaining physical rows, in `cleanest` order. Faulty
+/// row k is matching vertex n + k.
+std::vector<std::uint16_t> assemble_perm(std::uint16_t n,
+                                         const std::vector<std::uint16_t>& cleanest,
+                                         const std::vector<std::uint16_t>& faulty_rows,
+                                         const BMatching& matching) {
+    std::vector<std::uint16_t> perm(n, 0);
+    std::vector<bool> log_used(n, false), phys_used(cleanest.size(), false);
+    for (std::uint16_t r = 0; r < n; ++r) {
+        const auto& partners = matching.partners[r];
+        if (partners.empty()) continue;
+        const std::uint16_t p = faulty_rows[partners.front() - n];
+        perm[r] = p;
+        log_used[r] = true;
+        phys_used[p] = true;
+    }
+    auto next = cleanest.begin();
+    for (std::uint16_t r = 0; r < n; ++r) {
+        if (log_used[r]) continue;
+        while (phys_used[*next]) ++next;
+        perm[r] = *next++;
+    }
+    return perm;
+}
+
+/// One row matching as a bsuitor_match_from source: FARe's row benefit
+/// graph (benefit(r, p) = base(p) - cost(r, p), kept when positive) over
+/// block rows [0, n) and faulty rows [n, n + F), without materialising it.
+/// Only the pairs that touch (block-column bitsets OR-ed over p's fault
+/// columns) get explicit, priced lists. next() merges a vertex's list with
+/// its default class in proposes_before order, which is exactly the order
+/// of the materialised graph's sorted lists: for a block row, by_default
+/// minus the faulty rows it touches; for a faulty row with d > 0, the block
+/// rows ascending minus those that touch it.
+///
+/// Default proposals that must fail are skipped. Block row r offers faulty
+/// row p exactly d(p), and p, holding suitor (w, s), takes it only if
+/// (d, r) beats (w, s), ties going to the higher id. So p's threshold is n
+/// when w > d, s + 1 when w = d and 0 otherwise, and r skips p while the
+/// threshold exceeds r. Faulty row p offers d(p) as vertex n + k and skips
+/// every block row whose suitor it cannot beat. Both bounds only rise; a
+/// bound per chunk of kChunk (the least threshold, the weakest suitor) lets
+/// a walk pass a whole chunk.
+class RowMatching {
+public:
+    RowMatching(const BlockImage& block, const CrossbarProfile& xbar)
+        : xbar_(xbar),
+          n_(block.size()),
+          row_words_(block.words()),
+          faulty_words_(words_for(xbar.faulty.size())),
+          touches_(xbar.faulty.size() * row_words_, 0),
+          touched_by_(std::size_t{n_} * faulty_words_, 0),
+          next_default_(num_vertices(), 0),
+          threshold_(xbar.by_default.size(), 0),
+          chunk_threshold_(chunks(xbar.by_default.size()), 0),
+          suitor_(n_, kNoSuitor),
+          chunk_floor_(chunks(n_), kNoSuitor) {
+        // Explicit lists: every touching pair, priced off the images.
         std::vector<WeightedEdge> edges;
-        for (std::uint32_t fi = 0; fi < num_faulty; ++fi) {
-            const std::uint16_t p = faulty_[fi];
+        for (std::uint32_t fi = 0; fi < xbar.faulty.size(); ++fi) {
+            const std::uint16_t p = xbar.faulty[fi];
             Word* touch = touches_.data() + fi * row_words_;
             for (std::size_t w = 0; w < row_words_; ++w)
-                for (Word cols = image.sa0(p)[w] | image.sa1(p)[w]; cols != 0;
+                for (Word cols = xbar.image.sa0(p)[w] | xbar.image.sa1(p)[w]; cols != 0;
                      cols &= cols - 1) {
                     const auto c = static_cast<std::uint16_t>(
                         w * kWordBits + static_cast<std::size_t>(std::countr_zero(cols)));
-                    for (std::size_t k = 0; k < row_words_; ++k) touch[k] |= image.col(c)[k];
+                    for (std::size_t k = 0; k < row_words_; ++k) touch[k] |= block.col(c)[k];
                 }
             for (std::size_t w = 0; w < row_words_; ++w)
                 for (Word rows = touch[w]; rows != 0; rows &= rows - 1) {
                     const auto r = static_cast<std::uint16_t>(
                         w * kWordBits + static_cast<std::size_t>(std::countr_zero(rows)));
                     set_bit(touched_by_.data() + std::size_t{r} * faulty_words_, fi);
-                    edges.push_back({r, n_ + fi, base_[p] - image.cost(image.row(r), p, weights)});
+                    edges.push_back(
+                        {r, n_ + fi, xbar.base[p] - xbar.image.cost(block.row(r), p, xbar.weights)});
                 }
         }
         explicit_ = CandidateLists(num_vertices(), edges);
-
-        // Default classes: a block row's is every faulty row with d > 0 in
-        // (d desc, id asc) order; a faulty row's is every block row ascending.
-        for (std::uint32_t fi = 0; fi < num_faulty; ++fi)
-            if (default_[fi] > 0.0) by_default_.push_back(fi);
-        std::sort(by_default_.begin(), by_default_.end(),
-                  [&](std::uint32_t a, std::uint32_t b) {
-                      if (default_[a] != default_[b]) return default_[a] > default_[b];
-                      return a < b;
-                  });
-        next_default_.assign(num_vertices(), 0);
     }
 
     std::uint32_t num_vertices() const {
-        return n_ + static_cast<std::uint32_t>(faulty_.size());
+        return n_ + static_cast<std::uint32_t>(xbar_.faulty.size());
     }
-    /// Cost of mismatching every fault, per physical row.
-    const std::vector<double>& base() const { return base_; }
-    /// Physical rows with base > 0, ascending; faulty row k is vertex n + k.
-    const std::vector<std::uint16_t>& faulty_rows() const { return faulty_; }
 
     /// u's next candidate: the better head of its explicit list and its
-    /// default class, skipping default entries that u touches.
+    /// default class, past the default entries u touches or must lose.
     bool next(std::uint32_t u, SuitorCandidate& out) {
         SuitorCandidate fallback;
         bool has_default = false;
         std::uint32_t& d = next_default_[u];
         if (u < n_) {
+            const std::vector<std::uint32_t>& order = xbar_.by_default;
             const Word* touched = touched_by_.data() + std::size_t{u} * faulty_words_;
-            while (d < by_default_.size() && test_bit(touched, by_default_[d])) ++d;
-            if (d < by_default_.size()) {
-                has_default = true;
-                fallback = {default_[by_default_[d]], n_ + by_default_[d]};
+            while (d < order.size()) {
+                if (d % kChunk == 0 && chunk_threshold_[d / kChunk] > u)
+                    d += kChunk;
+                else if (threshold_[d] > u || test_bit(touched, order[d]))
+                    ++d;
+                else
+                    break;
             }
-        } else if (const std::uint32_t fi = u - n_; default_[fi] > 0.0) {
-            d = static_cast<std::uint32_t>(
-                next_clear_bit(touches_.data() + fi * row_words_, d, n_));
+            if (d < order.size()) {
+                has_default = true;
+                fallback = {xbar_.default_benefit[order[d]], n_ + order[d]};
+            }
+        } else if (const std::uint32_t fi = u - n_; xbar_.default_benefit[fi] > 0.0) {
+            const SuitorCandidate mine{xbar_.default_benefit[fi], u};
+            const Word* touch = touches_.data() + fi * row_words_;
+            while (d < n_) {
+                if (d % kChunk == 0 && !beats(mine, chunk_floor_[d / kChunk]))
+                    d += kChunk;
+                else if (test_bit(touch, d) || !beats(mine, suitor_[d]))
+                    ++d;
+                else
+                    break;
+            }
             if (d < n_) {
                 has_default = true;
-                fallback = {default_[fi], d};
+                fallback = {mine.w, d};
             }
         }
         const SuitorCandidate* head = explicit_.head(u);
@@ -253,52 +196,57 @@ public:
         return true;
     }
 
+    /// Weight of faulty vertex u's first candidate, or 0 when it has none.
+    double first_weight(std::uint32_t u) const {
+        const SuitorCandidate* head = explicit_.head(u);
+        return std::max(head != nullptr ? head->w : 0.0, xbar_.default_benefit[u - n_]);
+    }
+
+    /// v's suitor is now `weakest` ({weight, proposer}): raise its bound.
+    void accepted(std::uint32_t v, const SuitorCandidate& weakest) {
+        if (v < n_) {
+            suitor_[v] = weakest;
+            const std::uint32_t first = v - v % kChunk, last = std::min(first + kChunk, n_);
+            SuitorCandidate floor = suitor_[first];
+            for (std::uint32_t r = first + 1; r < last; ++r)
+                if (beats(floor, suitor_[r])) floor = suitor_[r];
+            chunk_floor_[v / kChunk] = floor;
+            return;
+        }
+        const std::uint32_t fi = v - n_, pos = xbar_.default_pos[fi];
+        const auto size = static_cast<std::uint32_t>(threshold_.size());
+        if (pos == size) return;
+        const double d = xbar_.default_benefit[fi];
+        threshold_[pos] = weakest.w > d ? n_ : weakest.w == d ? weakest.v + 1 : 0;
+        const std::uint32_t first = pos - pos % kChunk, last = std::min(first + kChunk, size);
+        chunk_threshold_[pos / kChunk] =
+            *std::min_element(threshold_.begin() + first, threshold_.begin() + last);
+    }
+
 private:
+    static constexpr std::uint32_t kChunk = 8;
+    static constexpr SuitorCandidate kNoSuitor{-std::numeric_limits<double>::infinity(), 0};
+
+    static std::size_t chunks(std::size_t count) { return (count + kChunk - 1) / kChunk; }
+    /// Suitor a outranks b: heavier, ties to the higher proposer id.
+    static bool beats(const SuitorCandidate& a, const SuitorCandidate& b) {
+        if (a.w != b.w) return a.w > b.w;
+        return a.v > b.v;
+    }
+
+    const CrossbarProfile& xbar_;
     std::uint32_t n_;
     std::size_t row_words_;
-    std::size_t faulty_words_ = 0;
-    std::vector<double> base_;
-    std::vector<std::uint16_t> faulty_;
-    std::vector<double> default_;          // d(p) per faulty index
-    std::vector<Word> touches_;            // per faulty index: block rows touching it
-    std::vector<Word> touched_by_;         // per block row: faulty indices it touches
-    CandidateLists explicit_;              // touching pairs with benefit > 0
-    std::vector<std::uint32_t> by_default_;  // faulty indices with d > 0, (d desc, id asc)
+    std::size_t faulty_words_;
+    std::vector<Word> touches_;     // per faulty index: block rows touching it
+    std::vector<Word> touched_by_;  // per block row: faulty indices it touches
+    CandidateLists explicit_;       // touching pairs with benefit > 0
     std::vector<std::uint32_t> next_default_;
+    std::vector<std::uint32_t> threshold_;        // per by_default position
+    std::vector<std::uint32_t> chunk_threshold_;  // least per kChunk positions
+    std::vector<SuitorCandidate> suitor_;         // per block row: {w, proposer}
+    std::vector<SuitorCandidate> chunk_floor_;    // weakest per kChunk block rows
 };
-
-/// Assemble the permutation: matched pairs first, then spread the remaining
-/// logical rows over the remaining physical rows, cleanest (lowest base)
-/// first. Faulty row k is matching vertex n + k.
-std::vector<std::uint16_t> assemble_perm(std::uint16_t n, const std::vector<double>& base,
-                                         const std::vector<std::uint16_t>& faulty_rows,
-                                         const BMatching& matching) {
-    const auto phys = static_cast<std::uint16_t>(base.size());
-    std::vector<std::uint16_t> perm(n, 0);
-    std::vector<bool> log_used(n, false), phys_used(phys, false);
-    for (std::uint16_t r = 0; r < n; ++r) {
-        const auto& partners = matching.partners[r];
-        if (partners.empty()) continue;
-        const std::uint16_t p = faulty_rows[partners.front() - n];
-        perm[r] = p;
-        log_used[r] = true;
-        phys_used[p] = true;
-    }
-    std::vector<std::uint16_t> free_phys;
-    for (std::uint16_t p = 0; p < phys; ++p)
-        if (!phys_used[p]) free_phys.push_back(p);
-    std::sort(free_phys.begin(), free_phys.end(),
-              [&](std::uint16_t a, std::uint16_t b) {
-                  if (base[a] != base[b]) return base[a] < base[b];
-                  return a < b;
-              });
-    std::size_t next = 0;
-    for (std::uint16_t r = 0; r < n; ++r) {
-        if (log_used[r]) continue;
-        perm[r] = free_phys[next++];
-    }
-    return perm;
-}
 
 /// Weighted mismatch cost of putting logical block row `r` on physical row
 /// faults `row_faults` (columns beyond the block are unused cells).
@@ -326,32 +274,128 @@ std::vector<std::vector<CellFault>> faults_by_row(const FaultMap& map) {
 
 }  // namespace
 
+BlockImage::BlockImage(const BinaryBlock& block)
+    : n_(block.size), words_(words_for(n_)), bits_(2 * std::size_t{n_} * words_, 0) {
+    for (std::uint16_t r = 0; r < n_; ++r) {
+        Word* row = bits_.data() + std::size_t{r} * words_;
+        pack_bits(block.bits.data() + std::size_t{r} * n_, n_, 0, row);
+        for (std::size_t w = 0; w < words_; ++w)
+            for (Word rest = row[w]; rest != 0; rest &= rest - 1) {
+                const auto c = w * kWordBits + static_cast<std::size_t>(std::countr_zero(rest));
+                set_bit(bits_.data() + (n_ + c) * words_, r);
+            }
+    }
+}
+
+CrossbarImage::CrossbarImage(const FaultMap& map, std::uint16_t n)
+    : words_(words_for(n)), bits_(2 * std::size_t{map.rows()} * words_, 0) {
+    // Fault cells hold FaultType codes: bit 0 marks SA0 (1), bit 1 SA1 (2).
+    const std::size_t cols = std::min<std::size_t>(n, map.cols());
+    for (std::uint16_t p = 0; p < map.rows(); ++p) {
+        const std::uint8_t* cells = map.row_cells(p).data();
+        Word* sa0_bits = bits_.data() + 2 * std::size_t{p} * words_;
+        pack_bits(cells, cols, 0, sa0_bits);
+        pack_bits(cells, cols, 1, sa0_bits + words_);
+    }
+}
+
+// Each mismatch is priced w0 or w1 and added in column order: the per-fault
+// running sum of the reference path, so the two agree bit for bit.
+double CrossbarImage::cost(const std::uint64_t* stored, std::uint16_t p,
+                           const RowMatchWeights& weights) const {
+    double cost = 0.0;
+    for (std::size_t w = 0; w < words_; ++w) {
+        const Word sa1_cells = sa1(p)[w];
+        for (Word miss = (sa0(p)[w] & stored[w]) | (sa1_cells & ~stored[w]); miss != 0;
+             miss &= miss - 1)
+            cost += ((sa1_cells >> std::countr_zero(miss)) & 1u) != 0 ? weights.sa1
+                                                                      : weights.sa0;
+    }
+    return cost;
+}
+
+double CrossbarImage::cost(const BlockImage& block, const std::vector<std::uint16_t>& perm,
+                           const RowMatchWeights& weights) const {
+    double total = 0.0;
+    for (std::uint16_t r = 0; r < block.size(); ++r)
+        total += cost(block.row(r), perm[r], weights);
+    return total;
+}
+
+std::size_t CrossbarImage::sa1_misses(const BlockImage& block,
+                                      const std::vector<std::uint16_t>& perm) const {
+    std::size_t count = 0;
+    for (std::uint16_t r = 0; r < block.size(); ++r)
+        for (std::size_t w = 0; w < words_; ++w)
+            count += static_cast<std::size_t>(std::popcount(sa1(perm[r])[w] & ~block.row(r)[w]));
+    return count;
+}
+
+CrossbarProfile::CrossbarProfile(const FaultMap& map, std::uint16_t block_size,
+                                 const RowMatchWeights& match_weights)
+    : n(block_size), weights(match_weights), image(map, n), base(map.rows(), 0.0) {
+    FARE_CHECK(map.rows() >= n, "crossbar has fewer rows than the block");
+    // Storing p's own SA0 mask mismatches every fault of p; storing zeros
+    // mismatches exactly its SA1 cells, as does every row that does not
+    // touch p.
+    const std::vector<Word> zeros(words_for(n), 0);
+    for (std::uint16_t p = 0; p < map.rows(); ++p) {
+        base[p] = image.cost(image.sa0(p), p, weights);
+        if (base[p] > 0.0) {
+            faulty.push_back(p);
+            default_benefit.push_back(base[p] - image.cost(zeros.data(), p, weights));
+        }
+    }
+    const auto& d = default_benefit;
+    for (std::uint32_t fi = 0; fi < faulty.size(); ++fi)
+        if (d[fi] > 0.0) by_default.push_back(fi);
+    std::sort(by_default.begin(), by_default.end(), [&](std::uint32_t a, std::uint32_t b) {
+        if (d[a] != d[b]) return d[a] > d[b];
+        return a < b;
+    });
+    default_pos.assign(faulty.size(), static_cast<std::uint32_t>(by_default.size()));
+    for (std::uint32_t k = 0; k < by_default.size(); ++k) default_pos[by_default[k]] = k;
+    cleanest_first = cleanest_order(base);
+}
+
 double mapping_cost(const BinaryBlock& block, const FaultMap& map,
                     const std::vector<std::uint16_t>& perm,
                     const RowMatchWeights& weights) {
-    return checked_image(block, map, perm).cost(perm, weights);
+    check_perm(block, map, perm);
+    return CrossbarImage(map, block.size).cost(BlockImage(block), perm, weights);
 }
 
 std::size_t sa1_nonoverlap_count(const BinaryBlock& block, const FaultMap& map,
                                  const std::vector<std::uint16_t>& perm) {
-    return checked_image(block, map, perm).sa1_misses(perm);
+    check_perm(block, map, perm);
+    return CrossbarImage(map, block.size).sa1_misses(BlockImage(block), perm);
 }
 
 RowMatchResult best_row_permutation(const BinaryBlock& block, const FaultMap& map,
                                     const RowMatchWeights& weights) {
-    const std::uint16_t n = block.size;
-    FARE_CHECK(map.rows() >= n, "crossbar has fewer rows than the block");
-    const BitImage image(block, map);
-    ImplicitBenefitGraph graph(image, weights);
-    const std::uint32_t total = graph.num_vertices();
+    return best_row_permutation(BlockImage(block), CrossbarProfile(map, block.size, weights));
+}
+
+RowMatchResult best_row_permutation(const BlockImage& block, const CrossbarProfile& xbar) {
+    const std::uint16_t n = block.size();
+    FARE_CHECK(xbar.n == n, "crossbar profile built for another block size");
+    RowMatching graph(block, xbar);
+    // The loop starts from the back: the faulty rows by their first
+    // candidate, strongest first, then the block rows from n - 1 down.
+    std::vector<std::pair<double, std::uint32_t>> faulty_first;
+    for (std::uint32_t v = n; v < graph.num_vertices(); ++v)
+        faulty_first.emplace_back(graph.first_weight(v), v);
+    std::sort(faulty_first.begin(), faulty_first.end());
+    std::vector<std::uint32_t> order(n);
+    std::iota(order.begin(), order.end(), 0u);
+    for (const auto& [w, v] : faulty_first) order.push_back(v);
     const BMatching matching = bsuitor_match_from(
-        total, std::vector<std::uint32_t>(total, 1),
-        [&](std::uint32_t u, SuitorCandidate& out) { return graph.next(u, out); });
+        std::vector<std::uint32_t>(graph.num_vertices(), 1), std::move(order), graph);
 
     RowMatchResult result;
-    result.perm = assemble_perm(n, graph.base(), graph.faulty_rows(), matching);
-    result.cost = image.cost(result.perm, weights);
-    result.sa1_nonoverlap = static_cast<double>(image.sa1_misses(result.perm));
+    result.perm = assemble_perm(n, xbar.cleanest_first, xbar.faulty, matching);
+    result.cost = xbar.image.cost(block, result.perm, xbar.weights);
+    result.sa1_nonoverlap = static_cast<double>(xbar.image.sa1_misses(block, result.perm));
     return result;
 }
 
@@ -393,7 +437,7 @@ RowMatchResult best_row_permutation_reference(const BinaryBlock& block,
         bsuitor_match(total, edges, std::vector<std::uint32_t>(total, 1));
 
     RowMatchResult result;
-    result.perm = assemble_perm(n, base, faulty_rows, matching);
+    result.perm = assemble_perm(n, cleanest_order(base), faulty_rows, matching);
     std::size_t sa1_nonoverlap = 0;
     for (std::uint16_t r = 0; r < n; ++r) {
         result.cost += row_cost(block, r, rows[result.perm[r]], weights);

@@ -50,14 +50,93 @@ double mapping_cost(const BinaryBlock& block, const FaultMap& map,
 std::size_t sa1_nonoverlap_count(const BinaryBlock& block, const FaultMap& map,
                                  const std::vector<std::uint16_t>& perm);
 
+/// An adjacency block as bitsets: its rows, and its columns (which find the
+/// block rows that touch a fault column). Built once per block and shared by
+/// every crossbar the block is priced on.
+class BlockImage {
+public:
+    explicit BlockImage(const BinaryBlock& block);
+
+    std::uint16_t size() const { return n_; }
+    std::size_t words() const { return words_; }
+    /// Row r: bit c set when the block stores a 1 at (r, c).
+    const std::uint64_t* row(std::uint16_t r) const { return slot(r); }
+    /// Column c: bit r set when the block stores a 1 at (r, c).
+    const std::uint64_t* col(std::uint16_t c) const { return slot(std::size_t{n_} + c); }
+
+private:
+    const std::uint64_t* slot(std::size_t k) const { return bits_.data() + k * words_; }
+
+    std::uint16_t n_ = 0;
+    std::size_t words_ = 0;
+    std::vector<std::uint64_t> bits_;  // n rows, then n columns
+};
+
+/// A crossbar's stuck cells as bitsets for n-row blocks: per physical row
+/// the columns < n stuck at 0 and at 1. Enough to price any permutation.
+class CrossbarImage {
+public:
+    CrossbarImage(const FaultMap& map, std::uint16_t n);
+
+    /// Columns (< n) of physical row p stuck at 0 / at 1.
+    const std::uint64_t* sa0(std::uint16_t p) const {
+        return bits_.data() + 2 * std::size_t{p} * words_;
+    }
+    const std::uint64_t* sa1(std::uint16_t p) const { return sa0(p) + words_; }
+
+    /// Weighted mismatch cost of storing the n-bit row `stored` on physical
+    /// row p: w0 per SA0 cell under a 1 and w1 per SA1 cell under a 0, added
+    /// in column order.
+    double cost(const std::uint64_t* stored, std::uint16_t p,
+                const RowMatchWeights& weights) const;
+    /// Cost of `block` under perm: row costs added in row order.
+    double cost(const BlockImage& block, const std::vector<std::uint16_t>& perm,
+                const RowMatchWeights& weights) const;
+    /// SA1 cells under a stored 0 across `block` under perm.
+    std::size_t sa1_misses(const BlockImage& block,
+                           const std::vector<std::uint16_t>& perm) const;
+
+private:
+    std::size_t words_;
+    std::vector<std::uint64_t> bits_;  // (SA0, SA1) per physical row
+};
+
+/// What every row matching on one crossbar shares under fixed weights,
+/// built once per crossbar. Faulty row k (base > 0) is matching vertex
+/// n + k. A block row that has no 1 in faulty row p's fault columns meets
+/// every SA1 of p under a 0 and no SA0 under a 1, so all such rows share
+/// p's default benefit d(p) = base(p) - w1·|SA1_p| (the SA1 term summed per
+/// fault).
+struct CrossbarProfile {
+    CrossbarProfile(const FaultMap& map, std::uint16_t n, const RowMatchWeights& weights);
+
+    std::uint16_t n;
+    RowMatchWeights weights;
+    CrossbarImage image;
+    std::vector<double> base;            ///< per physical row: every fault mismatched
+    std::vector<std::uint16_t> faulty;   ///< physical rows with base > 0, ascending
+    std::vector<double> default_benefit;  ///< d per faulty index
+    /// A block row's default class: faulty indices with d > 0 in
+    /// proposes_before order (d desc, index asc).
+    std::vector<std::uint32_t> by_default;
+    /// Position of each faulty index in by_default, or by_default.size().
+    std::vector<std::uint32_t> default_pos;
+    /// Every physical row, cleanest first (base asc, id asc): where the
+    /// unmatched block rows go.
+    std::vector<std::uint16_t> cleanest_first;
+};
+
 /// Best row permutation via b-Suitor half-approximate matching (the paper's
 /// choice — near-linear in candidate edges). Runs on the implicit benefit
-/// graph: most faulty physical rows offer one "default" benefit to every
-/// block row with no 1 in their fault columns, so only the other pairs are
-/// priced and listed (row_matcher.cpp). The result equals
+/// graph: most faulty physical rows offer their default benefit to every
+/// block row that does not touch them, so only the other pairs are priced
+/// and listed (row_matcher.cpp). The result equals
 /// best_row_permutation_reference's, bit for bit.
 RowMatchResult best_row_permutation(const BinaryBlock& block, const FaultMap& map,
                                     const RowMatchWeights& weights = {});
+
+/// The same on prebuilt images, for a caller that prices many pairs.
+RowMatchResult best_row_permutation(const BlockImage& block, const CrossbarProfile& xbar);
 
 /// The same b-Suitor matching on the materialised benefit graph: every
 /// positive-benefit (logical, physical) edge is priced from per-row fault

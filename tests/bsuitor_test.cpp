@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
 
 #include "common/rng.hpp"
 
@@ -124,6 +125,36 @@ TEST(BSuitorTest, BMatchingValidityOnRandomGraphs) {
                     edges.push_back({u, v, rng.uniform(0.1f, 10.0f)});
         const BMatching m = bsuitor_match(n, edges, cap);
         check_validity(m, n, cap);
+    }
+}
+
+/// On a bipartite graph with b = 1 the proposal loop is two deferred-
+/// acceptance runs with strict preferences on both sides, so every start
+/// order ends in the same suitor sets; the row matcher's strongest-first
+/// start rests on this. Weights from {1..4} make ties the rule.
+TEST(BSuitorTest, BipartiteResultIndependentOfOrder) {
+    Rng rng(45);
+    for (int trial = 0; trial < 3000; ++trial) {
+        const auto left = static_cast<std::uint32_t>(1 + rng.next_below(40));
+        const auto right = static_cast<std::uint32_t>(1 + rng.next_below(40));
+        const std::uint32_t n = left + right;
+        const double density = 0.05 + 0.9 * rng.next_double();
+        std::vector<WeightedEdge> edges;
+        for (std::uint32_t u = 0; u < left; ++u)
+            for (std::uint32_t v = left; v < n; ++v)
+                if (rng.next_bool(density))
+                    edges.push_back({u, v, static_cast<double>(1 + rng.next_below(4))});
+        const std::vector<std::uint32_t> cap(n, 1);
+        const BMatching natural = bsuitor_match(n, edges, cap);
+        std::vector<std::uint32_t> order(n);
+        std::iota(order.begin(), order.end(), 0u);
+        for (int k = 0; k < 5; ++k) {
+            rng.shuffle(order);
+            CandidateLists lists(n, edges);
+            const BMatching shuffled = bsuitor_match_from(cap, order, lists);
+            ASSERT_EQ(shuffled.partners, natural.partners) << "trial " << trial;
+            ASSERT_EQ(shuffled.total_weight, natural.total_weight) << "trial " << trial;
+        }
     }
 }
 

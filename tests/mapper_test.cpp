@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
 
 #include "common/rng.hpp"
 
@@ -205,6 +206,112 @@ TEST(MapperTest, BlockRemovalDropsSparsestWhenTight) {
     for (std::size_t r = 0; r < 4; ++r)
         for (std::size_t c = 0; c < 4; ++c)
             EXPECT_EQ(out.at(bi * 4 + r, bj * 4 + c), adj.at(bi * 4 + r, bj * 4 + c));
+}
+
+/// Block (bi, bj) of `adj` read cell by cell, zero-padded to n.
+BinaryBlock block_by_cells(const BitMatrix& adj, std::uint16_t n, std::size_t bi,
+                           std::size_t bj) {
+    BinaryBlock block;
+    block.size = n;
+    block.bits.assign(static_cast<std::size_t>(n) * n, 0);
+    for (std::uint16_t r = 0; r < n && bi * n + r < adj.rows; ++r)
+        for (std::uint16_t c = 0; c < n && bj * n + c < adj.cols; ++c)
+            block.set(r, c, adj.at(bi * n + r, bj * n + c));
+    return block;
+}
+
+/// apply() by composition: extract each mapped block cell by cell, corrupt
+/// it with corrupt_adjacency_block and write the in-range cells back.
+BitMatrix apply_by_blocks(const BitMatrix& adj, std::uint16_t n,
+                          const AdjacencyMapping& mapping,
+                          const std::vector<FaultMap>& crossbars) {
+    BitMatrix out = adj;
+    for (const BlockAssignment& ba : mapping.assignments) {
+        const std::size_t bi = ba.block_index / mapping.grid;
+        const std::size_t bj = ba.block_index % mapping.grid;
+        const BinaryBlock eff = corrupt_adjacency_block(
+            block_by_cells(adj, n, bi, bj), crossbars[ba.crossbar_index], ba.row_perm);
+        for (std::uint16_t r = 0; r < n && bi * n + r < out.rows; ++r)
+            for (std::uint16_t c = 0; c < n && bj * n + c < out.cols; ++c)
+                out.set(bi * n + r, bj * n + c, eff.at(r, c));
+    }
+    return out;
+}
+
+/// apply() writes each mapped block straight from the fault rows; it must
+/// equal the block-by-block composition on random mappings: ragged and
+/// non-square adjacencies (sizes not a multiple of n, blocks past the last
+/// row or column), crossbars with spare rows, random row permutations and
+/// blocks left on the host. extract_block must equal the cell-by-cell read.
+TEST(MapperTest, ApplyMatchesBlockCorruption) {
+    Rng rng(19);
+    for (int trial = 0; trial < 60; ++trial) {
+        const auto n = static_cast<std::uint16_t>(1 + rng.next_below(20));
+        BitMatrix adj(1 + rng.next_below(3 * n + 5), 1 + rng.next_below(3 * n + 5));
+        for (auto& bit : adj.bits) bit = rng.next_bool(0.3) ? 1 : 0;
+        FaultAwareMapper mapper(small_mapper(n));
+        AdjacencyMapping mapping;
+        mapping.grid = (std::max(adj.rows, adj.cols) + n - 1) / n;
+        mapping.matrix_size = mapping.grid * n;
+        const std::size_t blocks = mapping.grid * mapping.grid;
+        const auto phys = static_cast<std::uint16_t>(n + rng.next_below(4));
+        std::vector<FaultMap> pool(blocks + 2, FaultMap(phys, phys));
+        for (FaultMap& map : pool)
+            for (std::uint16_t r = 0; r < phys; ++r)
+                for (std::uint16_t c = 0; c < phys; ++c)
+                    if (rng.next_bool(0.15))
+                        map.add(r, c, rng.next_bool(0.5) ? FaultType::kSA1 : FaultType::kSA0);
+        std::vector<std::size_t> xbars(pool.size());
+        std::iota(xbars.begin(), xbars.end(), 0u);
+        rng.shuffle(xbars);
+        for (std::size_t i = 0; i < blocks; ++i) {
+            if (rng.next_bool(0.2)) {
+                mapping.host_blocks.push_back(i);
+                continue;
+            }
+            std::vector<std::uint16_t> rows(phys);
+            std::iota(rows.begin(), rows.end(), std::uint16_t{0});
+            rng.shuffle(rows);
+            rows.resize(n);
+            mapping.assignments.push_back({i, xbars[i], rows, 0.0});
+        }
+        rng.shuffle(mapping.assignments);
+        EXPECT_EQ(mapper.apply(adj, mapping, pool).bits,
+                  apply_by_blocks(adj, n, mapping, pool).bits)
+            << "trial " << trial << ": " << adj.rows << "x" << adj.cols << " n=" << n;
+        for (std::size_t i = 0; i < blocks; ++i)
+            EXPECT_EQ(mapper.extract_block(adj, i / mapping.grid, i % mapping.grid).bits,
+                      block_by_cells(adj, n, i / mapping.grid, i % mapping.grid).bits)
+                << "trial " << trial << " block " << i;
+    }
+}
+
+/// map_batch prices each pair on shared block and crossbar images over the
+/// pruned candidate pool; every assignment it makes must carry the per-pair
+/// reference's permutation and cost, bit for bit.
+TEST(MapperTest, MapBatchMatchesPerPairReference) {
+    Rng rng(21);
+    for (int trial = 0; trial < 6; ++trial) {
+        MapperConfig cfg = small_mapper(64);
+        cfg.max_crossbar_candidates = 8;
+        const FaultAwareMapper mapper(cfg);
+        const BitMatrix adj = random_adjacency(100 + 20 * trial, 0.01, rng);
+        FaultInjectionConfig faults;
+        faults.density = 0.01 + 0.01 * trial;
+        faults.sa1_fraction = 0.5;
+        faults.cluster_shape = 0.5;
+        faults.seed = rng.next_u64();
+        const auto pool = inject_faults(16, 64, 64, faults);
+        const AdjacencyMapping mapping = mapper.map_batch(adj, pool);
+        for (const BlockAssignment& ba : mapping.assignments) {
+            const RowMatchResult ref = best_row_permutation_reference(
+                mapper.extract_block(adj, ba.block_index / mapping.grid,
+                                     ba.block_index % mapping.grid),
+                pool[ba.crossbar_index], cfg.weights);
+            EXPECT_EQ(ba.row_perm, ref.perm) << "trial " << trial << " block " << ba.block_index;
+            EXPECT_EQ(ba.cost, ref.cost) << "trial " << trial << " block " << ba.block_index;
+        }
+    }
 }
 
 }  // namespace

@@ -8,6 +8,8 @@
 #include <cstring>
 
 #include "common/rng.hpp"
+#include "fare/bsuitor.hpp"
+#include "fare/hungarian.hpp"
 
 namespace fare {
 namespace {
@@ -172,15 +174,16 @@ INSTANTIATE_TEST_SUITE_P(Densities, RowMatcherSweep,
 
 bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
 
-/// The implicit-graph matcher returns the reference's perm, cost and SA1
-/// non-overlap bit for bit. The grid covers empty and dense blocks,
-/// fault-free maps, SA1-only rows (default benefit 0), equal weights
-/// (explicit benefits tie with the default, so ties fall to id order),
-/// weights whose sums round ({0.1, 0.3}), spare physical rows and fault
-/// columns beyond the block. Every (n, phys, block density, fault density)
-/// cell runs two of the sixteen (SA1 fraction, weights) pairs, cycling so
-/// each pair meets every other axis.
-TEST(RowMatcherEquivalenceTest, FastPathMatchesReferenceBitForBit) {
+/// The equivalence grid: calls visit(block, map, weights, where) on every
+/// instance. It covers empty and dense blocks, fault-free maps, SA1-only
+/// rows (default benefit 0), equal weights (explicit benefits tie with the
+/// default, so ties fall to id order), weights whose sums round ({0.1,
+/// 0.3}), spare physical rows and fault columns beyond the block. Every (n,
+/// phys, block density, fault density) cell runs two of the sixteen (SA1
+/// fraction, weights) pairs, cycling so each pair meets every other axis.
+/// Returns the instance count.
+template <class Visit>
+std::size_t for_each_grid_instance(Visit&& visit) {
     const std::uint16_t sizes[] = {1, 7, 64, 65, 100, 128};
     const double block_densities[] = {0.0, 0.005, 0.02, 0.1, 0.5, 0.9};
     const double fault_densities[] = {0.0, 0.01, 0.05, 0.2, 0.6};
@@ -208,32 +211,141 @@ TEST(RowMatcherEquivalenceTest, FastPathMatchesReferenceBitForBit) {
                             typed.add(f.row, f.col,
                                       rng.next_bool(sa1_fraction) ? FaultType::kSA1
                                                                   : FaultType::kSA0);
-                        const RowMatchResult fast = best_row_permutation(block, typed, w);
-                        const RowMatchResult ref =
-                            best_row_permutation_reference(block, typed, w);
-                        const auto where = ::testing::Message()
-                                           << "n=" << n << " phys=" << phys
-                                           << " block=" << block_density
-                                           << " faults=" << fault_density
-                                           << " sa1=" << sa1_fraction << " w={" << w.sa0
-                                           << "," << w.sa1 << "}";
-                        ASSERT_EQ(fast.perm, ref.perm) << where;
-                        EXPECT_TRUE(same_bits(fast.cost, ref.cost))
-                            << where << ": " << fast.cost << " vs " << ref.cost;
-                        EXPECT_TRUE(same_bits(fast.sa1_nonoverlap, ref.sa1_nonoverlap))
-                            << where;
-                        // The public cost functions price any perm the
-                        // reference's per-fault way.
-                        EXPECT_TRUE(same_bits(mapping_cost(block, typed, ref.perm, w), ref.cost))
-                            << where;
-                        EXPECT_EQ(static_cast<double>(sa1_nonoverlap_count(block, typed, ref.perm)),
-                                  ref.sa1_nonoverlap)
-                            << where;
+                        visit(block, typed, w,
+                              ::testing::Message()
+                                  << "n=" << n << " phys=" << phys << " block=" << block_density
+                                  << " faults=" << fault_density << " sa1=" << sa1_fraction
+                                  << " w={" << w.sa0 << "," << w.sa1 << "}");
                         ++instances;
                     }
                     ++cell;
                 }
+    return instances;
+}
+
+/// fast equals ref: the same perm and bitwise-equal cost and SA1 non-overlap.
+void expect_same_result(const RowMatchResult& fast, const RowMatchResult& ref,
+                        const ::testing::Message& where) {
+    ASSERT_EQ(fast.perm, ref.perm) << where;
+    EXPECT_TRUE(same_bits(fast.cost, ref.cost)) << where << ": " << fast.cost << " vs " << ref.cost;
+    EXPECT_TRUE(same_bits(fast.sa1_nonoverlap, ref.sa1_nonoverlap)) << where;
+}
+
+/// The implicit-graph matcher returns the reference's perm, cost and SA1
+/// non-overlap bit for bit over the equivalence grid. The reference runs
+/// the generic loop (natural start order, no skipped proposals), so this
+/// checks the fast path's skips and its strongest-first start together.
+TEST(RowMatcherEquivalenceTest, FastPathMatchesReferenceBitForBit) {
+    const std::size_t instances = for_each_grid_instance(
+        [](const BinaryBlock& block, const FaultMap& map, const RowMatchWeights& w,
+           const ::testing::Message& where) {
+            const RowMatchResult ref = best_row_permutation_reference(block, map, w);
+            expect_same_result(best_row_permutation(block, map, w), ref, where);
+            // The public cost functions price any perm the reference's
+            // per-fault way.
+            EXPECT_TRUE(same_bits(mapping_cost(block, map, ref.perm, w), ref.cost)) << where;
+            EXPECT_EQ(static_cast<double>(sa1_nonoverlap_count(block, map, ref.perm)),
+                      ref.sa1_nonoverlap)
+                << where;
+        });
     EXPECT_EQ(instances, 2u * 6 * 3 * 6 * 5);
+}
+
+/// b-Suitor's guarantee (Khan et al.): the matched benefit is at least half
+/// the optimum. Over the equivalence grid, the benefit graph is built
+/// explicitly (benefit = base - cost per (block row, faulty row) pair, kept
+/// when positive) and the optimum is the Hungarian assignment on -benefit,
+/// where a zero entry stands for "unmatched".
+TEST(RowMatcherEquivalenceTest, BSuitorKeepsHalfTheOptimum) {
+    for_each_grid_instance([](const BinaryBlock& block, const FaultMap& map,
+                              const RowMatchWeights& w, const ::testing::Message& where) {
+        const std::uint16_t n = block.size;
+        std::vector<double> base;
+        std::vector<std::vector<double>> cost(n);  // cost[r][k] on faulty row k
+        for (std::uint16_t p = 0; p < map.rows(); ++p) {
+            double all = 0.0;
+            std::vector<double> row_costs(n, 0.0);
+            for (const CellFault& f : map.row_faults(p)) {
+                if (f.col >= n) continue;
+                const double weight = f.type == FaultType::kSA1 ? w.sa1 : w.sa0;
+                all += weight;
+                for (std::uint16_t r = 0; r < n; ++r)
+                    if ((block.at(r, f.col) == 1) == (f.type == FaultType::kSA0))
+                        row_costs[r] += weight;
+            }
+            if (all <= 0.0) continue;
+            base.push_back(all);
+            for (std::uint16_t r = 0; r < n; ++r) cost[r].push_back(row_costs[r]);
+        }
+        const std::size_t faulty = base.size();
+        std::vector<WeightedEdge> edges;
+        const std::size_t small = std::min<std::size_t>(n, faulty);
+        const std::size_t large = std::max<std::size_t>(n, faulty);
+        std::vector<double> assign_cost(small * large, 0.0);
+        for (std::uint16_t r = 0; r < n; ++r)
+            for (std::size_t k = 0; k < faulty; ++k) {
+                const double benefit = base[k] - cost[r][k];
+                if (benefit <= 0.0) continue;
+                edges.push_back({r, static_cast<std::uint32_t>(n + k), benefit});
+                assign_cost[n <= faulty ? r * large + k : k * large + r] = -benefit;
+            }
+        const auto total = static_cast<std::uint32_t>(n + faulty);
+        const BMatching matching =
+            bsuitor_match(total, edges, std::vector<std::uint32_t>(total, 1));
+        const double optimum =
+            small == 0 ? 0.0 : -hungarian_min_cost(small, large, assign_cost).total_cost;
+        EXPECT_GE(matching.total_weight, optimum / 2.0 - 1e-9) << where;
+        EXPECT_LE(matching.total_weight, optimum + 1e-9) << where;
+    });
+}
+
+/// Fig. 5-shaped pools: clustered inject_faults maps (a few fault centres,
+/// many near-clean crossbars, and cluster_shape 0 for an even spread) at
+/// 0.5-6.5% faults and SA1 0-100%, blocks at the paper's sparse densities,
+/// with and without spare rows. Each crossbar's profile and each block's
+/// image are built once and shared by every pair, as map_batch does; every
+/// pair must equal the per-pair reference bit for bit.
+TEST(RowMatcherEquivalenceTest, SharedImagesMatchReferenceOnFig5Pools) {
+    const double shapes[] = {0.5, 0.0};
+    const std::uint16_t sizes[] = {64, 100, 128};
+    const double fault_densities[] = {0.005, 0.02, 0.035, 0.05, 0.065};
+    const double block_densities[] = {0.0, 0.001, 0.01, 0.05};
+    const double sa1_fractions[] = {0.0, 0.1, 0.5, 1.0};
+    const RowMatchWeights weights[] = {{1.0, 4.0}, {1.0, 1.0}, {1.25, 3.75}, {0.1, 0.3}};
+    Rng rng(29);
+    std::size_t cell = 0, instances = 0;
+    for (const double shape : shapes)
+        for (const std::uint16_t n : sizes)
+            for (const std::uint16_t spare : {std::uint16_t{0}, std::uint16_t{8}})
+                for (const double density : fault_densities) {
+                    FaultInjectionConfig cfg;
+                    cfg.density = density;
+                    cfg.sa1_fraction = sa1_fractions[cell % std::size(sa1_fractions)];
+                    cfg.cluster_shape = shape;
+                    cfg.seed = rng.next_u64();
+                    const RowMatchWeights& w = weights[cell / 2 % std::size(weights)];
+                    const auto phys = static_cast<std::uint16_t>(n + spare);
+                    const std::vector<FaultMap> pool = inject_faults(4, phys, phys, cfg);
+                    std::vector<BinaryBlock> blocks;
+                    for (const double block_density : block_densities)
+                        blocks.push_back(random_block(n, block_density, rng));
+                    const std::vector<BlockImage> images(blocks.begin(), blocks.end());
+                    for (const FaultMap& map : pool) {
+                        const CrossbarProfile xbar(map, n, w);
+                        for (std::size_t i = 0; i < blocks.size(); ++i) {
+                            expect_same_result(
+                                best_row_permutation(images[i], xbar),
+                                best_row_permutation_reference(blocks[i], map, w),
+                                ::testing::Message()
+                                    << "shape=" << shape << " n=" << n << " spare=" << spare
+                                    << " faults=" << density << " sa1=" << cfg.sa1_fraction
+                                    << " w={" << w.sa0 << "," << w.sa1 << "} block=" << i);
+                            ++instances;
+                        }
+                    }
+                    ++cell;
+                }
+    EXPECT_EQ(instances, 2u * 3 * 2 * 5 * 4 * 4);
 }
 
 }  // namespace
