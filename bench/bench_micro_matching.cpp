@@ -33,9 +33,8 @@ void BM_BSuitorBipartite(benchmark::State& state) {
     const auto half = static_cast<std::uint32_t>(state.range(0));
     Rng rng(1);
     const auto edges = random_bipartite(half, 16, rng);
-    const std::vector<std::uint32_t> cap(2 * half, 1);
     for (auto _ : state) {
-        benchmark::DoNotOptimize(bsuitor_match(2 * half, edges, cap));
+        benchmark::DoNotOptimize(suitor_match(2 * half, edges));
     }
     state.SetComplexityN(half);
 }

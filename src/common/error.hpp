@@ -5,6 +5,7 @@
 // FARE_ASSERT for internal invariants whose violation is a programming bug.
 #pragma once
 
+#include <cstddef>
 #include <cstdlib>
 #include <optional>
 #include <sstream>
@@ -80,6 +81,26 @@ inline Expected<double> parse_double(const std::string& s) {
     if (end == s.c_str() || *end != '\0')
         return Expected<double>::failure("not a number: '" + s + "'");
     return v;
+}
+
+/// The positive decimal integer in environment variable `name`, or nullopt
+/// while it is unset. Any other value (empty, signed, zero, trailing
+/// characters, out of range) throws InvalidArgument naming the variable and
+/// the value.
+inline std::optional<std::size_t> env_positive_integer(const char* name) {
+    const char* env = std::getenv(name);
+    if (env == nullptr) return std::nullopt;
+    std::size_t value = 0;
+    const char* c = env;
+    for (; *c >= '0' && *c <= '9'; ++c) {
+        const auto digit = static_cast<std::size_t>(*c - '0');
+        if (value > (static_cast<std::size_t>(-1) - digit) / 10) break;  // overflow
+        value = value * 10 + digit;
+    }
+    if (c == env || *c != '\0' || value == 0)
+        throw InvalidArgument(std::string(name) + " must be a positive integer, got '" +
+                              env + "'");
+    return value;
 }
 
 namespace detail {

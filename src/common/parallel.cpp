@@ -3,11 +3,12 @@
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
-#include <cstdlib>
 #include <exception>
 #include <mutex>
 #include <thread>
 #include <vector>
+
+#include "common/error.hpp"
 
 namespace fare {
 
@@ -135,10 +136,7 @@ private:
 
 std::size_t resolve_threads(std::size_t requested) {
     if (requested > 0) return requested;
-    if (const char* env = std::getenv("FARE_THREADS")) {
-        const long v = std::strtol(env, nullptr, 10);
-        if (v > 0) return static_cast<std::size_t>(v);
-    }
+    if (const auto env = env_positive_integer("FARE_THREADS")) return *env;
     // Floor at two workers: cells are coarse and results are order-independent,
     // so overlapping two cells is still worthwhile on a single visible core
     // (and keeps the parallel path exercised everywhere).

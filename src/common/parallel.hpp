@@ -26,7 +26,9 @@ namespace fare {
 
 /// Resolve a thread-count request: `requested` > 0 is taken literally;
 /// 0 means "auto" — the FARE_THREADS environment variable if set, otherwise
-/// std::thread::hardware_concurrency() floored at 2 workers.
+/// std::thread::hardware_concurrency() floored at 2 workers. Throws
+/// InvalidArgument when FARE_THREADS is set to anything but a positive
+/// integer.
 std::size_t resolve_threads(std::size_t requested);
 
 /// Invoke fn(i) for every i in [0, count) across up to `threads` workers

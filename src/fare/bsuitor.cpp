@@ -8,39 +8,29 @@
 
 namespace fare {
 
-bool BMatching::are_matched(std::uint32_t u, std::uint32_t v) const {
-    const auto& p = partners[u];
-    return std::find(p.begin(), p.end(), v) != p.end();
-}
-
 namespace detail {
 
-SuitorSets::SuitorSets(const std::vector<std::uint32_t>& capacity)
-    : first_(capacity.size() + 1, 0), size_(capacity.size(), 0) {
-    std::partial_sum(capacity.begin(), capacity.end(), first_.begin() + 1);
-    slots_.resize(first_.back());
-}
-
-BMatching SuitorSets::repair() const {
+Matching repair(const std::vector<SuitorCandidate>& suitor) {
     // Under equal-weight ties the suitor relation can terminate
-    // asymmetrically (u in S(v) but v not in S(u)), so taking the raw union
-    // could overfill a vertex. Repair greedily: accept candidate pairs
-    // heaviest-first while both endpoints have capacity left — this keeps the
-    // half-approximation (the accepted set dominates the mutual-suitor
-    // matching edge-for-edge; the property tests in tests/bsuitor_test.cpp
-    // verify >= OPT/2 against brute force). A mutual pair appears twice with
-    // the same weight, so it sorts adjacent to itself and unique drops it.
+    // asymmetrically (u holds v but v does not hold u), so taking every
+    // suitor pair could match a vertex twice. Repair greedily: accept
+    // candidate pairs heaviest-first while both endpoints are free — this
+    // keeps the half-approximation (the accepted set dominates the
+    // mutual-suitor matching edge-for-edge; the property tests in
+    // tests/bsuitor_test.cpp verify >= OPT/2 against brute force). A mutual
+    // pair appears twice with the same weight, so it sorts adjacent to
+    // itself and unique drops it.
     struct Pair {
         std::uint32_t a, b;
         double w;
     };
-    const auto num_vertices = static_cast<std::uint32_t>(size_.size());
+    const auto num_vertices = static_cast<std::uint32_t>(suitor.size());
     std::vector<Pair> pairs;
-    for (std::uint32_t v = 0; v < num_vertices; ++v)
-        for (std::size_t k = 0; k < size_[v]; ++k) {
-            const Proposal& p = slots_[first_[v] + k];
-            pairs.push_back({std::min(v, p.from), std::max(v, p.from), p.w});
-        }
+    for (std::uint32_t v = 0; v < num_vertices; ++v) {
+        const SuitorCandidate& s = suitor[v];
+        if (s.v != Matching::kUnmatched)
+            pairs.push_back({std::min(v, s.v), std::max(v, s.v), s.w});
+    }
     std::sort(pairs.begin(), pairs.end(), [](const Pair& x, const Pair& y) {
         if (x.w != y.w) return x.w > y.w;
         return x.a != y.a ? x.a < y.a : x.b < y.b;
@@ -51,17 +41,14 @@ BMatching SuitorSets::repair() const {
                             }),
                 pairs.end());
 
-    BMatching result;
-    result.partners.assign(num_vertices, {});
-    std::vector<std::uint32_t> remaining(num_vertices);
-    for (std::uint32_t v = 0; v < num_vertices; ++v)
-        remaining[v] = static_cast<std::uint32_t>(first_[v + 1] - first_[v]);
+    Matching result;
+    result.mate.assign(num_vertices, Matching::kUnmatched);
     for (const Pair& p : pairs) {
-        if (remaining[p.a] == 0 || remaining[p.b] == 0) continue;
-        --remaining[p.a];
-        --remaining[p.b];
-        result.partners[p.a].push_back(p.b);
-        result.partners[p.b].push_back(p.a);
+        if (result.mate[p.a] != Matching::kUnmatched ||
+            result.mate[p.b] != Matching::kUnmatched)
+            continue;
+        result.mate[p.a] = p.b;
+        result.mate[p.b] = p.a;
         result.total_weight += p.w;
     }
     return result;
@@ -109,20 +96,11 @@ CandidateLists::CandidateLists(std::uint32_t num_vertices,
     }
 }
 
-BMatching bsuitor_match(std::uint32_t num_vertices,
-                        const std::vector<WeightedEdge>& edges,
-                        const std::vector<std::uint32_t>& capacity) {
-    FARE_CHECK(capacity.size() == num_vertices, "capacity size mismatch");
+Matching suitor_match(std::uint32_t num_vertices, const std::vector<WeightedEdge>& edges) {
     CandidateLists lists(num_vertices, edges);
     std::vector<std::uint32_t> order(num_vertices);
     std::iota(order.begin(), order.end(), 0u);
-    return bsuitor_match_from(capacity, std::move(order), lists);
-}
-
-BMatching suitor_match(std::uint32_t num_vertices,
-                       const std::vector<WeightedEdge>& edges) {
-    return bsuitor_match(num_vertices, edges,
-                         std::vector<std::uint32_t>(num_vertices, 1));
+    return suitor_match_from(num_vertices, std::move(order), lists);
 }
 
 }  // namespace fare

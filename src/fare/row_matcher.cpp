@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
-#include <limits>
 #include <numeric>
 
 #include "common/error.hpp"
@@ -67,13 +66,12 @@ std::vector<std::uint16_t> cleanest_order(const std::vector<double>& base) {
 std::vector<std::uint16_t> assemble_perm(std::uint16_t n,
                                          const std::vector<std::uint16_t>& cleanest,
                                          const std::vector<std::uint16_t>& faulty_rows,
-                                         const BMatching& matching) {
+                                         const Matching& matching) {
     std::vector<std::uint16_t> perm(n, 0);
     std::vector<bool> log_used(n, false), phys_used(cleanest.size(), false);
     for (std::uint16_t r = 0; r < n; ++r) {
-        const auto& partners = matching.partners[r];
-        if (partners.empty()) continue;
-        const std::uint16_t p = faulty_rows[partners.front() - n];
+        if (matching.mate[r] == Matching::kUnmatched) continue;
+        const std::uint16_t p = faulty_rows[matching.mate[r] - n];
         perm[r] = p;
         log_used[r] = true;
         phys_used[p] = true;
@@ -87,7 +85,7 @@ std::vector<std::uint16_t> assemble_perm(std::uint16_t n,
     return perm;
 }
 
-/// One row matching as a bsuitor_match_from source: FARe's row benefit
+/// One row matching as a suitor_match_from source: FARe's row benefit
 /// graph (benefit(r, p) = base(p) - cost(r, p), kept when positive) over
 /// block rows [0, n) and faulty rows [n, n + F), without materialising it.
 /// Only the pairs that touch (block-column bitsets OR-ed over p's fault
@@ -99,10 +97,10 @@ std::vector<std::uint16_t> assemble_perm(std::uint16_t n,
 ///
 /// Default proposals that must fail are skipped. Block row r offers faulty
 /// row p exactly d(p), and p, holding suitor (w, s), takes it only if
-/// (d, r) beats (w, s), ties going to the higher id. So p's threshold is n
+/// (d, r) outranks (w, s), ties going to the higher id. So p's threshold is n
 /// when w > d, s + 1 when w = d and 0 otherwise, and r skips p while the
 /// threshold exceeds r. Faulty row p offers d(p) as vertex n + k and skips
-/// every block row whose suitor it cannot beat. Both bounds only rise; a
+/// every block row whose suitor it cannot outrank. Both bounds only rise; a
 /// bound per chunk of kChunk (the least threshold, the weakest suitor) lets
 /// a walk pass a whole chunk.
 class RowMatching {
@@ -172,9 +170,9 @@ public:
             const SuitorCandidate mine{xbar_.default_benefit[fi], u};
             const Word* touch = touches_.data() + fi * row_words_;
             while (d < n_) {
-                if (d % kChunk == 0 && !beats(mine, chunk_floor_[d / kChunk]))
+                if (d % kChunk == 0 && !outranks(mine, chunk_floor_[d / kChunk]))
                     d += kChunk;
-                else if (test_bit(touch, d) || !beats(mine, suitor_[d]))
+                else if (test_bit(touch, d) || !outranks(mine, suitor_[d]))
                     ++d;
                 else
                     break;
@@ -202,14 +200,14 @@ public:
         return std::max(head != nullptr ? head->w : 0.0, xbar_.default_benefit[u - n_]);
     }
 
-    /// v's suitor is now `weakest` ({weight, proposer}): raise its bound.
-    void accepted(std::uint32_t v, const SuitorCandidate& weakest) {
+    /// v's suitor is now `suitor` ({weight, proposer}): raise its bound.
+    void accepted(std::uint32_t v, const SuitorCandidate& suitor) {
         if (v < n_) {
-            suitor_[v] = weakest;
+            suitor_[v] = suitor;
             const std::uint32_t first = v - v % kChunk, last = std::min(first + kChunk, n_);
             SuitorCandidate floor = suitor_[first];
             for (std::uint32_t r = first + 1; r < last; ++r)
-                if (beats(floor, suitor_[r])) floor = suitor_[r];
+                if (outranks(floor, suitor_[r])) floor = suitor_[r];
             chunk_floor_[v / kChunk] = floor;
             return;
         }
@@ -217,7 +215,7 @@ public:
         const auto size = static_cast<std::uint32_t>(threshold_.size());
         if (pos == size) return;
         const double d = xbar_.default_benefit[fi];
-        threshold_[pos] = weakest.w > d ? n_ : weakest.w == d ? weakest.v + 1 : 0;
+        threshold_[pos] = suitor.w > d ? n_ : suitor.w == d ? suitor.v + 1 : 0;
         const std::uint32_t first = pos - pos % kChunk, last = std::min(first + kChunk, size);
         chunk_threshold_[pos / kChunk] =
             *std::min_element(threshold_.begin() + first, threshold_.begin() + last);
@@ -225,14 +223,8 @@ public:
 
 private:
     static constexpr std::uint32_t kChunk = 8;
-    static constexpr SuitorCandidate kNoSuitor{-std::numeric_limits<double>::infinity(), 0};
 
     static std::size_t chunks(std::size_t count) { return (count + kChunk - 1) / kChunk; }
-    /// Suitor a outranks b: heavier, ties to the higher proposer id.
-    static bool beats(const SuitorCandidate& a, const SuitorCandidate& b) {
-        if (a.w != b.w) return a.w > b.w;
-        return a.v > b.v;
-    }
 
     const CrossbarProfile& xbar_;
     std::uint32_t n_;
@@ -389,8 +381,7 @@ RowMatchResult best_row_permutation(const BlockImage& block, const CrossbarProfi
     std::vector<std::uint32_t> order(n);
     std::iota(order.begin(), order.end(), 0u);
     for (const auto& [w, v] : faulty_first) order.push_back(v);
-    const BMatching matching = bsuitor_match_from(
-        std::vector<std::uint32_t>(graph.num_vertices(), 1), std::move(order), graph);
+    const Matching matching = suitor_match_from(graph.num_vertices(), std::move(order), graph);
 
     RowMatchResult result;
     result.perm = assemble_perm(n, xbar.cleanest_first, xbar.faulty, matching);
@@ -433,8 +424,7 @@ RowMatchResult best_row_permutation_reference(const BinaryBlock& block,
         }
     }
     const auto total = static_cast<std::uint32_t>(n + faulty_rows.size());
-    const BMatching matching =
-        bsuitor_match(total, edges, std::vector<std::uint32_t>(total, 1));
+    const Matching matching = suitor_match(total, edges);
 
     RowMatchResult result;
     result.perm = assemble_perm(n, cleanest_order(base), faulty_rows, matching);

@@ -140,7 +140,7 @@ RowMatchResult best_row_permutation(const BlockImage& block, const CrossbarProfi
 
 /// The same b-Suitor matching on the materialised benefit graph: every
 /// positive-benefit (logical, physical) edge is priced from per-row fault
-/// lists and fed to bsuitor_match. Test oracle and in-binary bench baseline
+/// lists and fed to suitor_match. Test oracle and in-binary bench baseline
 /// for best_row_permutation.
 RowMatchResult best_row_permutation_reference(const BinaryBlock& block,
                                               const FaultMap& map,

@@ -1,17 +1,10 @@
 #include "sim/executor.hpp"
 
-#include <memory>
-
 #include "common/parallel.hpp"
 
 namespace fare {
 
 CellExecutor::~CellExecutor() = default;
-
-void InlineExecutor::execute(const std::vector<const CellSpec*>& jobs,
-                             const DoneFn& done) {
-    for (std::size_t j = 0; j < jobs.size(); ++j) done(j, run_cell(*jobs[j]));
-}
 
 PoolExecutor::PoolExecutor(std::size_t threads) : threads_(threads) {}
 
@@ -21,11 +14,6 @@ void PoolExecutor::execute(const std::vector<const CellSpec*>& jobs,
                            const DoneFn& done) {
     parallel_for_each(threads_, jobs.size(),
                       [&](std::size_t j) { done(j, run_cell(*jobs[j])); });
-}
-
-std::unique_ptr<CellExecutor> make_cell_executor(std::size_t threads) {
-    if (resolve_threads(threads) <= 1) return std::make_unique<InlineExecutor>();
-    return std::make_unique<PoolExecutor>(threads);
 }
 
 }  // namespace fare

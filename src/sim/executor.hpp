@@ -1,15 +1,14 @@
 // CellExecutor: the seam between "which cells run" (PlanScheduler) and "how
-// they run". InlineExecutor computes on the calling thread; PoolExecutor is
-// the session's historical worker-pool fan-out. Both report each finished
-// cell through a completion callback so the ResultBus can stream results as
-// they complete. The interface is deliberately narrow — a future RPC /
-// multi-machine executor only needs to ship CellSpecs out and CellResults
-// back.
+// they run". PoolExecutor fans cells out over the worker pool, or runs them
+// in order on the calling thread at width 1; RemoteExecutor ships them to a
+// fleet of worker processes. Each reports every finished cell through a
+// completion callback so the ResultBus can stream results as they complete.
+// The interface is deliberately narrow: an executor only ships CellSpecs out
+// and CellResults back.
 #pragma once
 
 #include <cstddef>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "sim/cell.hpp"
@@ -33,19 +32,11 @@ public:
     virtual std::size_t width() const = 0;
 };
 
-/// Serial execution on the calling thread — no pool, deterministic
-/// completion order (job 0, 1, 2, ...).
-class InlineExecutor final : public CellExecutor {
-public:
-    void execute(const std::vector<const CellSpec*>& jobs,
-                 const DoneFn& done) override;
-    std::size_t width() const override { return 1; }
-};
-
 /// Fan-out across the shared persistent worker pool (common/parallel).
 /// Workers self-schedule, so completion order is unspecified; every cell is
 /// a pure function of its spec, which is what keeps a pool run bit-identical
-/// to an inline run of the same jobs.
+/// to a serial run of the same jobs. At width 1 the jobs run in order on the
+/// calling thread (job 0, 1, 2, ...) and the first throw propagates.
 class PoolExecutor final : public CellExecutor {
 public:
     /// `threads` as in SessionOptions: 0 = auto (FARE_THREADS env, else
@@ -59,9 +50,5 @@ public:
 private:
     std::size_t threads_;
 };
-
-/// The executor SessionOptions implies: inline when the resolved width is 1,
-/// the pool otherwise.
-std::unique_ptr<CellExecutor> make_cell_executor(std::size_t threads);
 
 }  // namespace fare

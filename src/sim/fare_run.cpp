@@ -167,6 +167,36 @@ CellResult canonicalized(CellResult cell, bool canonical) {
     return cell;
 }
 
+/// Writes a plan's cells, keyed by plan index, as full-fidelity records
+/// (--out) and as display lines (--json, --merge); an empty path writes
+/// nothing.
+void write_outputs(const std::string& plan_name,
+                   const std::map<std::size_t, CellResult>& cells,
+                   const std::string& records_path, const std::string& display_path,
+                   bool canonical) {
+    const auto open = [](const std::string& path) {
+        std::ofstream out(path, std::ios::trunc);
+        FARE_CHECK(out.good(), "cannot open output file: " + path);
+        return out;
+    };
+    if (!records_path.empty()) {
+        std::ofstream out = open(records_path);
+        for (const auto& [index, cell] : cells) {
+            CellRecord record;
+            record.plan = plan_name;
+            record.key = cell.spec.key();
+            record.plan_index = index;
+            record.result = cell;
+            out << cell_record_to_json(record) << '\n';
+        }
+    }
+    if (!display_path.empty()) {
+        std::ofstream out = open(display_path);
+        for (const auto& [index, cell] : cells)
+            out << cell_to_json(plan_name, index, canonicalized(cell, canonical)) << '\n';
+    }
+}
+
 /// --cache-max-bytes: a byte count with an optional K/M/G suffix.
 std::uint64_t parse_bytes(const std::string& s) {
     std::size_t suffix = 0;
@@ -272,14 +302,7 @@ int merge(const std::string& out_path, const std::vector<std::string>& inputs,
         }
         ++expected;
     }
-    std::ofstream out(out_path, std::ios::trunc);
-    if (!out.good()) {
-        std::cerr << "fare-run: cannot open " << out_path << '\n';
-        return 1;
-    }
-    for (const auto& [index, cell] : by_index)
-        out << cell_to_json(plan_name, index, canonicalized(cell, canonical))
-            << '\n';
+    write_outputs(plan_name, by_index, "", out_path, canonical);
     std::cout << "merged " << by_index.size() << " cells from " << inputs.size()
               << " shard file(s) into " << out_path << '\n';
     return 0;
@@ -495,26 +518,7 @@ int submit(const std::string& spec, const std::string& secret,
         }
     }
 
-    if (!out_path.empty()) {
-        std::ofstream out(out_path, std::ios::trunc);
-        FARE_CHECK(out.good(), "cannot open --out path: " + out_path);
-        for (const auto& [index, cell] : by_index) {
-            CellRecord record;
-            record.plan = plan_name;
-            record.key = cell.spec.key();
-            record.plan_index = index;
-            record.result = cell;
-            out << cell_record_to_json(record) << '\n';
-        }
-    }
-    if (!json_path.empty()) {
-        std::ofstream out(json_path, std::ios::trunc);
-        FARE_CHECK(out.good(), "cannot open --json path: " + json_path);
-        for (const auto& [index, cell] : by_index)
-            out << cell_to_json(plan_name, index,
-                                canonicalized(cell, canonical))
-                << '\n';
-    }
+    write_outputs(plan_name, by_index, out_path, json_path, canonical);
     std::cerr << "fare-run: plan '" << plan_name << "' via "
               << spec.substr(at + 1) << ": " << by_index.size()
               << " cells streamed back\n";
@@ -660,26 +664,9 @@ int run(int argc, char** argv) {
     if (stats) session.add_sink(std::make_unique<SeedStatsSink>(std::cout));
     const ResultSet results = session.run(plan);
 
-    if (!out_path.empty()) {
-        std::ofstream out(out_path, std::ios::trunc);
-        FARE_CHECK(out.good(), "cannot open --out path: " + out_path);
-        for (const CellResult& cell : results) {
-            CellRecord record;
-            record.plan = plan.name;
-            record.key = cell.spec.key();
-            record.plan_index = cell.plan_index;
-            record.result = cell;
-            out << cell_record_to_json(record) << '\n';
-        }
-    }
-    if (!json_path.empty()) {
-        std::ofstream out(json_path, std::ios::trunc);
-        FARE_CHECK(out.good(), "cannot open --json path: " + json_path);
-        for (const CellResult& cell : results)
-            out << cell_to_json(plan.name, cell.plan_index,
-                                canonicalized(cell, canonical))
-                << '\n';
-    }
+    std::map<std::size_t, CellResult> by_index;
+    for (const CellResult& cell : results) by_index.emplace(cell.plan_index, cell);
+    write_outputs(plan.name, by_index, out_path, json_path, canonical);
     // Cache lifecycle report: what this run's disk cache held, reclaimed,
     // and evicted (the constructor's corrupt-line count included, so a
     // resumed sweep can see how much of the log it had to recompute).

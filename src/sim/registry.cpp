@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdlib>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -15,11 +14,7 @@ namespace fare {
 /// which keeps full figure sweeps in CPU-minutes. FARE_EPOCHS overrides
 /// (e.g. FARE_EPOCHS=100).
 std::size_t default_experiment_epochs() {
-    if (const char* env = std::getenv("FARE_EPOCHS")) {
-        const long v = std::strtol(env, nullptr, 10);
-        if (v > 0) return static_cast<std::size_t>(v);
-    }
-    return 40;
+    return env_positive_integer("FARE_EPOCHS").value_or(40);
 }
 
 std::string WorkloadSpec::model_name() const {

@@ -87,7 +87,8 @@ Expected<GnnKind> parse_gnn_kind(const std::string& name);
 std::string workload_usage();
 
 /// Global default epoch count for experiment runs (honours the FARE_EPOCHS
-/// environment override). Shared by every model family's train_config.
+/// environment override; throws InvalidArgument when it is set to anything
+/// but a positive integer). Shared by every model family's train_config.
 std::size_t default_experiment_epochs();
 
 }  // namespace fare

@@ -23,7 +23,7 @@ SimSession::SimSession(SessionOptions options,
                        std::unique_ptr<CellCache> cache)
     : options_(options),
       executor_(executor ? std::move(executor)
-                         : make_cell_executor(options.threads)),
+                         : std::make_unique<PoolExecutor>(options.threads)),
       cache_(cache ? std::move(cache)
                    : make_cell_cache(options.cache_dir,
                                      options.cache_max_bytes)) {

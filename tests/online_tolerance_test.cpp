@@ -240,9 +240,9 @@ std::string canonical(const ResultSet& results) {
     return out;
 }
 
-TEST(OnlineToleranceTest, InlineAndPoolRunsAreByteIdentical) {
-    SimSession inline_session({}, std::make_unique<InlineExecutor>(), nullptr);
-    const ResultSet serial = inline_session.run(online_plan());
+TEST(OnlineToleranceTest, SerialAndPoolRunsAreByteIdentical) {
+    SimSession serial_session({}, std::make_unique<PoolExecutor>(1), nullptr);
+    const ResultSet serial = serial_session.run(online_plan());
 
     SimSession pool_session({}, std::make_unique<PoolExecutor>(2), nullptr);
     const ResultSet pooled = pool_session.run(online_plan());

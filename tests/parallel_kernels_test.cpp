@@ -6,9 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "models/gnn/batch_view.hpp"
@@ -154,6 +157,24 @@ TEST(ParallelForEachTest, WidthScopeRestoresOnExit) {
     // Scope gone: pool path works again.
     parallel_for_each(2, 32, [&](std::size_t) { visited.fetch_add(1); });
     EXPECT_EQ(visited.load(), 64);
+}
+
+TEST(ResolveThreadsTest, FareThreadsMustBeAPositiveInteger) {
+    const char* saved = std::getenv("FARE_THREADS");
+    const bool was_set = saved != nullptr;
+    const std::string previous = was_set ? saved : "";
+    setenv("FARE_THREADS", "3", 1);
+    EXPECT_EQ(resolve_threads(0), 3u);
+    EXPECT_EQ(resolve_threads(5), 5u);  // an explicit request skips the env
+    for (const char* bad : {"3x", "abc", "0", "-2", "", "99999999999999999999999"}) {
+        setenv("FARE_THREADS", bad, 1);
+        EXPECT_THROW(resolve_threads(0), InvalidArgument) << "'" << bad << "'";
+        EXPECT_EQ(resolve_threads(2), 2u);
+    }
+    if (was_set)
+        setenv("FARE_THREADS", previous.c_str(), 1);
+    else
+        unsetenv("FARE_THREADS");
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/error.hpp"
 
 namespace fare {
@@ -46,6 +48,25 @@ TEST(RegistryTest, EpochsOverridableByEnv) {
     const TrainConfig tc = find_workload("PPI", GnnKind::kGCN).train_config(1);
     EXPECT_EQ(tc.epochs, 7u);
     unsetenv("FARE_EPOCHS");
+}
+
+TEST(RegistryTest, MalformedEpochsEnvRejected) {
+    // Only a positive decimal integer counts: anything else is an error that
+    // names the variable and the value, not a silent fall-back to 40.
+    for (const char* bad : {"12x", "abc", "0", "-3", "", "+4", " 5", "1e3",
+                            "99999999999999999999999"}) {
+        setenv("FARE_EPOCHS", bad, 1);
+        try {
+            default_experiment_epochs();
+            ADD_FAILURE() << "accepted FARE_EPOCHS='" << bad << "'";
+        } catch (const InvalidArgument& e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find("FARE_EPOCHS"), std::string::npos) << what;
+            EXPECT_NE(what.find(std::string("'") + bad + "'"), std::string::npos) << what;
+        }
+    }
+    unsetenv("FARE_EPOCHS");
+    EXPECT_EQ(default_experiment_epochs(), 40u);
 }
 
 TEST(RegistryTest, PaperScaleTimingMirrorsTableII) {

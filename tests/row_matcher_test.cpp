@@ -290,8 +290,7 @@ TEST(RowMatcherEquivalenceTest, BSuitorKeepsHalfTheOptimum) {
                 assign_cost[n <= faulty ? r * large + k : k * large + r] = -benefit;
             }
         const auto total = static_cast<std::uint32_t>(n + faulty);
-        const BMatching matching =
-            bsuitor_match(total, edges, std::vector<std::uint32_t>(total, 1));
+        const Matching matching = suitor_match(total, edges);
         const double optimum =
             small == 0 ? 0.0 : -hungarian_min_cost(small, large, assign_cost).total_cost;
         EXPECT_GE(matching.total_weight, optimum / 2.0 - 1e-9) << where;

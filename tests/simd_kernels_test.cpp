@@ -329,13 +329,13 @@ std::string canonical(const ResultSet& results) {
 TEST(SimdEndToEndTest, OnlineCellIsByteIdenticalScalarVsAuto) {
     SessionOptions scalar_opts;
     scalar_opts.simd = "scalar";
-    SimSession scalar_session(scalar_opts, std::make_unique<InlineExecutor>(),
+    SimSession scalar_session(scalar_opts, std::make_unique<PoolExecutor>(1),
                               nullptr);
     const ResultSet scalar_run = scalar_session.run(tiny_online_plan());
 
     SessionOptions auto_opts;
     auto_opts.simd = "auto";
-    SimSession auto_session(auto_opts, std::make_unique<InlineExecutor>(),
+    SimSession auto_session(auto_opts, std::make_unique<PoolExecutor>(1),
                             nullptr);
     const ResultSet auto_run = auto_session.run(tiny_online_plan());
 
