@@ -1,6 +1,6 @@
 // Ablation — which ingredients of FARe's Algorithm 1 matter, and how much?
 //
-// Dimensions ablated (DESIGN.md §3):
+// Dimensions ablated:
 //   1. block-to-crossbar assignment Pi (Hungarian) vs identity placement;
 //   2. row permutation vs none;
 //   3. SA1-criticality weighting vs equal weights;

@@ -1,4 +1,4 @@
-// Extension experiments beyond the paper's evaluation (DESIGN.md §5):
+// Extension experiments beyond the paper's evaluation:
 //
 //   E1. Hardware-redundancy baseline [8] (Table I's first row) added to the
 //       accuracy comparison: spare columns repair the worst-faulted columns

@@ -1,7 +1,8 @@
 // Micro-benchmarks for the ReRAM simulator primitives: bit-sliced MVM, the
 // value-corruption fast path (what the training loop uses), BIST scans,
-// wear-out checkpoints and fault injection. Quantifies the speedup
-// DESIGN.md §3.1 claims for the corruption path over the bit-exact engine.
+// wear-out checkpoints and fault injection. Quantifies the speedup of the
+// corruption path over the bit-exact engine it must equal
+// (docs/performance.md, *Equivalence contract*).
 #include <benchmark/benchmark.h>
 
 #include <optional>

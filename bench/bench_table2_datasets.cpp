@@ -1,8 +1,8 @@
 // Table II — graph datasets and GNN workload configuration.
 //
 // Prints the paper's dataset table side by side with this repo's synthetic
-// stand-ins (scaled ~100-1000x down; see DESIGN.md §1) and the measured
-// structural statistics of the generated graphs.
+// stand-ins (scaled ~100-1000x down; graph/generators.hpp says why) and the
+// measured structural statistics of the generated graphs.
 #include <iostream>
 
 #include "common/table.hpp"

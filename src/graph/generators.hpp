@@ -3,9 +3,8 @@
 // The paper evaluates on PPI, Reddit, Amazon2M and OGB-citation2 (Table II).
 // Those datasets cannot ship with this repo, so we generate scaled-down
 // synthetic stand-ins whose *structural character* matches each dataset:
-// degree skew, density, community strength and class structure (see
-// DESIGN.md §1 for the substitution argument). Two generator families are
-// provided:
+// degree skew, density, community strength and class structure. Two
+// generator families are provided:
 //
 //  * degree-corrected stochastic block model (DC-SBM) — communities equal
 //    classes, optional power-law degree propensities (PPI / Reddit /

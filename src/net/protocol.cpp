@@ -124,13 +124,13 @@ Expected<WireMessage> decode_message(const std::string& payload) {
         switch (m.type) {
             case WireMessage::Type::kHello:
                 m.role = required(v, "role").as_string();
-                m.protocol = static_cast<int>(required(v, "protocol").as_u64());
+                m.protocol = json_integer<int>(required(v, "protocol"), "protocol");
                 if (m.role != kRoleWorker && m.role != kRoleSubmitter)
                     return Expected<WireMessage>::failure("unknown role '" +
                                                           m.role + "'");
                 break;
             case WireMessage::Type::kWelcome:
-                m.protocol = static_cast<int>(required(v, "protocol").as_u64());
+                m.protocol = json_integer<int>(required(v, "protocol"), "protocol");
                 if (const JsonValue* challenge = v.find("challenge"))
                     m.challenge = challenge->as_string();
                 break;

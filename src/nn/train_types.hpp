@@ -40,6 +40,7 @@ struct EpochStats {
     float train_loss = 0.0f;
     double train_accuracy = 0.0;
     double val_accuracy = 0.0;
+    bool operator==(const EpochStats&) const = default;
 };
 
 struct TrainResult {

@@ -8,7 +8,7 @@
 //
 // The training loop does NOT run every MVM through this engine — it uses the
 // value-corruption fast path in reram/corruption.hpp, which tests assert is
-// bit-identical to this engine (DESIGN.md §3.1).
+// bit-identical to this engine (docs/performance.md, *Equivalence contract*).
 #pragma once
 
 #include <cstdint>

@@ -11,6 +11,14 @@ double CellResult::accuracy() const {
                                           : run.train.test_accuracy;
 }
 
+CellResult canonicalized(CellResult cell) {
+    static const CellResult defaults;
+    visit_result_fields([&](const auto& field) {
+        if (field.measured) field.of(cell) = field.of(defaults);
+    });
+    return cell;
+}
+
 const CellResult& ResultSet::at(const WorkloadSpec& workload, Scheme scheme,
                                 double density, double sa1_fraction,
                                 std::optional<CellMode> mode) const {

@@ -154,19 +154,6 @@ private:
     std::string plan_;
 };
 
-/// --canonical: zero every measured-time field and the cache flag — the
-/// only nondeterministic parts of a cell — so two runs of the same plan
-/// (sharded or not) produce byte-identical display JSON.
-CellResult canonicalized(CellResult cell, bool canonical) {
-    if (canonical) {
-        cell.wall_seconds = 0.0;
-        cell.from_cache = false;
-        cell.run.train.preprocess_seconds = 0.0;
-        cell.run.train.train_seconds = 0.0;
-    }
-    return cell;
-}
-
 /// Writes a plan's cells, keyed by plan index, as full-fidelity records
 /// (--out) and as display lines (--json, --merge); an empty path writes
 /// nothing.
@@ -193,7 +180,8 @@ void write_outputs(const std::string& plan_name,
     if (!display_path.empty()) {
         std::ofstream out = open(display_path);
         for (const auto& [index, cell] : cells)
-            out << cell_to_json(plan_name, index, canonicalized(cell, canonical)) << '\n';
+            out << cell_to_json(plan_name, index, canonical ? canonicalized(cell) : cell)
+                << '\n';
     }
 }
 

@@ -102,12 +102,12 @@ struct FieldRange {
 std::string field_range_error(const char* field, const FieldRange& range,
                               double value);
 
-/// Where a struct of chip fields sits: its object path in the record's spec
-/// ("" = the spec itself) and how to reach it in a cell.
+/// Where a struct of fields sits: its object path in the record, outermost
+/// first and ended by the first null (all null = the object the table
+/// describes), and how to reach it from that object.
 template <class Of>
 struct FieldBlock {
-    const char* outer;
-    const char* inner;
+    const char* path[3];
     Of of;
 };
 
@@ -116,8 +116,6 @@ struct FieldBlock {
 /// block it sits in.
 template <class S, class T, class Of>
 struct CellField {
-    using Value = T;
-
     const char* name;
     T S::*member;
     int since;
@@ -155,13 +153,13 @@ void visit_fields(Visit&& visit) {
     constexpr FieldRange positive{.lo = 0.0, .lo_open = true};
     constexpr FieldRange at_least_one{.lo = 1.0};
     constexpr FieldRange below_one{.lo = 0.0, .hi = 1.0, .hi_open = true};
-    const FieldBlock spec{"", "", [](auto& c) -> auto& { return c; }};
-    const FieldBlock faults{"faults", "", [](auto& c) -> auto& { return c.faults; }};
-    const FieldBlock wear{"faults", "wear", [](auto& c) -> auto& { return c.faults.wear; }};
-    const FieldBlock hw{"hardware", "", [](auto& c) -> auto& { return c.hardware; }};
-    const FieldBlock match{"hardware", "",
+    const FieldBlock spec{{}, [](auto& c) -> auto& { return c; }};
+    const FieldBlock faults{{"faults"}, [](auto& c) -> auto& { return c.faults; }};
+    const FieldBlock wear{{"faults", "wear"}, [](auto& c) -> auto& { return c.faults.wear; }};
+    const FieldBlock hw{{"hardware"}, [](auto& c) -> auto& { return c.hardware; }};
+    const FieldBlock match{{"hardware"},
                            [](auto& c) -> auto& { return c.hardware.match_weights; }};
-    const FieldBlock online{"hardware", "online",
+    const FieldBlock online{{"hardware", "online"},
                             [](auto& c) -> auto& { return c.hardware.online; }};
     visit(CellField{"partitioner", &CellSpec::partitioner, 4, any, spec});
     visit(CellField{"partition_count", &CellSpec::partition_count, 4, non_negative, spec});

@@ -1,7 +1,7 @@
-// Registry of the paper's evaluation workloads (Table II), scaled down per
-// DESIGN.md §1: each entry binds a synthetic dataset generator to the GNN
-// model the paper trains on it, the mini-batch configuration, and the
-// timing-model workload description used by Fig. 7.
+// Registry of the paper's evaluation workloads (Table II), scaled down to
+// the synthetic stand-ins of graph/generators.hpp: each entry binds a
+// dataset generator to the GNN model the paper trains on it, the mini-batch
+// configuration, and the timing-model workload description used by Fig. 7.
 #pragma once
 
 #include <cstdint>

@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -294,60 +295,53 @@ private:
     throw std::runtime_error("cell record: " + what);
 }
 
+/// Member `key` of `v`; nullptr when it is absent and not `required`.
+const JsonValue* find_member(const JsonValue& v, const char* key, bool required) {
+    const JsonValue* m = v.find(key);
+    if (!m && required) bad_field(std::string("missing field '") + key + "'");
+    return m;
+}
+
 const JsonValue& member(const JsonValue& v, const char* key) {
-    const JsonValue* m = v.find(key);
-    if (!m) bad_field(std::string("missing field '") + key + "'");
-    return *m;
+    return *find_member(v, key, true);
 }
 
-double dnum(const JsonValue& v, const char* key) {
-    return member(v, key).as_double();
-}
-
-/// as_u64 with the field name folded into the error (a hand-edited "-1"
-/// should say which field it broke).
-std::uint64_t u64_value(const JsonValue& m, const char* key) {
-    try {
-        return m.as_u64();
-    } catch (const std::runtime_error& e) {
-        bad_field(std::string("field '") + key + "': " + e.what());
-    }
-}
-
-std::uint64_t u64(const JsonValue& v, const char* key) {
-    return u64_value(member(v, key), key);
-}
-
-// Optional-member lookups for the ranged reader: a field introduced after the
-// record's schema version is simply absent, and takes its spec default. A
-// field that IS present but malformed still fails loudly.
-double dnum_or(const JsonValue& v, const char* key, double fallback) {
-    const JsonValue* m = v.find(key);
-    return m ? m->as_double() : fallback;
-}
-
-std::string string_or(const JsonValue& v, const char* key,
-                      const std::string& fallback) {
-    const JsonValue* m = v.find(key);
-    return m ? m->as_string() : fallback;
-}
-
-/// One chip-field value of type T from its member `m` named `key`.
+/// One field value of type T from its member `m` named `key`.
 template <class T>
 T read_value(const JsonValue& m, const char* key) {
-    if constexpr (std::is_same_v<T, bool>)
+    if constexpr (std::is_same_v<T, bool>) {
         return m.as_bool();
-    else if constexpr (std::is_same_v<T, std::string>)
+    } else if constexpr (std::is_same_v<T, std::string>) {
         return m.as_string();
-    else if constexpr (std::is_floating_point_v<T>)
-        return static_cast<T>(m.as_double());
-    else
-        return static_cast<T>(u64_value(m, key));
+    } else if constexpr (std::is_floating_point_v<T>) {
+        // A value T holds only as an infinity (1e999, or 1e39 for a float)
+        // would be written back as "inf", which no JSON reader accepts.
+        const T v = static_cast<T>(m.as_double());
+        if (!std::isfinite(v)) bad_field(std::string("field '") + key + "' out of range");
+        return v;
+    } else if constexpr (std::is_same_v<T, Scheme>) {
+        const Expected<Scheme> scheme = parse_scheme(m.as_string());
+        if (!scheme) bad_field(scheme.error());
+        return scheme.value();
+    } else if constexpr (std::is_same_v<T, std::vector<EpochStats>>) {
+        if (m.kind != JsonValue::Kind::kArray) bad_field("curve not an array");
+        T curve;
+        for (const JsonValue& point : m.items) {
+            if (point.kind != JsonValue::Kind::kArray || point.items.size() != 3)
+                bad_field("curve point is not [loss, train, val]");
+            curve.push_back({read_value<float>(point.items[0], key),
+                             read_value<double>(point.items[1], key),
+                             read_value<double>(point.items[2], key)});
+        }
+        return curve;
+    } else {
+        return json_integer<T>(m, key);
+    }
 }
 
 }  // namespace
 
-const JsonValue* JsonValue::find(const std::string& key) const {
+const JsonValue* JsonValue::find(std::string_view key) const {
     if (kind != Kind::kObject) return nullptr;
     for (const auto& [name, value] : members)
         if (name == key) return &value;
@@ -359,7 +353,7 @@ double JsonValue::as_double() const {
     return std::strtod(text.c_str(), nullptr);
 }
 
-std::uint64_t JsonValue::as_u64() const {
+std::uint64_t JsonValue::as_u64(std::uint64_t max) const {
     // strtoull alone is a trap here: it wraps negative input ("-1" becomes
     // 2^64-1) and saturates silently past ULLONG_MAX, so a hand-edited seed
     // would round-trip as a different cell instead of failing loudly.
@@ -377,7 +371,7 @@ std::uint64_t JsonValue::as_u64() const {
     if (end != text.c_str() + text.size())
         throw std::runtime_error("expected an unsigned integer, got '" + text +
                                  "'");
-    if (errno == ERANGE)
+    if (errno == ERANGE || v > max)
         throw std::runtime_error("unsigned integer out of range: '" + text +
                                  "'");
     return v;
@@ -407,48 +401,85 @@ Expected<JsonValue> parse_json(const std::string& text, JsonLimits limits) {
 
 namespace {
 
+/// Rows introduced from this version on are written only off their default,
+/// so a record that does not use them keeps its older bytes.
+constexpr int kSparseSince = 5;
+
+/// The two field tables as callables the templates below take.
+constexpr auto chip_fields = [](auto&& visit) { visit_fields(visit); };
+constexpr auto result_fields = [](auto&& visit) { visit_result_fields(visit); };
+
 template <class T>
 void write_value(std::ostream& os, const T& value) {
-    if constexpr (std::is_same_v<T, bool>)
+    if constexpr (std::is_same_v<T, bool>) {
         os << (value ? "true" : "false");
-    else if constexpr (std::is_same_v<T, std::string>)
+    } else if constexpr (std::is_same_v<T, std::string>) {
         os << '"' << json_escape(value) << '"';
-    else if constexpr (std::is_floating_point_v<T>)
+    } else if constexpr (std::is_floating_point_v<T>) {
         os << json_num(value);
-    else
+    } else if constexpr (std::is_same_v<T, Scheme>) {
+        os << '"' << scheme_name(value) << '"';
+    } else if constexpr (std::is_same_v<T, std::vector<EpochStats>>) {
+        os << '[';
+        for (std::size_t i = 0; i < value.size(); ++i)
+            os << (i ? "," : "") << '[' << json_num(value[i].train_loss) << ','
+               << json_num(value[i].train_accuracy) << ','
+               << json_num(value[i].val_accuracy) << ']';
+        os << ']';
+    } else {
         os << value;
+    }
 }
 
-/// The chip fields of `s` in record order, each opening and closing the
-/// blocks its row lives in. Fields since v5 are written only off their
-/// default, so an older reader's records keep their exact bytes.
-void write_chip_fields(std::ostream& os, const CellSpec& s) {
-    static const CellSpec defaults;
-    std::string_view open[2] = {"", ""};  // the blocks the writer is inside
-    const char* sep = ",";                // the spec object has members already
-    visit_fields([&](const auto& field) {
-        const auto& value = field.of(s);
-        if (field.since >= 5 && value == field.of(defaults)) return;
-        const std::string_view block[2] = {field.block.outer, field.block.inner};
-        for (int depth = 1; depth >= 0; --depth) {  // leave other blocks
-            if (!open[depth].empty() &&
-                (open[0] != block[0] || open[depth] != block[depth])) {
-                os << '}';
-                open[depth] = "";
-            }
+/// The rows of `table` for `object` in record order, each opening and
+/// closing the blocks its row lives in, after members already written.
+template <class Object, class Table>
+void write_fields(std::ostream& os, const Object& object, Table table) {
+    static const Object defaults;
+    std::string_view open[3];  // the blocks the writer is inside
+    const char* sep = ",";
+    table([&](const auto& field) {
+        const auto& value = field.of(object);
+        if (field.since >= kSparseSince && value == field.of(defaults)) return;
+        const auto& path = field.block.path;
+        int depth = 0;  // the blocks this row shares with the previous one
+        while (depth < 3 && path[depth] && open[depth] == path[depth]) ++depth;
+        for (int d = 2; d >= depth; --d) {  // leave the others
+            if (!open[d].empty()) os << '}';
+            open[d] = {};
         }
-        for (int depth = 0; depth < 2; ++depth) {  // enter this row's blocks
-            if (open[depth] == block[depth]) continue;
-            os << sep << '"' << block[depth] << "\":{";
-            open[depth] = block[depth];
+        for (; depth < 3 && path[depth]; ++depth) {  // enter this row's own
+            os << sep << '"' << path[depth] << "\":{";
+            open[depth] = path[depth];
             sep = "";
         }
         os << sep << '"' << field.name << "\":";
         write_value(os, value);
         sep = ",";
     });
-    for (int depth = 1; depth >= 0; --depth)
-        if (!open[depth].empty()) os << '}';
+    for (const std::string_view block : open)
+        if (!block.empty()) os << '}';
+}
+
+/// Reads the rows of `table` for `object` from `json`, a record of version
+/// `schema`. A row is required when `schema` is at least the version that
+/// introduced it, unless it is written only off its default; an absent row
+/// keeps its default.
+template <class Object, class Table>
+void read_fields(const JsonValue& json, Object& object, int schema, Table table) {
+    table([&](const auto& field) {
+        using Value = std::decay_t<decltype(field.of(object))>;
+        const bool required = field.since < kSparseSince && schema >= field.since;
+        const JsonValue* m = &json;
+        for (const char* key : field.block.path) {
+            if (!key || !m) break;
+            m = find_member(*m, key, required);
+            if (m && m->kind != JsonValue::Kind::kObject)
+                bad_field(std::string("field '") + key + "' is not an object");
+        }
+        if (m) m = find_member(*m, field.name, required);
+        if (m) field.of(object) = read_value<Value>(*m, field.name);
+    });
 }
 
 }  // namespace
@@ -468,63 +499,16 @@ std::string cell_spec_to_json(const CellSpec& s) {
        << (s.hardware_seed ? std::to_string(*s.hardware_seed) : "null")
        << ",\"record_curve\":" << (s.record_curve ? "true" : "false")
        << ",\"epochs\":" << (s.epochs ? std::to_string(*s.epochs) : "null");
-    write_chip_fields(os, s);
+    write_fields(os, s, chip_fields);
     os << '}';
     return os.str();
 }
 
 std::string cell_result_to_json(const CellResult& r) {
     std::ostringstream os;
-    os << "{\"spec\":" << cell_spec_to_json(r.spec)
-       << ",\"run\":{\"scheme\":\"" << scheme_name(r.run.scheme) << "\""
-       << ",\"total_mapping_cost\":" << json_num(r.run.total_mapping_cost)
-       << ",\"bist_scans\":" << r.run.bist_scans
-       << ",\"wear_faults\":" << r.run.wear_faults
-       << ",\"online\":{"
-       << "\"detection_rounds\":" << r.run.online.detection_rounds
-       << ",\"march_cell_ops\":" << r.run.online.march_cell_ops
-       << ",\"readback_checks\":" << r.run.online.readback_checks
-       << ",\"faults_detected\":" << r.run.online.faults_detected
-       << ",\"soft_repaired\":" << r.run.online.soft_repaired
-       << ",\"repair_writes\":" << r.run.online.repair_writes
-       << ",\"columns_substituted\":" << r.run.online.columns_substituted
-       << ",\"crossbars_exhausted\":" << r.run.online.crossbars_exhausted
-       << ",\"latency_steps_sum\":" << r.run.online.latency_steps_sum
-       << ",\"latency_samples\":" << r.run.online.latency_samples
-       << ",\"detect_seconds\":" << json_num(r.run.online.detect_seconds)
-       << ",\"repair_seconds\":" << json_num(r.run.online.repair_seconds) << '}'
-       << ",\"off_tile_block_fraction\":"
-       << json_num(r.run.off_tile_block_fraction)
-       << ",\"inter_tile_seconds\":" << json_num(r.run.inter_tile_seconds)
-       << ",\"train\":{\"test_accuracy\":" << json_num(r.run.train.test_accuracy)
-       << ",\"test_macro_f1\":" << json_num(r.run.train.test_macro_f1)
-       << ",\"preprocess_seconds\":" << json_num(r.run.train.preprocess_seconds)
-       << ",\"train_seconds\":" << json_num(r.run.train.train_seconds)
-       << ",\"partition_quality\":{"
-       << "\"algo\":\"" << json_escape(r.run.train.partition_quality.algo) << "\""
-       << ",\"parts\":" << r.run.train.partition_quality.parts
-       << ",\"edge_cut\":" << r.run.train.partition_quality.edge_cut
-       << ",\"edge_cut_rate\":"
-       << json_num(r.run.train.partition_quality.edge_cut_rate)
-       << ",\"alpha\":" << json_num(r.run.train.partition_quality.alpha)
-       << ",\"beta\":" << json_num(r.run.train.partition_quality.beta)
-       << ",\"replication_factor\":"
-       << json_num(r.run.train.partition_quality.replication_factor) << '}'
-       << ",\"curve\":[";
-    for (std::size_t i = 0; i < r.run.train.curve.size(); ++i) {
-        const EpochStats& e = r.run.train.curve[i];
-        os << (i ? "," : "") << '[' << json_num(e.train_loss) << ','
-           << json_num(e.train_accuracy) << ',' << json_num(e.val_accuracy)
-           << ']';
-    }
-    os << "]}}"
-       << ",\"deployment\":{\"trained_accuracy\":"
-       << json_num(r.deployment.trained_accuracy)
-       << ",\"deployed_accuracy\":" << json_num(r.deployment.deployed_accuracy)
-       << '}'
-       << ",\"from_cache\":" << (r.from_cache ? "true" : "false")
-       << ",\"wall_seconds\":" << json_num(r.wall_seconds)
-       << ",\"plan_index\":" << r.plan_index << '}';
+    os << "{\"spec\":" << cell_spec_to_json(r.spec);
+    write_fields(os, r, result_fields);
+    os << '}';
     return os.str();
 }
 
@@ -532,9 +516,10 @@ namespace {
 
 /// Shared spec decoder; throws through bad_field / InvalidArgument (the
 /// public entry points fold every throw into an Expected).
-CellSpec spec_from_json_impl(const JsonValue& spec) {
+CellSpec spec_from_json_impl(const JsonValue& spec, int schema) {
     CellSpec s;
-    const std::string family = string_or(spec, "family", "gnn");
+    const JsonValue* family_tag = spec.find("family");  // v5, only off "gnn"
+    const std::string family = family_tag ? family_tag->as_string() : "gnn";
     const std::string& model = member(spec, "model").as_string();
     if (family == "gnn") {
         const Expected<GnnKind> kind = parse_gnn_kind(model);
@@ -547,33 +532,19 @@ CellSpec spec_from_json_impl(const JsonValue& spec) {
             bad_field("model '" + model + "' does not match workload model '" +
                       s.workload.model_name() + "' in family '" + family + "'");
     }
-    const Expected<Scheme> scheme =
-        parse_scheme(member(spec, "scheme").as_string());
-    if (!scheme) bad_field(scheme.error());
-    s.scheme = scheme.value();
+    s.scheme = read_value<Scheme>(member(spec, "scheme"), "scheme");
     const std::string& mode = member(spec, "mode").as_string();
     if (mode != "train" && mode != "deploy") bad_field("bad mode: " + mode);
     s.mode = mode == "deploy" ? CellMode::kDeploy : CellMode::kTrain;
-    s.seed = u64(spec, "seed");
+    s.seed = json_integer<std::uint64_t>(member(spec, "seed"), "seed");
     const JsonValue& hw_seed = member(spec, "hardware_seed");
     if (hw_seed.kind != JsonValue::Kind::kNull)
-        s.hardware_seed = u64_value(hw_seed, "hardware_seed");
+        s.hardware_seed = json_integer<std::uint64_t>(hw_seed, "hardware_seed");
     s.record_curve = member(spec, "record_curve").as_bool();
     const JsonValue& epochs = member(spec, "epochs");
     if (epochs.kind != JsonValue::Kind::kNull)
-        s.epochs = static_cast<std::size_t>(u64_value(epochs, "epochs"));
-    // Chip fields: those introduced after v2 may be absent (an older
-    // record) and keep their defaults.
-    visit_fields([&](const auto& field) {
-        using Field = std::decay_t<decltype(field)>;
-        const auto find = [&](const JsonValue* in, const char* key) -> const JsonValue* {
-            if (!in || *key == '\0') return in;
-            return field.since > 2 ? in->find(key) : &member(*in, key);
-        };
-        const JsonValue* m = find(find(find(&spec, field.block.outer), field.block.inner),
-                                  field.name);
-        if (m) field.of(s) = read_value<typename Field::Value>(*m, field.name);
-    });
+        s.epochs = json_integer<std::size_t>(epochs, "epochs");
+    read_fields(spec, s, schema, chip_fields);
     return s;
 }
 
@@ -581,7 +552,7 @@ CellSpec spec_from_json_impl(const JsonValue& spec) {
 
 Expected<CellSpec> cell_spec_from_json(const JsonValue& value) {
     try {
-        return spec_from_json_impl(value);
+        return spec_from_json_impl(value, kCellJsonSchemaVersion);
     } catch (const std::exception& e) {
         // find_workload throws InvalidArgument on unknown workloads; fold it
         // into the same corrupt-record channel as structural errors.
@@ -589,79 +560,15 @@ Expected<CellSpec> cell_spec_from_json(const JsonValue& value) {
     }
 }
 
-Expected<CellResult> cell_result_from_json(const JsonValue& v) {
+Expected<CellResult> cell_result_from_json(const JsonValue& v, int schema) {
     try {
         CellResult r;
-        r.spec = spec_from_json_impl(member(v, "spec"));
+        r.spec = spec_from_json_impl(member(v, "spec"), schema);
         const std::string range_error = chip_field_error(r.spec);
         if (!range_error.empty()) bad_field(range_error);
-
-        const JsonValue& run = member(v, "run");
-        const Expected<Scheme> run_scheme =
-            parse_scheme(member(run, "scheme").as_string());
-        if (!run_scheme) bad_field(run_scheme.error());
-        r.run.scheme = run_scheme.value();
-        r.run.total_mapping_cost = dnum(run, "total_mapping_cost");
-        r.run.bist_scans = static_cast<std::size_t>(u64(run, "bist_scans"));
-        r.run.wear_faults = static_cast<std::size_t>(u64(run, "wear_faults"));
-        if (const JsonValue* online = run.find("online")) {  // v3
-            OnlineToleranceStats& ol = r.run.online;
-            ol.detection_rounds = u64(*online, "detection_rounds");
-            ol.march_cell_ops = u64(*online, "march_cell_ops");
-            ol.readback_checks = u64(*online, "readback_checks");
-            ol.faults_detected = u64(*online, "faults_detected");
-            ol.soft_repaired = u64(*online, "soft_repaired");
-            ol.repair_writes = u64(*online, "repair_writes");
-            ol.columns_substituted = u64(*online, "columns_substituted");
-            ol.crossbars_exhausted = u64(*online, "crossbars_exhausted");
-            // Latency persists as (sum, samples) raw integers — not the
-            // derived mean — so the record round-trips byte-identically.
-            ol.latency_steps_sum = u64(*online, "latency_steps_sum");
-            ol.latency_samples = u64(*online, "latency_samples");
-            ol.detect_seconds = dnum(*online, "detect_seconds");
-            ol.repair_seconds = dnum(*online, "repair_seconds");
-        }
-        r.run.off_tile_block_fraction =
-            dnum_or(run, "off_tile_block_fraction", 0.0);          // v4
-        r.run.inter_tile_seconds = dnum_or(run, "inter_tile_seconds", 0.0);
-        const JsonValue& train = member(run, "train");
-        r.run.train.test_accuracy = dnum(train, "test_accuracy");
-        r.run.train.test_macro_f1 = dnum(train, "test_macro_f1");
-        r.run.train.preprocess_seconds = dnum(train, "preprocess_seconds");
-        r.run.train.train_seconds = dnum(train, "train_seconds");
-        if (const JsonValue* pq = train.find("partition_quality")) {  // v4
-            PartitionQuality& quality = r.run.train.partition_quality;
-            quality.algo = member(*pq, "algo").as_string();
-            quality.parts = static_cast<int>(u64(*pq, "parts"));
-            quality.edge_cut = static_cast<std::size_t>(u64(*pq, "edge_cut"));
-            quality.edge_cut_rate = dnum(*pq, "edge_cut_rate");
-            quality.alpha = dnum(*pq, "alpha");
-            quality.beta = dnum(*pq, "beta");
-            quality.replication_factor = dnum(*pq, "replication_factor");
-        }
-        const JsonValue& curve = member(train, "curve");
-        if (curve.kind != JsonValue::Kind::kArray) bad_field("curve not an array");
-        for (const JsonValue& point : curve.items) {
-            if (point.kind != JsonValue::Kind::kArray || point.items.size() != 3)
-                bad_field("curve point is not [loss, train, val]");
-            EpochStats e;
-            e.train_loss = static_cast<float>(point.items[0].as_double());
-            e.train_accuracy = point.items[1].as_double();
-            e.val_accuracy = point.items[2].as_double();
-            r.run.train.curve.push_back(e);
-        }
-
-        const JsonValue& dep = member(v, "deployment");
-        r.deployment.trained_accuracy = dnum(dep, "trained_accuracy");
-        r.deployment.deployed_accuracy = dnum(dep, "deployed_accuracy");
-
-        r.from_cache = member(v, "from_cache").as_bool();
-        r.wall_seconds = dnum(v, "wall_seconds");
-        r.plan_index = static_cast<std::size_t>(u64(v, "plan_index"));
+        read_fields(v, r, schema, result_fields);
         return r;
     } catch (const std::exception& e) {
-        // find_workload throws InvalidArgument on unknown workloads; fold it
-        // into the same corrupt-record channel as structural errors.
         return Expected<CellResult>::failure(e.what());
     }
 }
@@ -681,7 +588,7 @@ Expected<CellRecord> cell_record_from_json(const std::string& line) {
     const JsonValue& v = doc.value();
     try {
         CellRecord record;
-        record.schema = static_cast<int>(u64(v, "schema"));
+        record.schema = json_integer<int>(member(v, "schema"), "schema");
         if (record.schema < kMinCellJsonSchemaVersion ||
             record.schema > kCellJsonSchemaVersion)
             bad_field("schema version " + std::to_string(record.schema) +
@@ -689,8 +596,9 @@ Expected<CellRecord> cell_record_from_json(const std::string& line) {
                       ", " + std::to_string(kCellJsonSchemaVersion) + "]");
         record.plan = member(v, "plan").as_string();
         record.key = member(v, "key").as_string();
-        record.plan_index = static_cast<std::size_t>(u64(v, "plan_index"));
-        Expected<CellResult> result = cell_result_from_json(member(v, "result"));
+        record.plan_index = json_integer<std::size_t>(member(v, "plan_index"), "plan_index");
+        Expected<CellResult> result =
+            cell_result_from_json(member(v, "result"), record.schema);
         if (!result) return Expected<CellRecord>::failure(result.error());
         record.result = std::move(result).value();
         return record;

@@ -15,8 +15,12 @@
 //     lines and fare-run shard outputs are CellRecords.
 #pragma once
 
+#include <concepts>
 #include <cstdint>
+#include <limits>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -27,11 +31,14 @@ namespace fare {
 
 /// Version stamp written into every persisted record. Bump when the result
 /// JSON changes shape. Since v5 the reader is ranged: records stamped
-/// [kMinCellJsonSchemaVersion .. kCellJsonSchemaVersion] parse, with fields
-/// introduced after the record's version taking their spec defaults — a cache
-/// built by an older binary stays warm across an upgrade. Future-stamped or
-/// pre-v2 records are still skipped (the cell recomputes instead of
-/// deserializing wrongly).
+/// [kMinCellJsonSchemaVersion .. kCellJsonSchemaVersion] parse, so a cache
+/// built by an older binary stays warm across an upgrade. One rule says
+/// which rows a record must hold: a row of visit_fields or
+/// visit_result_fields is required when the record's version is at least
+/// the one that introduced it. A row newer than the record, and a v5 row
+/// (written only off its default), may be absent and then keeps its
+/// default. Future-stamped or pre-v2 records are still skipped (the cell
+/// recomputes instead of deserializing wrongly).
 /// v2: FaultScenario wear block + arrival cadence, run.wear_faults.
 /// v3: faults.soft_error_rate, hardware.online policy block, run.online
 ///     detection/correction stats.
@@ -62,15 +69,27 @@ struct JsonValue {
     std::vector<JsonValue> items;                            ///< kArray
 
     /// Object member lookup; nullptr when absent or not an object.
-    const JsonValue* find(const std::string& key) const;
+    const JsonValue* find(std::string_view key) const;
     double as_double() const;            ///< kNumber
-    /// kNumber holding a non-negative integral token that fits 64 bits;
+    /// kNumber holding a non-negative integral token no larger than `max`;
     /// throws on a leading '-', a fractional/exponent form, or overflow
     /// (strtoull would silently wrap all three).
-    std::uint64_t as_u64() const;
+    std::uint64_t as_u64(std::uint64_t max = UINT64_MAX) const;
     bool as_bool() const;                ///< kBool
     const std::string& as_string() const;  ///< kString
 };
+
+/// `value` as the integer type T, for the record or frame member `field`.
+/// A value above T's max throws like any other as_u64() error, naming
+/// `field`: a narrowing cast would read a hand-edited 4294967297 as 1.
+template <std::integral T>
+T json_integer(const JsonValue& value, const char* field) {
+    try {
+        return static_cast<T>(value.as_u64(std::numeric_limits<T>::max()));
+    } catch (const std::runtime_error& e) {
+        throw std::runtime_error(std::string("field '") + field + "': " + e.what());
+    }
+}
 
 /// Explicit resource bounds for parsing untrusted documents. The defaults
 /// are generous enough for every record we write ourselves; the network
@@ -97,12 +116,13 @@ Expected<JsonValue> parse_json(const std::string& text, JsonLimits limits = {});
 std::string cell_spec_to_json(const CellSpec& spec);
 Expected<CellSpec> cell_spec_from_json(const JsonValue& value);
 
-/// Full-fidelity CellResult serialization: every spec field, both metric
-/// payloads, the training curve, and the cache/timing metadata. The decoder
-/// rejects a chip field outside its range (sim/plan.hpp visit_fields) with
-/// an error naming the field.
+/// Full-fidelity CellResult serialization: the spec, then every row of
+/// visit_result_fields (sim/cell.hpp). The decoder reads `value` as a
+/// record of version `schema` and rejects a chip field outside its range
+/// (sim/plan.hpp visit_fields) with an error naming the field.
 std::string cell_result_to_json(const CellResult& result);
-Expected<CellResult> cell_result_from_json(const JsonValue& value);
+Expected<CellResult> cell_result_from_json(const JsonValue& value,
+                                           int schema = kCellJsonSchemaVersion);
 
 /// One persisted cell: the schema-versioned envelope around a CellResult.
 struct CellRecord {

@@ -18,16 +18,14 @@
 namespace fare {
 namespace {
 
-/// `result` as record JSON with the measured times and plan position zeroed
-/// and the spec replaced by `spec`, so cells differing only in an inert
-/// field compare equal exactly when they behave alike.
-std::string outcome(CellResult result, const CellSpec& spec) {
-    result.spec = spec;
-    result.plan_index = 0;
-    result.wall_seconds = 0.0;
-    result.run.train.preprocess_seconds = 0.0;
-    result.run.train.train_seconds = 0.0;
-    return cell_result_to_json(result);
+/// `result` as canonical record JSON with the plan position zeroed and the
+/// spec replaced by `spec`, so cells differing only in an inert field
+/// compare equal exactly when they behave alike.
+std::string outcome(const CellResult& result, const CellSpec& spec) {
+    CellResult canonical = canonicalized(result);
+    canonical.spec = spec;
+    canonical.plan_index = 0;
+    return cell_result_to_json(canonical);
 }
 
 TEST(CellKeyTest, BuiltinPlanKeysMatchTheGolden) {

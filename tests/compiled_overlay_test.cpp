@@ -93,9 +93,10 @@ TEST(CompiledOverlayTest, SweepMatchesScalarReferenceBitForBit) {
 }
 
 TEST(CompiledOverlayTest, SweepMatchesEngineReadback) {
-    // The central contract (DESIGN.md §3.1), now three ways: programming the
-    // (row-permuted) weights onto bit-sliced crossbars and reading back
-    // through the fault overlay equals the compiled-overlay fast path.
+    // The central contract (docs/performance.md, *Equivalence contract*),
+    // now three ways: programming the (row-permuted) weights onto bit-sliced
+    // crossbars and reading back through the fault overlay equals the
+    // compiled-overlay fast path.
     const std::size_t rows = 20, cols = 8;
     const std::size_t phys_rows = 32;
     Rng rng(17);

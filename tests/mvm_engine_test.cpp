@@ -59,9 +59,9 @@ TEST(MvmEngineTest, Sa1MsbFaultExplodesOutput) {
 }
 
 TEST(MvmEngineTest, EffectiveReadMatchesCorruptionFastPath) {
-    // The central consistency property (DESIGN.md §3.1): reading weights back
-    // through the bit-sliced engine equals the corruption fast path, fault
-    // pattern for fault pattern.
+    // The central consistency property (docs/performance.md, *Equivalence
+    // contract*): reading weights back through the bit-sliced engine equals
+    // the corruption fast path, fault pattern for fault pattern.
     Rng rng(3);
     const std::size_t rows = 40, cols = 12;
     const Matrix w = random_matrix(rows, cols, 2.0f, rng);

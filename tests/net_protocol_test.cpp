@@ -224,6 +224,17 @@ TEST(ProtocolTest, MalformedMessagesAreErrorsNotAborts) {
     EXPECT_TRUE(
         decode_message("{\"type\":\"hello\",\"role\":\"worker\",\"protocol\":1}")
             .ok());
+    // A protocol wider than an int is refused, not narrowed: 4294967297
+    // would read as 1 and pass the version check.
+    for (const char* frame :
+         {"{\"type\":\"hello\",\"role\":\"worker\",\"protocol\":4294967297}",
+          "{\"type\":\"welcome\",\"protocol\":4294967297}",
+          "{\"type\":\"welcome\",\"protocol\":2147483648}"}) {
+        const Expected<WireMessage> message = decode_message(frame);
+        ASSERT_FALSE(message.ok()) << frame;
+        EXPECT_NE(message.error().find("'protocol'"), std::string::npos)
+            << message.error();
+    }
 }
 
 TEST(ProtocolTest, PathologicalNestingIsBoundedOnTheNetworkPath) {

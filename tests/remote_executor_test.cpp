@@ -48,12 +48,8 @@ ExperimentPlan tiny_plan() {
 /// here means exactly what the CLI diff in scripts/fleet_smoke.sh checks.
 std::string canonical(const ResultSet& results) {
     std::string out;
-    for (CellResult cell : results.cells) {
-        cell.wall_seconds = 0.0;
-        cell.from_cache = false;
-        cell.run.train.preprocess_seconds = 0.0;
-        cell.run.train.train_seconds = 0.0;
-        out += cell_result_to_json(cell);
+    for (const CellResult& cell : results.cells) {
+        out += cell_result_to_json(canonicalized(cell));
         out += '\n';
     }
     return out;

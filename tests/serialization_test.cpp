@@ -1,8 +1,15 @@
 // CellResult <-> JSON round trip (the DiskCellCache / fare-run record
 // format): bit-exact field recovery including doubles, 64-bit seeds and the
-// training curve; schema versioning; corrupt-input tolerance via Expected.
+// training curve; schema versioning and the reader rule; canonicalization;
+// corrupt-input tolerance via Expected, down to seeded mutations of records
+// and result frames.
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <utility>
+
+#include "common/rng.hpp"
+#include "net/protocol.hpp"
 #include "sim/registry.hpp"
 #include "sim/serialization.hpp"
 
@@ -174,6 +181,27 @@ TEST(SerializationTest, CellRecordEnvelope) {
               cell_result_to_json(record.result));
 }
 
+TEST(SerializationTest, CanonicalizedResetsExactlyTheMeasuredRows) {
+    CellResult original = sample_result();
+    original.from_cache = true;
+    const CellResult canonical = canonicalized(original);
+    EXPECT_EQ(canonical.wall_seconds, 0.0);
+    EXPECT_EQ(canonical.run.train.preprocess_seconds, 0.0);
+    EXPECT_EQ(canonical.run.train.train_seconds, 0.0);
+    EXPECT_FALSE(canonical.from_cache);
+    // Chip seconds modelled by TimingModel are outcomes, not measurements.
+    EXPECT_EQ(canonical.run.inter_tile_seconds, 1.0 / 3.0);
+    EXPECT_EQ(canonical.run.online.detect_seconds, 0.0123456789);
+    EXPECT_EQ(canonical.run.online.repair_seconds, 1.0 / 7.0);
+    // Nothing else moves: restoring the four gives the original bytes back.
+    CellResult restored = canonical;
+    restored.wall_seconds = original.wall_seconds;
+    restored.run.train.preprocess_seconds = original.run.train.preprocess_seconds;
+    restored.run.train.train_seconds = original.run.train.train_seconds;
+    restored.from_cache = true;
+    EXPECT_EQ(cell_result_to_json(restored), cell_result_to_json(original));
+}
+
 TEST(SerializationTest, CorruptInputIsAnErrorNotAThrow) {
     EXPECT_FALSE(cell_record_from_json("").ok());
     EXPECT_FALSE(cell_record_from_json("CORRUPT GARBAGE").ok());
@@ -206,6 +234,99 @@ TEST(SerializationTest, OutOfRangeChipFieldsAreCorrupt) {
             [](CellSpec& s) { s.faults.read_noise_sigma = -0.01; });
     corrupt("prune_fraction", [](CellSpec& s) { s.hardware.prune_fraction = 1.0; });
     corrupt("partitioner", [](CellSpec& s) { s.partitioner = "metis"; });
+}
+
+/// One past the end of the JSON value that starts at `pos` in `line`.
+std::size_t value_end(const std::string& line, std::size_t pos) {
+    int depth = 0;
+    bool in_string = false;
+    for (; pos < line.size(); ++pos) {
+        const char c = line[pos];
+        if (in_string) {
+            if (c == '\\') ++pos;
+            else if (c == '"') in_string = false;
+        } else if (c == '"') {
+            in_string = true;
+        } else if (c == '{' || c == '[') {
+            ++depth;
+        } else if (c == '}' || c == ']' || c == ',') {
+            if (depth == 0) break;
+            if (c != ',') --depth;
+        }
+    }
+    return pos;
+}
+
+/// `line` with the value of its first member named `name` replaced by `value`.
+std::string with_value(std::string line, const std::string& name,
+                       const std::string& value) {
+    const std::string key = '"' + name + "\":";
+    const std::size_t at = line.find(key);
+    if (at == std::string::npos) {
+        ADD_FAILURE() << "no member '" << name << "'";
+        return line;
+    }
+    const std::size_t begin = at + key.size();
+    return line.replace(begin, value_end(line, begin) - begin, value);
+}
+
+/// `line` without the member whose key opens at `at`, nor the comma that
+/// separated it from a neighbour.
+std::string erase_member(std::string line, std::size_t at) {
+    std::size_t end = value_end(line, line.find(':', at) + 1);
+    if (end < line.size() && line[end] == ',')
+        ++end;
+    else if (at > 0 && line[at - 1] == ',')
+        --at;
+    return line.erase(at, end - at);
+}
+
+TEST(SerializationTest, ValuesWiderThanTheirFieldAreCorrupt) {
+    // A narrowing cast would wrap each integer to a valid value: schema 5,
+    // partition count 1, -2147483648 tiles, 3 pulses, 4 parts. The doubles
+    // fit only as infinity, which the writer would print as unreadable "inf".
+    CellRecord record;
+    record.key = "k-wide";
+    record.result = sample_result();
+    const std::string line = cell_record_to_json(record);
+    for (const auto& [field, value] :
+         {std::pair{"schema", "4294967301"}, {"partition_count", "4294967297"},
+          {"num_tiles", "2147483648"}, {"reprogram_pulses", "4294967299"},
+          {"parts", "4294967300"}, {"alpha", "1e999"}, {"clip_threshold", "1e39"}}) {
+        const Expected<CellRecord> back =
+            cell_record_from_json(with_value(line, field, value));
+        ASSERT_FALSE(back.ok()) << field;
+        EXPECT_NE(back.error().find(std::string("'") + field + "'"), std::string::npos)
+            << back.error();
+    }
+    // Each type's max still reads.
+    EXPECT_TRUE(cell_record_from_json(with_value(line, "num_tiles", "2147483647")).ok());
+    EXPECT_TRUE(
+        cell_record_from_json(with_value(line, "reprogram_pulses", "4294967295")).ok());
+}
+
+TEST(SerializationTest, RowsAsOldAsTheRecordAreRequired) {
+    CellRecord record;
+    record.key = "k-rule";
+    record.result = sample_result();
+    const std::string line = cell_record_to_json(record);
+    // A v3 row and a v4 block, each missing from a v5 record: corrupt.
+    for (const std::string name : {"soft_error_rate", "partition_quality"}) {
+        const std::string missing = erase_member(line, line.find('"' + name + "\":"));
+        const Expected<CellRecord> v5 = cell_record_from_json(missing);
+        ASSERT_FALSE(v5.ok()) << name;
+        EXPECT_NE(v5.error().find("'" + name + "'"), std::string::npos) << v5.error();
+        // The same body stamped v2, older than both, reads with the default.
+        const Expected<CellRecord> v2 =
+            cell_record_from_json(with_value(missing, "schema", "2"));
+        ASSERT_TRUE(v2.ok()) << v2.error();
+        if (name == "soft_error_rate")
+            EXPECT_EQ(v2.value().result.spec.faults.soft_error_rate, 0.0);
+        else
+            EXPECT_EQ(v2.value().result.run.train.partition_quality.parts, 0);
+        EXPECT_EQ(v2.value().result.run.train.test_accuracy,
+                  record.result.run.train.test_accuracy);
+    }
 }
 
 TEST(SerializationTest, WrongSchemaVersionIsSkippable) {
@@ -241,23 +362,14 @@ TEST(SerializationTest, U64RejectsNegativeWrapAndOverflow) {
     CellRecord record;
     record.key = "k";
     record.result = sample_result();
-    std::string line = cell_record_to_json(record);
-    const std::string needle =
-        "\"seed\":" + std::to_string(record.result.spec.seed);
-    const std::size_t at = line.find(needle);
-    ASSERT_NE(at, std::string::npos);
-    line.replace(at, needle.size(), "\"seed\":-1");
-    const Expected<CellRecord> back = cell_record_from_json(line);
+    const std::string line = cell_record_to_json(record);
+    const Expected<CellRecord> back = cell_record_from_json(with_value(line, "seed", "-1"));
     ASSERT_FALSE(back.ok());
     EXPECT_NE(back.error().find("seed"), std::string::npos) << back.error();
 
     // Nullable u64 fields name themselves too.
-    std::string hw = cell_record_to_json(record);
-    const std::string hw_needle = "\"hardware_seed\":18446744073709551615";
-    const std::size_t hw_at = hw.find(hw_needle);
-    ASSERT_NE(hw_at, std::string::npos);
-    hw.replace(hw_at, hw_needle.size(), "\"hardware_seed\":-1");
-    const Expected<CellRecord> hw_back = cell_record_from_json(hw);
+    const Expected<CellRecord> hw_back =
+        cell_record_from_json(with_value(line, "hardware_seed", "-1"));
     ASSERT_FALSE(hw_back.ok());
     EXPECT_NE(hw_back.error().find("hardware_seed"), std::string::npos)
         << hw_back.error();
@@ -514,14 +626,130 @@ TEST(SerializationTest, MismatchedFamilyModelIsCorrupt) {
     CellRecord record;
     record.key = "k-bad";
     record.result.spec.workload = find_workload("transformer", "SeqCls");
-    std::string line = cell_record_to_json(record);
-    const std::size_t at = line.find("\"model\":\"Transformer\"");
-    ASSERT_NE(at, std::string::npos);
-    line.replace(at, std::string("\"model\":\"Transformer\"").size(),
-                 "\"model\":\"GCN\"");
-    const Expected<CellRecord> back = cell_record_from_json(line);
+    const Expected<CellRecord> back =
+        cell_record_from_json(with_value(cell_record_to_json(record), "model", "\"GCN\""));
     ASSERT_FALSE(back.ok());
     EXPECT_NE(back.error().find("does not match"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// Seeded mutations of records and result frames: every input reads as a
+// value or fails as an Expected error, and what is accepted re-serialises
+// to bytes that read back to the same bytes.
+// ---------------------------------------------------------------------------
+
+/// Record lines the mutations start from: the v2 and v3 fixtures, and v5
+/// records of a GNN cell, a pruned transformer cell and a cell with online
+/// stats and a curve.
+std::vector<std::string> mutation_seeds() {
+    CellRecord gnn;
+    gnn.plan = "smoke";
+    gnn.key = "k-gnn";
+    gnn.plan_index = 1;
+    gnn.result.spec.workload = find_workload("PPI", GnnKind::kGCN);
+    gnn.result.run.train.test_accuracy = 0.5;
+    CellRecord transformer = gnn;
+    transformer.key = "k-transformer";
+    transformer.result.spec.workload = find_workload("transformer", "SeqCls");
+    transformer.result.spec.hardware.prune_fraction = 0.25;
+    CellRecord online = gnn;
+    online.key = "k-online";
+    online.result = sample_result();
+    return {kV2Line, kV3Line, cell_record_to_json(gnn), cell_record_to_json(transformer),
+            cell_record_to_json(online)};
+}
+
+/// Where each member key of `line` opens.
+std::vector<std::size_t> member_keys(const std::string& line) {
+    std::vector<std::size_t> keys;
+    for (std::size_t i = 0; i < line.size(); ++i) {
+        if (line[i] != '"') continue;
+        std::size_t end = i + 1;
+        while (end < line.size() && line[end] != '"') end += line[end] == '\\' ? 2 : 1;
+        if (end + 1 < line.size() && line[end + 1] == ':') keys.push_back(i);
+        i = end;
+    }
+    return keys;
+}
+
+/// One seeded mutation of `line`; `other` is its splice partner.
+std::string mutate(std::string line, const std::string& other, Rng& rng) {
+    const auto at = [&rng](const std::string& s) { return rng.next_below(s.size()); };
+    switch (rng.next_below(5)) {
+        case 0:  // truncate
+            return line.substr(0, at(line));
+        case 1:  // flip bytes
+            for (std::uint64_t n = 1 + rng.next_below(4); n > 0; --n)
+                line[at(line)] = static_cast<char>(rng.next_below(256));
+            return line;
+        case 2:  // splice two lines
+            return line.substr(0, at(line)) + other.substr(at(other));
+        case 3:  // drop one or two members
+            for (std::uint64_t n = 1 + rng.next_below(2); n > 0; --n) {
+                const std::vector<std::size_t> keys = member_keys(line);
+                line = erase_member(line, keys[rng.next_below(keys.size())]);
+            }
+            return line;
+        default: {  // a number out of its field's range
+            static const char* const kWide[] = {
+                "4294967296", "4294967297", "2147483648", "9223372036854775808",
+                "18446744073709551616", "-1", "1.5", "1e39", "1e999", "-1e999"};
+            std::vector<std::size_t> numbers;
+            for (std::size_t i = 1; i < line.size(); ++i)
+                if ((line[i - 1] == ':' || line[i - 1] == ',' || line[i - 1] == '[') &&
+                    (line[i] == '-' || std::isdigit(static_cast<unsigned char>(line[i]))))
+                    numbers.push_back(i);
+            const std::size_t begin = numbers[rng.next_below(numbers.size())];
+            return line.replace(begin, value_end(line, begin) - begin,
+                                kWide[rng.next_below(std::size(kWide))]);
+        }
+    }
+}
+
+/// `line` read as a record and, from its "result" key on, as a result
+/// frame: each is a value or an Expected error, and an accepted one
+/// re-serialises to bytes that read back to the same bytes.
+void expect_stable(const std::string& line) {
+    if (const Expected<CellRecord> record = cell_record_from_json(line)) {
+        const std::string bytes = cell_record_to_json(record.value());
+        const Expected<CellRecord> again = cell_record_from_json(bytes);
+        ASSERT_TRUE(again.ok()) << again.error() << "\n" << line;
+        EXPECT_EQ(cell_record_to_json(again.value()), bytes) << line;
+    }
+    const std::size_t result = line.find("\"result\":");
+    const std::string frame = "{\"type\":\"result\",\"job\":7," +
+                              (result == std::string::npos ? line : line.substr(result));
+    if (const Expected<net::WireMessage> message = net::decode_message(frame)) {
+        const std::string bytes = net::encode_message(message.value());
+        const Expected<net::WireMessage> again = net::decode_message(bytes);
+        ASSERT_TRUE(again.ok()) << again.error() << "\n" << frame;
+        EXPECT_EQ(net::encode_message(again.value()), bytes) << frame;
+    }
+}
+
+TEST(SerializationTest, MutatedRecordsAndFramesFailCleanly) {
+    const std::vector<std::string> seeds = mutation_seeds();
+    std::size_t accepted = 0;
+    for (const std::string& seed : seeds) {
+        ASSERT_TRUE(cell_record_from_json(seed).ok()) << seed;
+        expect_stable(seed);
+        for (const std::size_t key : member_keys(seed)) {  // every single deletion
+            const std::string line = erase_member(seed, key);
+            accepted += cell_record_from_json(line).ok();
+            expect_stable(line);
+        }
+    }
+    Rng rng(0xFA2E);
+    for (int i = 0; i < 4000; ++i) {
+        const std::string& seed = seeds[rng.next_below(seeds.size())];
+        const std::string& other = seeds[rng.next_below(seeds.size())];
+        const std::string line = mutate(seed, other, rng);
+        accepted += cell_record_from_json(line).ok();
+        expect_stable(line);
+        if (HasFatalFailure()) return;
+    }
+    // Deleting an optional row keeps a record readable, so both outcomes ran.
+    EXPECT_GT(accepted, 0u);
 }
 
 }  // namespace

@@ -53,6 +53,12 @@ std::vector<float> fuzz_floats(std::mt19937& gen, std::size_t n, float range) {
     return v;
 }
 
+/// memcmp over `bytes`, with zero bytes equal without touching the
+/// pointers: an empty vector's data() may be null, which memcmp forbids.
+bool same_bytes(const void* a, const void* b, std::size_t bytes) {
+    return bytes == 0 || std::memcmp(a, b, bytes) == 0;
+}
+
 const std::size_t kRaggedSizes[] = {0,  1,  2,  3,  7,  8,   9,   15,
                                     16, 17, 31, 32, 33, 64, 100, 257};
 
@@ -66,24 +72,24 @@ TEST(SimdKernelsTest, QuantizePassesMatchScalarOracle) {
         std::vector<std::int16_t> qa(n, -1), qb(n, -2);
         active.quantize_i16(src.data(), qa.data(), n);
         oracle.quantize_i16(src.data(), qb.data(), n);
-        ASSERT_EQ(0, std::memcmp(qa.data(), qb.data(), n * sizeof(qa[0])))
+        ASSERT_TRUE(same_bytes(qa.data(), qb.data(), n * sizeof(qa[0])))
             << "quantize_i16 n=" << n;
 
         std::vector<float> da(n, -1.0f), db(n, -2.0f);
         active.dequantize_i16(qa.data(), da.data(), n);
         oracle.dequantize_i16(qa.data(), db.data(), n);
-        ASSERT_EQ(0, std::memcmp(da.data(), db.data(), n * sizeof(float)))
+        ASSERT_TRUE(same_bytes(da.data(), db.data(), n * sizeof(float)))
             << "dequantize_i16 n=" << n;
 
         active.quantize_dequantize(src.data(), da.data(), n);
         oracle.quantize_dequantize(src.data(), db.data(), n);
-        ASSERT_EQ(0, std::memcmp(da.data(), db.data(), n * sizeof(float)))
+        ASSERT_TRUE(same_bytes(da.data(), db.data(), n * sizeof(float)))
             << "quantize_dequantize n=" << n;
 
         for (const float clip : {0.05f, 1.0f, 100.0f}) {
             active.quantize_dequantize_clip(src.data(), da.data(), n, clip);
             oracle.quantize_dequantize_clip(src.data(), db.data(), n, clip);
-            ASSERT_EQ(0, std::memcmp(da.data(), db.data(), n * sizeof(float)))
+            ASSERT_TRUE(same_bytes(da.data(), db.data(), n * sizeof(float)))
                 << "quantize_dequantize_clip n=" << n << " clip=" << clip;
         }
     }
@@ -315,12 +321,8 @@ ExperimentPlan tiny_online_plan() {
 /// Same normalization as `fare-run --canonical`.
 std::string canonical(const ResultSet& results) {
     std::string out;
-    for (CellResult cell : results.cells) {
-        cell.wall_seconds = 0.0;
-        cell.from_cache = false;
-        cell.run.train.preprocess_seconds = 0.0;
-        cell.run.train.train_seconds = 0.0;
-        out += cell_result_to_json(cell);
+    for (const CellResult& cell : results.cells) {
+        out += cell_result_to_json(canonicalized(cell));
         out += '\n';
     }
     return out;
