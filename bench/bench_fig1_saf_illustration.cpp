@@ -9,8 +9,7 @@
 
 #include "common/table.hpp"
 #include "fare/row_matcher.hpp"
-#include "reram/corruption.hpp"
-#include "reram/mvm_engine.hpp"
+#include "oracle/corruption_reference.hpp"
 
 int main() {
     using namespace fare;

@@ -13,6 +13,7 @@
 #include "fare/hungarian.hpp"
 #include "fare/mapper.hpp"
 #include "fare/row_matcher.hpp"
+#include "oracle/row_matcher_reference.hpp"
 
 namespace {
 

@@ -8,10 +8,11 @@
 #include <optional>
 
 #include "common/rng.hpp"
+#include "oracle/corruption_reference.hpp"
+#include "oracle/mvm_engine.hpp"
 #include "reram/accelerator.hpp"
 #include "reram/bist.hpp"
-#include "reram/corruption.hpp"
-#include "reram/mvm_engine.hpp"
+#include "reram/compiled_overlay.hpp"
 #include "reram/wear_model.hpp"
 
 namespace {
@@ -48,7 +49,7 @@ void BM_CorruptionFastPath(benchmark::State& state) {
     const auto maps = inject_faults(grid_r, 128, 128, cfg);
     const WeightFaultGrid grid(rows, 16, maps);
     for (auto _ : state) {
-        benchmark::DoNotOptimize(corrupt_weights(w, grid, 2.0f));
+        benchmark::DoNotOptimize(CompiledFaultOverlay(grid, rows, 16).apply(w, 2.0f));
     }
 }
 BENCHMARK(BM_CorruptionFastPath)->Arg(32)->Arg(64)->Arg(128);

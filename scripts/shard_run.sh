@@ -12,9 +12,12 @@
 #   concurrent processes share one cache directory safely (each appends to
 #   its own cells.<pid>.<n>.jsonl segment under an advisory lock, and the
 #   last process out folds the segments into cells.jsonl).
+#   Relative paths (<out.json>, --cache-dir) resolve against the caller's
+#   working directory.
 #
 # Environment:
-#   FARE_RUN_BIN   path to the fare-run binary (default: build/fare-run)
+#   FARE_RUN_BIN   path to the fare-run binary (default: the repository's
+#                  build/fare-run)
 set -euo pipefail
 
 if [ "$#" -lt 3 ]; then
@@ -22,12 +25,11 @@ if [ "$#" -lt 3 ]; then
     exit 2
 fi
 
-cd "$(dirname "$0")/.."
 PLAN=$1
 SHARDS=$2
 OUT=$3
 shift 3
-BIN="${FARE_RUN_BIN:-build/fare-run}"
+BIN="${FARE_RUN_BIN:-$(cd "$(dirname "$0")/.." && pwd)/build/fare-run}"
 
 if [ ! -x "$BIN" ]; then
     echo "$0: fare-run binary not found at $BIN (set FARE_RUN_BIN)" >&2

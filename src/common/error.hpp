@@ -5,8 +5,11 @@
 // FARE_ASSERT for internal invariants whose violation is a programming bug.
 #pragma once
 
+#include <concepts>
 #include <cstddef>
+#include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
@@ -83,6 +86,39 @@ inline Expected<double> parse_double(const std::string& s) {
     return v;
 }
 
+/// Strict decimal-integer parse for CLI arguments and environment knobs:
+/// one or more ASCII digits and nothing else (no sign, space, fraction or
+/// exponent), with a value in [lo, hi]; lo must not be negative. A fraction,
+/// NaN or infinity is an error, never a truncation.
+template <std::integral T>
+Expected<T> parse_integer(const std::string& s, T lo, T hi = std::numeric_limits<T>::max()) {
+    const auto failure = [&] {
+        return Expected<T>::failure("'" + s + "' is not an integer in [" + std::to_string(lo) +
+                                    ", " + std::to_string(hi) + "]");
+    };
+    if (s.empty()) return failure();
+    const auto max = static_cast<std::uintmax_t>(hi);
+    std::uintmax_t value = 0;
+    for (const char c : s) {
+        if (c < '0' || c > '9') return failure();
+        const auto digit = static_cast<std::uintmax_t>(c - '0');
+        if (value > (max - digit) / 10) return failure();
+        value = value * 10 + digit;
+    }
+    if (value < static_cast<std::uintmax_t>(lo)) return failure();
+    return static_cast<T>(value);
+}
+
+/// The integer value `s` of command-line flag `flag` (parse_integer), or
+/// InvalidArgument naming the flag.
+template <std::integral T>
+T parse_flag(const std::string& flag, const std::string& s, T lo,
+             T hi = std::numeric_limits<T>::max()) {
+    const Expected<T> n = parse_integer(s, lo, hi);
+    if (!n) throw InvalidArgument("bad " + flag + ": " + n.error());
+    return n.value();
+}
+
 /// The positive decimal integer in environment variable `name`, or nullopt
 /// while it is unset. Any other value (empty, signed, zero, trailing
 /// characters, out of range) throws InvalidArgument naming the variable and
@@ -90,17 +126,11 @@ inline Expected<double> parse_double(const std::string& s) {
 inline std::optional<std::size_t> env_positive_integer(const char* name) {
     const char* env = std::getenv(name);
     if (env == nullptr) return std::nullopt;
-    std::size_t value = 0;
-    const char* c = env;
-    for (; *c >= '0' && *c <= '9'; ++c) {
-        const auto digit = static_cast<std::size_t>(*c - '0');
-        if (value > (static_cast<std::size_t>(-1) - digit) / 10) break;  // overflow
-        value = value * 10 + digit;
-    }
-    if (c == env || *c != '\0' || value == 0)
+    const Expected<std::size_t> value = parse_integer<std::size_t>(env, 1);
+    if (!value)
         throw InvalidArgument(std::string(name) + " must be a positive integer, got '" +
                               env + "'");
-    return value;
+    return value.value();
 }
 
 namespace detail {

@@ -17,11 +17,10 @@ const SimdKernels* neon_kernels();
 namespace {
 
 constexpr SimdKernels kScalarKernels = {
-    &scalar::quantize_i16,      &scalar::dequantize_i16,
     &scalar::quantize_dequantize, &scalar::quantize_dequantize_clip,
-    &scalar::overlay_fixup,     &scalar::overlay_fixup_clip,
-    &scalar::matmul_rows,       &scalar::matmul_at_b_rows,
-    &scalar::matmul_a_bt_rows,  &scalar::aggregate_rows,
+    &scalar::overlay_fixup,       &scalar::overlay_fixup_clip,
+    &scalar::matmul_rows,         &scalar::matmul_at_b_rows,
+    &scalar::matmul_a_bt_rows,    &scalar::aggregate_rows,
     &scalar::aggregate_t_rows,
 };
 

@@ -61,15 +61,11 @@ SimdIsa set_isa(SimdIsa isa);
 SimdIsa set_isa_mode(const std::string& mode);
 
 /// One process-wide kernel table. All pointers are always valid; raw
-/// pointers + lengths so Matrix, FixedMatrix and std::vector callers share
-/// the same entry points. No alignment requirements (loads are unaligned;
-/// 64-byte-aligned Matrix/FixedMatrix storage just makes them fast).
+/// pointers + lengths so Matrix and std::vector callers share the same entry
+/// points. No alignment requirements (loads are unaligned; 64-byte-aligned
+/// Matrix storage just makes them fast).
 struct SimdKernels {
-    /// dst[i] = float_to_fixed(src[i])  (round-to-nearest, saturating).
-    void (*quantize_i16)(const float* src, std::int16_t* dst, std::size_t n);
-    /// dst[i] = fixed_to_float(src[i]).
-    void (*dequantize_i16)(const std::int16_t* src, float* dst, std::size_t n);
-    /// Fused round trip: dst[i] = fixed_to_float(float_to_fixed(src[i])).
+    /// Round trip: dst[i] = fixed_to_float(float_to_fixed(src[i])).
     void (*quantize_dequantize)(const float* src, float* dst, std::size_t n);
     /// Same with the clipping unit fused in: clamp to [-clip, clip].
     void (*quantize_dequantize_clip)(const float* src, float* dst,

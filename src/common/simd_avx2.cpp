@@ -39,36 +39,6 @@ inline __m256i quantize8(__m256 v) {
     return _mm256_cvtps_epi32(clamped);
 }
 
-void avx2_quantize_i16(const float* src, std::int16_t* dst, std::size_t n) {
-    std::size_t i = 0;
-    for (; i + 16 <= n; i += 16) {
-        const __m256i q0 = quantize8(_mm256_loadu_ps(src + i));
-        const __m256i q1 = quantize8(_mm256_loadu_ps(src + i + 8));
-        // packs interleaves the two inputs' 128-bit halves; permute restores
-        // element order. Values are pre-clamped, so the pack's own
-        // saturation never fires.
-        const __m256i packed = _mm256_permute4x64_epi64(
-            _mm256_packs_epi32(q0, q1), 0xD8);
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i), packed);
-    }
-    if (i < n) scalar::quantize_i16(src + i, dst + i, n - i);
-}
-
-void avx2_dequantize_i16(const std::int16_t* src, float* dst, std::size_t n) {
-    std::size_t i = 0;
-    for (; i + 16 <= n; i += 16) {
-        const __m256i q =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i));
-        const __m256i lo = _mm256_cvtepi16_epi32(_mm256_castsi256_si128(q));
-        const __m256i hi = _mm256_cvtepi16_epi32(_mm256_extracti128_si256(q, 1));
-        _mm256_storeu_ps(dst + i,
-                         _mm256_mul_ps(_mm256_cvtepi32_ps(lo), kInvScale));
-        _mm256_storeu_ps(dst + i + 8,
-                         _mm256_mul_ps(_mm256_cvtepi32_ps(hi), kInvScale));
-    }
-    if (i < n) scalar::dequantize_i16(src + i, dst + i, n - i);
-}
-
 void avx2_quantize_dequantize(const float* src, float* dst, std::size_t n) {
     std::size_t i = 0;
     for (; i + 8 <= n; i += 8) {
@@ -167,8 +137,6 @@ struct VecAvx2 {
 };
 
 const SimdKernels kAvx2Table = {
-    &avx2_quantize_i16,
-    &avx2_dequantize_i16,
     &avx2_quantize_dequantize,
     &avx2_quantize_dequantize_clip,
     &avx2_overlay_fixup,

@@ -30,30 +30,6 @@ inline int32x4_t quantize4(float32x4_t v) {
     return vcvtnq_s32_f32(clamped);
 }
 
-void neon_quantize_i16(const float* src, std::int16_t* dst, std::size_t n) {
-    std::size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        const int32x4_t q0 = quantize4(vld1q_f32(src + i));
-        const int32x4_t q1 = quantize4(vld1q_f32(src + i + 4));
-        // Values are pre-clamped, so the saturating narrow never fires.
-        vst1q_s16(dst + i, vcombine_s16(vqmovn_s32(q0), vqmovn_s32(q1)));
-    }
-    if (i < n) scalar::quantize_i16(src + i, dst + i, n - i);
-}
-
-void neon_dequantize_i16(const std::int16_t* src, float* dst, std::size_t n) {
-    const float32x4_t inv = vdupq_n_f32(1.0f / 256.0f);
-    std::size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        const int16x8_t q = vld1q_s16(src + i);
-        const int32x4_t lo = vmovl_s16(vget_low_s16(q));
-        const int32x4_t hi = vmovl_s16(vget_high_s16(q));
-        vst1q_f32(dst + i, vmulq_f32(vcvtq_f32_s32(lo), inv));
-        vst1q_f32(dst + i + 4, vmulq_f32(vcvtq_f32_s32(hi), inv));
-    }
-    if (i < n) scalar::dequantize_i16(src + i, dst + i, n - i);
-}
-
 void neon_quantize_dequantize(const float* src, float* dst, std::size_t n) {
     const float32x4_t inv = vdupq_n_f32(1.0f / 256.0f);
     std::size_t i = 0;
@@ -150,8 +126,6 @@ struct VecNeon {
 };
 
 const SimdKernels kNeonTable = {
-    &neon_quantize_i16,
-    &neon_dequantize_i16,
     &neon_quantize_dequantize,
     &neon_quantize_dequantize_clip,
     &neon_overlay_fixup,

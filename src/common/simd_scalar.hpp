@@ -17,14 +17,6 @@
 
 namespace fare::simd::scalar {
 
-inline void quantize_i16(const float* src, std::int16_t* dst, std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) dst[i] = float_to_fixed(src[i]);
-}
-
-inline void dequantize_i16(const std::int16_t* src, float* dst, std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) dst[i] = fixed_to_float(src[i]);
-}
-
 inline void quantize_dequantize(const float* src, float* dst, std::size_t n) {
     for (std::size_t i = 0; i < n; ++i)
         dst[i] = fixed_to_float(float_to_fixed(src[i]));

@@ -14,7 +14,8 @@
 // cell under a stored 1 plus w1 per SA1 cell under a stored 0 (columns < n),
 // added per fault in column order; a permutation costs its rows' costs added
 // in row order. Every function here rounds that same way, so the fast
-// matcher, its reference and mapping_cost agree bit for bit for any weights.
+// matcher, the exact matcher, mapping_cost and the test oracle agree bit for
+// bit for any weights.
 // (Counts times weights would round differently whenever the weights'
 // multiples are inexact, e.g. {0.1, 0.3}; the b-Suitor tie-breaks then move,
 // and on Fig. 5-shaped instances ~90% of permutations change.)
@@ -130,24 +131,17 @@ struct CrossbarProfile {
 /// choice — near-linear in candidate edges). Runs on the implicit benefit
 /// graph: most faulty physical rows offer their default benefit to every
 /// block row that does not touch them, so only the other pairs are priced
-/// and listed (row_matcher.cpp). The result equals
-/// best_row_permutation_reference's, bit for bit.
+/// and listed (row_matcher.cpp). The result equals the materialised-graph
+/// test oracle's (tests/oracle/), bit for bit.
 RowMatchResult best_row_permutation(const BinaryBlock& block, const FaultMap& map,
                                     const RowMatchWeights& weights = {});
 
 /// The same on prebuilt images, for a caller that prices many pairs.
 RowMatchResult best_row_permutation(const BlockImage& block, const CrossbarProfile& xbar);
 
-/// The same b-Suitor matching on the materialised benefit graph: every
-/// positive-benefit (logical, physical) edge is priced from per-row fault
-/// lists and fed to suitor_match. Test oracle and in-binary bench baseline
-/// for best_row_permutation.
-RowMatchResult best_row_permutation_reference(const BinaryBlock& block,
-                                              const FaultMap& map,
-                                              const RowMatchWeights& weights = {});
-
 /// Exact best row permutation via the Hungarian algorithm (O(n^3); used as
-/// ground truth in tests and for small blocks).
+/// ground truth in tests and for small blocks). Its cost matrix is priced
+/// by CrossbarImage::cost, so each entry rounds like every other price here.
 RowMatchResult best_row_permutation_exact(const BinaryBlock& block,
                                           const FaultMap& map,
                                           const RowMatchWeights& weights = {});

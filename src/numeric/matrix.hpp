@@ -17,7 +17,7 @@ class Rng;
 
 namespace detail {
 
-/// Matrix / FixedMatrix storage alignment: one full cache line, which also
+/// Matrix storage alignment: one full cache line, which also
 /// covers the widest vector the SIMD kernel tables use (32-byte AVX2). The
 /// kernels only issue unaligned loads, so this is purely a performance
 /// property — no caller may rely on it for correctness.
@@ -28,8 +28,8 @@ inline constexpr std::size_t kDataAlignment = 64;
 ///     aligned operator new, no manual over-allocate-and-offset);
 ///  2. plain construct() default-initialises, so vector::resize leaves
 ///     trivial elements uninitialised. Only used behind
-///     Matrix::uninitialized() and quantise outputs, where every element is
-///     overwritten before any read — skips a redundant memset.
+///     Matrix::uninitialized(), where every element is overwritten before
+///     any read — skips a redundant memset.
 template <typename T>
 struct AlignedAllocator {
     using value_type = T;

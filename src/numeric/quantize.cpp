@@ -4,23 +4,7 @@
 
 namespace fare {
 
-FixedMatrix quantize(const Matrix& m) {
-    FixedMatrix q;
-    q.rows = m.rows();
-    q.cols = m.cols();
-    q.data.resize(m.size());  // default-init: every element written below
-    simd::kernels().quantize_i16(m.flat().data(), q.data.data(), m.size());
-    return q;
-}
-
-Matrix dequantize(const FixedMatrix& q) {
-    Matrix m = Matrix::uninitialized(q.rows, q.cols);
-    simd::kernels().dequantize_i16(q.data.data(), m.flat().data(), q.data.size());
-    return m;
-}
-
 Matrix quantize_dequantize(const Matrix& m) {
-    // Fused: no intermediate FixedMatrix.
     Matrix out = Matrix::uninitialized(m.rows(), m.cols());
     simd::kernels().quantize_dequantize(m.flat().data(), out.flat().data(), m.size());
     return out;

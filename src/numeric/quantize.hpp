@@ -1,32 +1,11 @@
-// Matrix-level quantisation helpers bridging the float training world and the
+// Matrix-level quantisation helper bridging the float training world and the
 // fixed-point storage world of the simulated crossbars.
 #pragma once
-
-#include <cstdint>
-#include <vector>
 
 #include "numeric/fixed_point.hpp"
 #include "numeric/matrix.hpp"
 
 namespace fare {
-
-/// A matrix quantised to the hardware's 16-bit fixed-point grid. Storage is
-/// 64-byte aligned like Matrix so the SIMD quantise/dequantise kernels run
-/// on cache-line-aligned rows.
-struct FixedMatrix {
-    std::size_t rows = 0;
-    std::size_t cols = 0;
-    std::vector<std::int16_t, detail::AlignedAllocator<std::int16_t>> data;  // row-major
-
-    std::int16_t& at(std::size_t r, std::size_t c) { return data[r * cols + c]; }
-    std::int16_t at(std::size_t r, std::size_t c) const { return data[r * cols + c]; }
-};
-
-/// Quantise every element (round-to-nearest, saturating).
-FixedMatrix quantize(const Matrix& m);
-
-/// Dequantise back to float.
-Matrix dequantize(const FixedMatrix& q);
 
 /// Round-trip a float matrix through the fixed-point grid, i.e. the value the
 /// hardware would actually compute with in the absence of faults.

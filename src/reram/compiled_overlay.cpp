@@ -18,9 +18,8 @@ CompiledFaultOverlay::CompiledFaultOverlay(const WeightFaultGrid& grid,
 
     // O(faulty weights): the grid pre-folded each faulty weight's slices
     // into one AND/OR mask pair per row, so compiling is copying the mask
-    // arrays and offsetting the weight columns to flat indices. Sized up
-    // front — corrupt_weights() compiles per call, so reallocation here
-    // would be on the per-batch path.
+    // arrays and offsetting the weight columns to flat indices, sized up
+    // front.
     std::size_t total = 0;
     for (std::size_t r = 0; r < rows; ++r) {
         const std::size_t pr = perm.empty() ? r : perm[r];

@@ -12,10 +12,11 @@
 //     image' = (image & and_mask) | or_mask
 //
 // fix-up applied only at the faulty entries — at the paper's densities well
-// under 15% of weights are touched. Bit-identical to corrupt_fixed() (and
-// therefore to the mvm_engine readback path): a stuck-at-0 slice clears its
-// two image bits (AND), a stuck-at-1 slice sets them (OR); the masks are the
-// composition of all eight slices' effects.
+// under 15% of weights are touched. A stuck-at-0 slice clears its two image
+// bits (AND), a stuck-at-1 slice sets them (OR); the masks are the
+// composition of all eight slices' effects. Tests hold it bit-identical to
+// the per-cell scalar path and to the bit-sliced crossbar readback
+// (tests/oracle/).
 #pragma once
 
 #include <cstdint>
@@ -49,9 +50,9 @@ public:
 
     /// Effective weights: quantise -> dequantise every entry, apply the
     /// masked fix-up at the faulty entries, then optionally clamp everything
-    /// to [-clip, clip]. Bit-identical to corrupt_weights_permuted_reference
-    /// (and the ProgrammedWeights::read_effective readback). Both passes run
-    /// through the runtime-dispatched SIMD kernel table (common/simd.hpp).
+    /// to [-clip, clip] (the 16-bit comparator + 2:1 mux clipping unit).
+    /// Both passes run through the runtime-dispatched SIMD kernel table
+    /// (common/simd.hpp).
     Matrix apply(const Matrix& w, std::optional<float> clip = std::nullopt) const;
 
 private:

@@ -1,9 +1,12 @@
-// Value-corruption fast path: the effect of stuck cells on stored matrices.
+// Stuck cells under stored matrices: the per-cell fault grid of a weight
+// region and the binary adjacency block.
 //
 // Training applies faults by corrupting the *values* a crossbar would return
 // rather than simulating every analog MVM — exactly what the paper's
-// PyTorch-on-NeuroSim wrapper does (§V-A). Unit tests assert these functions
-// are bit-identical to reading back through reram/mvm_engine.hpp.
+// PyTorch-on-NeuroSim wrapper does (§V-A). CompiledFaultOverlay
+// (reram/compiled_overlay.hpp) applies a WeightFaultGrid to weights; unit
+// tests assert it is bit-identical to reading back through the bit-sliced
+// crossbar oracle (tests/oracle/mvm_engine.hpp).
 #pragma once
 
 #include <cstdint>
@@ -11,21 +14,22 @@
 #include <span>
 #include <vector>
 
-#include "numeric/matrix.hpp"
-#include "numeric/quantize.hpp"
+#include "numeric/fixed_point.hpp"
 #include "reram/fault_model.hpp"
 
 namespace fare {
 
 /// Dense per-cell fault grid covering a (rows x cols*8) cell region that
 /// stores a (rows x cols) weight matrix, assembled from per-crossbar fault
-/// maps in the same grid layout ProgrammedWeights uses.
+/// maps of a row-major crossbar grid: weight (r, c) occupies cells
+/// (r % xb_rows, (c % wpx) * 8 + s) of grid crossbar (r / xb_rows, c / wpx),
+/// where wpx = xb_cols / 8 and s indexes the MSB-first slices.
 class WeightFaultGrid {
 public:
     WeightFaultGrid() = default;
 
     /// Build for a (rows x cols) weight matrix from fault maps of the
-    /// row-major crossbar grid (same geometry as ProgrammedWeights).
+    /// row-major crossbar grid.
     WeightFaultGrid(std::size_t rows, std::size_t cols,
                     const std::vector<FaultMap>& grid_maps,
                     std::uint16_t xb_rows = 128, std::uint16_t xb_cols = 128);
@@ -43,8 +47,7 @@ public:
     /// the sign-magnitude cell image (a stuck-at-0 slice clears its two
     /// image bits, stuck-at-1 sets them). Pre-folded, structure-of-arrays:
     /// CompiledFaultOverlay compiles by memcpy-ing the mask arrays and
-    /// offsetting the columns — corrupt_weights() compiles an overlay on
-    /// every call, so this is on the per-batch path.
+    /// offsetting the columns.
     struct RowMasks {
         std::span<const std::uint32_t> cols;       ///< weight columns
         std::span<const std::uint16_t> and_masks;  ///< faulty slices cleared
@@ -76,36 +79,6 @@ private:
     std::size_t num_faults_ = 0;
 };
 
-/// Apply stuck-cell corruption to a single fixed-point value.
-std::int16_t corrupt_fixed(std::int16_t q, const WeightFaultGrid& grid, std::size_t r,
-                           std::size_t c);
-
-/// Effective weight matrix the tile computes with: quantise -> slice ->
-/// stuck-cell overlay -> shift-and-add -> dequantise, then optionally clamp
-/// to [-clip, clip] (the 16-bit comparator + 2:1 mux clipping unit).
-/// Implemented by compiling a CompiledFaultOverlay on the fly; hot callers
-/// that apply the same fault pattern repeatedly (the training loop) should
-/// compile once and call CompiledFaultOverlay::apply per batch instead.
-Matrix corrupt_weights(const Matrix& w, const WeightFaultGrid& grid,
-                       std::optional<float> clip = std::nullopt);
-
-/// Same, but with a logical->physical row permutation applied first (the
-/// neuron-reordering baseline moves whole weight rows): logical row r is
-/// stored at physical row perm[r].
-Matrix corrupt_weights_permuted(const Matrix& w, const WeightFaultGrid& grid,
-                                const std::vector<std::uint16_t>& perm,
-                                std::optional<float> clip = std::nullopt);
-
-/// Scalar reference implementations (the pre-overlay code path): one checked
-/// slice_fault lookup per cell per weight through corrupt_fixed. Kept as the
-/// oracle for the overlay-equivalence tests and as the baseline the
-/// bench_micro_corruption speedup is measured against. Not for hot loops.
-Matrix corrupt_weights_reference(const Matrix& w, const WeightFaultGrid& grid,
-                                 std::optional<float> clip = std::nullopt);
-Matrix corrupt_weights_permuted_reference(const Matrix& w, const WeightFaultGrid& grid,
-                                          const std::vector<std::uint16_t>& perm,
-                                          std::optional<float> clip = std::nullopt);
-
 /// Dense binary adjacency block (paper: adjacency is stored 1 bit per cell).
 struct BinaryBlock {
     std::uint16_t size = 0;            ///< block is (size x size)
@@ -120,12 +93,6 @@ struct BinaryBlock {
     /// Fraction of ones (the paper's "edge density" of a block).
     double edge_density() const;
 };
-
-/// Effective adjacency block after storing it on a faulty crossbar with
-/// logical row r placed at physical row perm[r]: SA1 adds an edge bit, SA0
-/// deletes one (paper Fig. 1b).
-BinaryBlock corrupt_adjacency_block(const BinaryBlock& block, const FaultMap& map,
-                                    const std::vector<std::uint16_t>& perm);
 
 /// Identity permutation of length n.
 std::vector<std::uint16_t> identity_perm(std::uint16_t n);

@@ -60,6 +60,11 @@ const CellResult& ResultSet::at_wear(Scheme scheme,
 }
 
 CellResult run_cell(const CellSpec& spec) {
+    // A spec decoded from the wire or a hand-built one reaches here with
+    // its chip fields unchecked; an out-of-range field (a prune fraction
+    // above 1, say) would index past the model's buffers.
+    if (const std::string error = chip_field_error(spec); !error.empty())
+        throw InvalidArgument(error);
     CellResult result;
     result.spec = spec;
     Stopwatch watch;

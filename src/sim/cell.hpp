@@ -142,7 +142,8 @@ public:
 };
 
 /// Execute one cell synchronously, bypassing any session machinery. Every
-/// executor and worker lands here.
+/// executor and worker lands here. Throws InvalidArgument, before building
+/// anything, when a chip field lies outside its range (chip_field_error).
 CellResult run_cell(const CellSpec& spec);
 
 }  // namespace fare

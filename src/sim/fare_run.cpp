@@ -297,10 +297,7 @@ int merge(const std::string& out_path, const std::vector<std::string>& inputs,
 }
 
 int parse_ms(const std::string& arg, const std::string& s) {
-    const Expected<double> n = parse_double(s);
-    if (!n || n.value() < 0 || n.value() > 1e9)
-        throw InvalidArgument("bad " + arg + ": '" + s + "'");
-    return static_cast<int>(n.value());
+    return parse_flag(arg, s, 0, 1'000'000'000);
 }
 
 /// --port-file: how scripts rendezvous with an ephemeral --listen/--serve
@@ -541,19 +538,14 @@ int run(int argc, char** argv) {
             Expected<ShardSpec> shard = parse_shard(value());
             if (!shard) throw InvalidArgument(shard.error());
             options.shard = shard.value();
-        } else if (arg == "--threads") {
-            const Expected<double> n = parse_double(value());
-            if (!n || n.value() < 0) throw InvalidArgument("bad --threads");
-            options.threads = static_cast<std::size_t>(n.value());
-        } else if (arg == "--simd") options.simd = value();
+        } else if (arg == "--threads")
+            options.threads = parse_flag<std::size_t>(arg, value(), 0);
+        else if (arg == "--simd") options.simd = value();
         else if (arg == "--cache-dir") cache_dir = value();
         else if (arg == "--cache-max-bytes") cache_max_bytes = parse_bytes(value());
         else if (arg == "--cache-compact") cache_compact = true;
-        else if (arg == "--epochs") {
-            const Expected<double> e = parse_double(value());
-            if (!e || e.value() < 1) throw InvalidArgument("bad --epochs");
-            epochs = static_cast<std::size_t>(e.value());
-        } else if (arg == "--out") out_path = value();
+        else if (arg == "--epochs") epochs = parse_flag<std::size_t>(arg, value(), 1);
+        else if (arg == "--out") out_path = value();
         else if (arg == "--json") json_path = value();
         else if (arg == "--canonical") canonical = true;
         else if (arg == "--stats") stats = true;
@@ -564,20 +556,14 @@ int run(int argc, char** argv) {
         else if (arg == "--serve") serve_spec = value();
         else if (arg == "--submit") submit_spec = value();
         else if (arg == "--port-file") port_file = value();
-        else if (arg == "--min-workers") {
-            const Expected<double> n = parse_double(value());
-            if (!n || n.value() < 1) throw InvalidArgument("bad --min-workers");
-            min_workers = static_cast<std::size_t>(n.value());
-        }
+        else if (arg == "--min-workers")
+            min_workers = parse_flag<std::size_t>(arg, value(), 1);
         else if (arg == "--heartbeat-timeout-ms")
             fabric.heartbeat_timeout_ms = parse_ms(arg, value());
         else if (arg == "--cell-deadline-ms")
             fabric.cell_deadline_ms = parse_ms(arg, value());
-        else if (arg == "--max-attempts") {
-            const Expected<double> n = parse_double(value());
-            if (!n || n.value() < 1) throw InvalidArgument("bad --max-attempts");
-            fabric.max_attempts = static_cast<int>(n.value());
-        }
+        else if (arg == "--max-attempts")
+            fabric.max_attempts = parse_flag(arg, value(), 1);
         else if (arg == "--retry-backoff-ms")
             fabric.retry_backoff_ms = parse_ms(arg, value());
         else if (arg == "--secret") fabric.secret = value();

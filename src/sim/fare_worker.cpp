@@ -60,24 +60,15 @@ int run(int argc, char** argv) {
         if (arg == "--help" || arg == "-h") return usage(std::cout, 0);
         if (arg == "--connect") endpoint = value();
         else if (arg == "--secret") options.secret = value();
-        else if (arg == "--connect-retry-ms") {
-            const Expected<double> n = parse_double(value());
-            if (!n || n.value() < 0)
-                throw InvalidArgument("bad --connect-retry-ms");
-            options.connect_retry_ms = static_cast<int>(n.value());
-        } else if (arg == "--heartbeat-ms") {
-            const Expected<double> n = parse_double(value());
-            if (!n || n.value() < 1) throw InvalidArgument("bad --heartbeat-ms");
-            options.heartbeat_interval_ms = static_cast<int>(n.value());
-        } else if (arg == "--hang-after") {
-            const Expected<double> n = parse_double(value());
-            if (!n || n.value() < 1) throw InvalidArgument("bad --hang-after");
-            options.hang_after = static_cast<std::size_t>(n.value());
-        } else if (arg == "--quit-after") {
-            const Expected<double> n = parse_double(value());
-            if (!n || n.value() < 1) throw InvalidArgument("bad --quit-after");
-            options.quit_after = static_cast<std::size_t>(n.value());
-        } else if (arg == "--quiet") {
+        else if (arg == "--connect-retry-ms")
+            options.connect_retry_ms = parse_flag(arg, value(), 0);
+        else if (arg == "--heartbeat-ms")
+            options.heartbeat_interval_ms = parse_flag(arg, value(), 1);
+        else if (arg == "--hang-after")
+            options.hang_after = parse_flag<std::size_t>(arg, value(), 1);
+        else if (arg == "--quit-after")
+            options.quit_after = parse_flag<std::size_t>(arg, value(), 1);
+        else if (arg == "--quiet") {
             options.log = nullptr;
         } else {
             std::cerr << "fare-worker: unknown argument " << arg << "\n\n";

@@ -37,8 +37,7 @@ Expected<ShardSpec> parse_shard(const std::string& text) {
     return shard;
 }
 
-PlanScheduler::PlanScheduler(ShardSpec shard, bool dedup)
-    : shard_(shard), dedup_(dedup) {
+PlanScheduler::PlanScheduler(ShardSpec shard) : shard_(shard) {
     FARE_CHECK(shard_.count >= 1, "shard count must be >= 1");
     FARE_CHECK(shard_.index < shard_.count,
                "shard index " + std::to_string(shard_.index) +
@@ -53,17 +52,9 @@ ScheduledPlan PlanScheduler::schedule(const ExperimentPlan& plan) const {
     std::unordered_map<std::string, std::size_t> job_of_key;
     for (std::size_t i = 0; i < plan.cells.size(); ++i) {
         sched.keys.push_back(plan.cells[i].key());
-        std::size_t job;
-        if (dedup_) {
-            const auto [it, fresh] =
-                job_of_key.emplace(sched.keys.back(), sched.rep_cell.size());
-            job = it->second;
-            if (fresh) sched.rep_cell.push_back(i);
-        } else {
-            job = sched.rep_cell.size();
-            sched.rep_cell.push_back(i);
-        }
-        sched.job_of_cell.push_back(job);
+        const auto [it, fresh] = job_of_key.emplace(sched.keys.back(), sched.rep_cell.size());
+        if (fresh) sched.rep_cell.push_back(i);
+        sched.job_of_cell.push_back(it->second);
     }
 
     for (std::size_t job = 0; job < sched.num_jobs(); ++job)

@@ -39,8 +39,8 @@ Expected<ShardSpec> parse_shard(const std::string& text);
 struct ScheduledPlan {
     /// Canonical key per plan cell (parallel to plan.cells).
     std::vector<std::string> keys;
-    /// Unique-job index per plan cell. With deduplication every cell of the
-    /// same key maps to one job; without, every cell is its own job.
+    /// Unique-job index per plan cell: every cell of the same key maps to
+    /// one job.
     std::vector<std::size_t> job_of_cell;
     /// Job -> plan index of its first appearance (the representative spec).
     std::vector<std::size_t> rep_cell;
@@ -54,15 +54,12 @@ struct ScheduledPlan {
 
 class PlanScheduler {
 public:
-    /// `dedup` off makes every listed cell its own job (SessionOptions::
-    /// memoize == false: repeats re-execute).
-    explicit PlanScheduler(ShardSpec shard = {}, bool dedup = true);
+    explicit PlanScheduler(ShardSpec shard = {});
 
     ScheduledPlan schedule(const ExperimentPlan& plan) const;
 
 private:
     ShardSpec shard_;
-    bool dedup_;
 };
 
 /// Reassemble shard runs of one plan into the plan-ordered ResultSet a

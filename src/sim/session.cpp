@@ -46,7 +46,7 @@ std::size_t SimSession::threads() const { return executor_->width(); }
 std::size_t SimSession::cache_entries() const { return cache_->size(); }
 
 ResultSet SimSession::run(const ExperimentPlan& plan) {
-    const PlanScheduler scheduler(options_.shard, options_.memoize);
+    const PlanScheduler scheduler(options_.shard);
     const ScheduledPlan sched = scheduler.schedule(plan);
 
     // Report slot per owned plan cell, and owned plan cells per job
@@ -88,15 +88,11 @@ ResultSet SimSession::run(const ExperimentPlan& plan) {
     // whole plan immediately).
     std::vector<std::size_t> to_run;
     for (const std::size_t job : sched.owned_jobs) {
-        if (options_.memoize) {
-            const std::optional<CellResult> hit =
-                cache_->lookup(sched.keys[sched.rep_cell[job]]);
-            if (hit) {
-                deliver_job(job, *hit, /*executed_here=*/false);
-                continue;
-            }
-        }
-        to_run.push_back(job);
+        const std::optional<CellResult> hit = cache_->lookup(sched.keys[sched.rep_cell[job]]);
+        if (hit)
+            deliver_job(job, *hit, /*executed_here=*/false);
+        else
+            to_run.push_back(job);
     }
     cache_hits_ += sched.owned_cells.size() - to_run.size();
 
@@ -110,8 +106,7 @@ ResultSet SimSession::run(const ExperimentPlan& plan) {
         const std::size_t job = to_run[j];
         // Store before delivery: once a cell is observable anywhere it is
         // also durable, so a crash mid-run resumes past every finished cell.
-        if (options_.memoize)
-            cache_->store(sched.keys[sched.rep_cell[job]], result);
+        cache_->store(sched.keys[sched.rep_cell[job]], result);
         deliver_job(job, result, /*executed_here=*/true);
         if (options_.progress) {
             std::lock_guard<std::mutex> lock(progress_mutex);

@@ -45,9 +45,6 @@ struct SessionOptions {
     /// Worker threads; 0 = auto (FARE_THREADS env, else hardware
     /// concurrency). 1 forces serial execution.
     std::size_t threads = 0;
-    /// Serve repeated cell keys from the cache. Off: every listed cell
-    /// executes, repeats included, and the cache is bypassed entirely.
-    bool memoize = true;
     /// If set, one progress dot is printed per executed cell.
     std::ostream* progress = nullptr;
     /// Run only this slice of the plan's unique cells (default: all of it).

@@ -1,7 +1,11 @@
 // Structured-error parsing for CLI-facing lookups: Expected<T> semantics,
-// workload lookup, and the model / scheme name parsers.
+// the strict integer parser behind the drivers' flags, workload lookup, and
+// the model / scheme name parsers.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <string>
 #include <utility>
 
 #include "common/error.hpp"
@@ -22,6 +26,47 @@ TEST(ExpectedTest, ValueAndErrorChannels) {
     EXPECT_EQ(bad.error(), "nope");
     EXPECT_EQ(bad.value_or(7), 7);
     EXPECT_THROW(bad.value(), std::logic_error);
+}
+
+// The integer flags of fare-run and fare-worker (--epochs, --threads, the
+// *-ms timeouts, ...) and FARE_EPOCHS / FARE_THREADS parse this way: a
+// value that is not a plain decimal integer in range is an error, never a
+// truncation or a cast of NaN.
+const char* const kNotIntegers[] = {"2.9", "nan", "inf", "1e3", "-1", "+4", "", " 5", "5 ",
+                                    "0x10", "99999999999999999999999"};
+
+TEST(ParseIntegerTest, AcceptsOnlyDecimalDigitsInRange) {
+    EXPECT_EQ(parse_integer<std::size_t>("2", 1).value(), 2u);
+    EXPECT_EQ(parse_integer<std::size_t>("0", 0).value(), 0u);
+    EXPECT_EQ(parse_integer<std::size_t>("007", 1).value(), 7u);
+    const std::size_t max = std::numeric_limits<std::size_t>::max();
+    EXPECT_EQ(parse_integer<std::size_t>(std::to_string(max), 1).value(), max);
+    for (const char* bad : kNotIntegers)
+        EXPECT_FALSE(parse_integer<std::size_t>(bad, 0).ok()) << "'" << bad << "'";
+
+    // Past the type's or the caller's bound is out of range, not a wrap.
+    EXPECT_EQ(parse_integer<int>("2147483647", 0).value(), 2147483647);
+    EXPECT_FALSE(parse_integer<int>("2147483648", 0).ok());
+    EXPECT_FALSE(parse_integer<std::uint64_t>("18446744073709551616", 0).ok());
+    EXPECT_EQ(parse_integer<int>("1000000000", 0, 1'000'000'000).value(), 1'000'000'000);
+    EXPECT_FALSE(parse_integer<int>("1000000001", 0, 1'000'000'000).ok());
+    EXPECT_FALSE(parse_integer<std::size_t>("0", 1).ok());
+}
+
+TEST(ParseIntegerTest, FlagErrorsNameTheFlagAndTheValue) {
+    EXPECT_EQ(parse_flag<std::size_t>("--epochs", "3", 1), 3u);
+    EXPECT_EQ(parse_flag("--heartbeat-timeout-ms", "0", 0, 1'000'000'000), 0);
+    for (const char* bad : kNotIntegers) {
+        try {
+            parse_flag<std::size_t>("--epochs", bad, 1);
+            ADD_FAILURE() << "accepted --epochs '" << bad << "'";
+        } catch (const InvalidArgument& e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find("--epochs"), std::string::npos) << what;
+            EXPECT_NE(what.find(std::string("'") + bad + "'"), std::string::npos) << what;
+        }
+    }
+    EXPECT_THROW(parse_flag<std::size_t>("--epochs", "0", 1), InvalidArgument);
 }
 
 TEST(RegistryParseTest, TryFindWorkload) {

@@ -4,6 +4,8 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "oracle/corruption_reference.hpp"
+#include "reram/compiled_overlay.hpp"
 
 namespace fare {
 namespace {
@@ -30,25 +32,12 @@ TEST(CorruptFixedTest, Sa1MsbExplodes) {
     EXPECT_GT(std::abs(faulty), 60.0f);
 }
 
-TEST(CorruptWeightsTest, ClipBoundsEffectiveValues) {
-    FaultMap map(32, 32);
-    map.add(0, 0, FaultType::kSA1);  // MSB of weight (0,0)
-    const WeightFaultGrid grid(32, 4, {map}, 32, 32);
-    Matrix w(32, 4, 0.5f);
-    const Matrix unclipped = corrupt_weights(w, grid);
-    EXPECT_GT(unclipped.max_abs(), 60.0f);
-    const Matrix clipped = corrupt_weights(w, grid, 2.0f);
-    EXPECT_LE(clipped.max_abs(), 2.0f);
-    // Healthy weights untouched by clipping at this threshold.
-    EXPECT_FLOAT_EQ(clipped(5, 2), 0.5f);
-}
-
 TEST(CorruptWeightsTest, NoFaultsMeansQuantizationOnly) {
     const WeightFaultGrid grid(32, 4, {FaultMap(32, 32)}, 32, 32);
     Rng rng(1);
     Matrix w(32, 4);
     for (auto& v : w.flat()) v = rng.uniform(-1.0f, 1.0f);
-    const Matrix out = corrupt_weights(w, grid);
+    const Matrix out = CompiledFaultOverlay(grid, w.rows(), w.cols()).apply(w);
     EXPECT_LE(max_abs_diff(out, w), kFixedStep / 2.0f + 1e-6f);
 }
 
@@ -59,20 +48,14 @@ TEST(CorruptWeightsPermutedTest, PermutationRelocatesExposure) {
     Matrix w(4, 4, 0.25f);
 
     // Identity: logical row 0 explodes.
-    const Matrix id = corrupt_weights(w, grid);
+    const Matrix id = CompiledFaultOverlay(grid, w.rows(), w.cols()).apply(w);
     EXPECT_GT(std::abs(id(0, 0)), 60.0f);
 
     // Relocate logical row 0 to clean physical row 10; park row 2 at 0.
-    std::vector<std::uint16_t> perm{10, 1, 0, 3};
-    const Matrix moved = corrupt_weights_permuted(w, grid, perm);
+    const std::vector<std::uint16_t> perm{10, 1, 0, 3};
+    const Matrix moved = CompiledFaultOverlay(grid, w.rows(), w.cols(), perm).apply(w);
     EXPECT_FLOAT_EQ(moved(0, 0), 0.25f);
     EXPECT_GT(std::abs(moved(2, 0)), 60.0f);
-}
-
-TEST(CorruptWeightsTest, PermSizeValidated) {
-    const WeightFaultGrid grid(32, 4, {FaultMap(32, 32)}, 32, 32);
-    Matrix w(4, 4);
-    EXPECT_THROW(corrupt_weights_permuted(w, grid, {0, 1}), InvalidArgument);
 }
 
 TEST(BinaryBlockTest, EdgeDensity) {

@@ -6,6 +6,7 @@
 
 #include "common/rng.hpp"
 #include "numeric/quantize.hpp"
+#include "oracle/fixed_matrix.hpp"
 
 namespace fare {
 namespace {

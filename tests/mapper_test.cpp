@@ -8,6 +8,8 @@
 #include <numeric>
 
 #include "common/rng.hpp"
+#include "oracle/corruption_reference.hpp"
+#include "oracle/row_matcher_reference.hpp"
 
 namespace fare {
 namespace {

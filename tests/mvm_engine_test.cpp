@@ -1,11 +1,12 @@
-#include "reram/mvm_engine.hpp"
+#include "oracle/mvm_engine.hpp"
 
 #include "common/error.hpp"
 
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
-#include "reram/corruption.hpp"
+#include "numeric/quantize.hpp"
+#include "reram/compiled_overlay.hpp"
 
 namespace fare {
 namespace {
@@ -79,7 +80,7 @@ TEST(MvmEngineTest, EffectiveReadMatchesCorruptionFastPath) {
     const Matrix via_engine = dequantize(pw.read_effective());
 
     const WeightFaultGrid grid(rows, cols, maps, 32, 32);
-    const Matrix via_corruption = corrupt_weights(w, grid);
+    const Matrix via_corruption = CompiledFaultOverlay(grid, rows, cols).apply(w);
 
     EXPECT_EQ(via_engine, via_corruption);  // bit-identical
 }
@@ -122,7 +123,7 @@ TEST_P(EnginePathEquivalence, BitIdentical) {
     pw.set_fault_maps(maps);
     pw.program(w);
     const WeightFaultGrid grid(rows, cols, maps, 32, 32);
-    EXPECT_EQ(dequantize(pw.read_effective()), corrupt_weights(w, grid));
+    EXPECT_EQ(dequantize(pw.read_effective()), CompiledFaultOverlay(grid, rows, cols).apply(w));
 }
 
 INSTANTIATE_TEST_SUITE_P(DensitySweep, EnginePathEquivalence,

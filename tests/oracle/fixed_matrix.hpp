@@ -1,0 +1,28 @@
+// A matrix on the hardware's 16-bit fixed-point grid, for the oracles that
+// model the bit-sliced crossbars value by value (oracle/mvm_engine.hpp).
+#pragma once
+
+#include <cstdint>
+#include <vector>
+
+#include "numeric/fixed_point.hpp"
+#include "numeric/matrix.hpp"
+
+namespace fare {
+
+struct FixedMatrix {
+    std::size_t rows = 0;
+    std::size_t cols = 0;
+    std::vector<std::int16_t> data;  // row-major
+
+    std::int16_t& at(std::size_t r, std::size_t c) { return data[r * cols + c]; }
+    std::int16_t at(std::size_t r, std::size_t c) const { return data[r * cols + c]; }
+};
+
+/// float_to_fixed on every element (round-to-nearest, saturating).
+FixedMatrix quantize(const Matrix& m);
+
+/// fixed_to_float on every element.
+Matrix dequantize(const FixedMatrix& q);
+
+}  // namespace fare

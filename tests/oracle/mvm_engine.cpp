@@ -1,4 +1,4 @@
-#include "reram/mvm_engine.hpp"
+#include "oracle/mvm_engine.hpp"
 
 #include "common/error.hpp"
 

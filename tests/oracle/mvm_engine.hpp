@@ -7,15 +7,16 @@
 // accumulation (paper §III-A, Fig. 1a).
 //
 // The training loop does NOT run every MVM through this engine — it uses the
-// value-corruption fast path in reram/corruption.hpp, which tests assert is
+// compiled fault overlay (reram/compiled_overlay.hpp), which tests assert is
 // bit-identical to this engine (docs/performance.md, *Equivalence contract*).
+// A test oracle: only the test and bench targets link it.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "numeric/matrix.hpp"
-#include "numeric/quantize.hpp"
+#include "oracle/fixed_matrix.hpp"
 #include "reram/crossbar.hpp"
 
 namespace fare {

@@ -13,6 +13,7 @@
 #include "graph/generators.hpp"
 #include "graph/subgraph.hpp"
 #include "models/gnn/batch_view.hpp"
+#include "reram/compiled_overlay.hpp"
 #include "sim/session.hpp"
 
 namespace fare {
@@ -147,7 +148,7 @@ TEST(PropertyTest, ClipBoundHoldsForAllDensities) {
         cfg.seed = 23;
         const auto maps = inject_faults(1, 32, 64, cfg);
         const WeightFaultGrid grid(32, 8, maps, 32, 64);
-        const Matrix eff = corrupt_weights(w, grid, 1.0f);
+        const Matrix eff = CompiledFaultOverlay(grid, w.rows(), w.cols()).apply(w, 1.0f);
         EXPECT_LE(eff.max_abs(), 1.0f) << "density " << density;
     }
 }

@@ -151,9 +151,9 @@ TEST(RemoteExecutorTest, PoisonCellFailsFastWithResourceError) {
     Fleet fleet(config, {WorkerOptions{}});
 
     // A density poked past the builder's validation decodes fine but makes
-    // run_cell() throw on the worker; the worker reports cell_error, the
-    // coordinator re-deals, and after max_attempts the plan fails instead
-    // of spinning forever.
+    // run_cell() throw on the worker (its range check names the field); the
+    // worker reports cell_error, the coordinator re-deals, and after
+    // max_attempts the plan fails instead of spinning forever.
     ExperimentPlan plan;
     plan.name = "poison";
     CellSpec bad;
@@ -169,8 +169,7 @@ TEST(RemoteExecutorTest, PoisonCellFailsFastWithResourceError) {
         FAIL() << "poison plan should have thrown";
     } catch (const ResourceError& e) {
         EXPECT_NE(std::string(e.what()).find("attempt"), std::string::npos);
-        EXPECT_NE(std::string(e.what()).find("must lie in [0,1]"),
-                  std::string::npos)
+        EXPECT_NE(std::string(e.what()).find("field 'density'"), std::string::npos)
             << e.what();
     }
     // The pool survives a failed plan: the worker is still connected and a

@@ -10,6 +10,7 @@
 #include "common/rng.hpp"
 #include "fare/bsuitor.hpp"
 #include "fare/hungarian.hpp"
+#include "oracle/row_matcher_reference.hpp"
 
 namespace fare {
 namespace {

@@ -1,11 +1,15 @@
 // CellResult <-> JSON round trip (the DiskCellCache / fare-run record
 // format): bit-exact field recovery including doubles, 64-bit seeds and the
 // training curve; schema versioning and the reader rule; canonicalization;
-// corrupt-input tolerance via Expected, down to seeded mutations of records
-// and result frames.
+// corrupt-input tolerance via Expected, down to seeded mutations of records,
+// wire frames and the golden display lines.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
+#include <filesystem>
+#include <fstream>
+#include <optional>
 #include <utility>
 
 #include "common/rng.hpp"
@@ -460,6 +464,29 @@ TEST(SerializationTest, CellSpecRoundTripsStandalone) {
     EXPECT_FALSE(cell_spec_from_json(parse_json("{}").value()).ok());
 }
 
+TEST(SerializationTest, RunCellRejectsADecodedOutOfRangeSpec) {
+    // cell_spec_from_json leaves chip-field ranges to run_cell, which must
+    // throw, naming the field, before it builds a dataset or a model: a
+    // prune fraction past 1 would index past the pruning order.
+    CellSpec spec;
+    spec.workload = find_workload("transformer", "SeqCls");
+    spec.scheme = Scheme::kFARe;
+    spec.faults = FaultScenario::pre_deployment(0.03, 0.5);
+    spec.hardware.prune_fraction = 1.5;
+    spec.epochs = 1;
+    const Expected<JsonValue> doc = parse_json(cell_spec_to_json(spec));
+    ASSERT_TRUE(doc.ok()) << doc.error();
+    const Expected<CellSpec> decoded = cell_spec_from_json(doc.value());
+    ASSERT_TRUE(decoded.ok()) << decoded.error();
+    try {
+        run_cell(decoded.value());
+        ADD_FAILURE() << "run_cell accepted prune_fraction 1.5";
+    } catch (const InvalidArgument& e) {
+        EXPECT_NE(std::string(e.what()).find("'prune_fraction'"), std::string::npos)
+            << e.what();
+    }
+}
+
 TEST(SerializationTest, ParserRejectsTrailingGarbage) {
     EXPECT_TRUE(parse_json("{\"a\":1}").ok());
     EXPECT_FALSE(parse_json("{\"a\":1} extra").ok());
@@ -633,15 +660,15 @@ TEST(SerializationTest, MismatchedFamilyModelIsCorrupt) {
 }
 
 // ---------------------------------------------------------------------------
-// Seeded mutations of records and result frames: every input reads as a
-// value or fails as an Expected error, and what is accepted re-serialises
-// to bytes that read back to the same bytes.
+// Seeded mutations of records, wire frames and the golden display lines:
+// every input reads as a value or fails as an Expected error, and what is
+// accepted re-serialises to bytes that read back to the same bytes.
 // ---------------------------------------------------------------------------
 
 /// Record lines the mutations start from: the v2 and v3 fixtures, and v5
 /// records of a GNN cell, a pruned transformer cell and a cell with online
 /// stats and a curve.
-std::vector<std::string> mutation_seeds() {
+std::vector<std::string> record_seeds() {
     CellRecord gnn;
     gnn.plan = "smoke";
     gnn.key = "k-gnn";
@@ -657,6 +684,33 @@ std::vector<std::string> mutation_seeds() {
     online.result = sample_result();
     return {kV2Line, kV3Line, cell_record_to_json(gnn), cell_record_to_json(transformer),
             cell_record_to_json(online)};
+}
+
+/// Assign frames of the three record seeds' specs, and submit frames with
+/// and without an epoch override.
+std::vector<std::string> frame_seeds() {
+    std::vector<std::string> frames;
+    for (const std::string& line : record_seeds())
+        frames.push_back(
+            net::encode_message(net::make_assign(7, cell_record_from_json(line).value().result.spec)));
+    frames.push_back(net::encode_message(net::make_submit("smoke", 2)));
+    frames.push_back(net::encode_message(net::make_submit("fig5", std::nullopt)));
+    return frames;
+}
+
+/// Every line of tests/golden/*.json (the display format), in file-name
+/// order.
+std::vector<std::string> golden_seeds() {
+    std::vector<std::filesystem::path> files;
+    for (const auto& entry : std::filesystem::directory_iterator(FARE_GOLDEN_DIR))
+        if (entry.path().extension() == ".json") files.push_back(entry.path());
+    std::sort(files.begin(), files.end());
+    std::vector<std::string> lines;
+    for (const std::filesystem::path& file : files) {
+        std::ifstream in(file, std::ios::binary);
+        for (std::string line; std::getline(in, line);) lines.push_back(line);
+    }
+    return lines;
 }
 
 /// Where each member key of `line` opens.
@@ -687,6 +741,7 @@ std::string mutate(std::string line, const std::string& other, Rng& rng) {
         case 3:  // drop one or two members
             for (std::uint64_t n = 1 + rng.next_below(2); n > 0; --n) {
                 const std::vector<std::size_t> keys = member_keys(line);
+                if (keys.empty()) break;
                 line = erase_member(line, keys[rng.next_below(keys.size())]);
             }
             return line;
@@ -699,6 +754,7 @@ std::string mutate(std::string line, const std::string& other, Rng& rng) {
                 if ((line[i - 1] == ':' || line[i - 1] == ',' || line[i - 1] == '[') &&
                     (line[i] == '-' || std::isdigit(static_cast<unsigned char>(line[i]))))
                     numbers.push_back(i);
+            if (numbers.empty()) return line;
             const std::size_t begin = numbers[rng.next_below(numbers.size())];
             return line.replace(begin, value_end(line, begin) - begin,
                                 kWide[rng.next_below(std::size(kWide))]);
@@ -706,10 +762,41 @@ std::string mutate(std::string line, const std::string& other, Rng& rng) {
     }
 }
 
-/// `line` read as a record and, from its "result" key on, as a result
-/// frame: each is a value or an Expected error, and an accepted one
-/// re-serialises to bytes that read back to the same bytes.
+/// `value` written back as JSON: members and items in order, numbers as
+/// their raw tokens, strings through json_escape.
+std::string to_json(const JsonValue& value) {
+    switch (value.kind) {
+        case JsonValue::Kind::kNull: return "null";
+        case JsonValue::Kind::kBool: return value.boolean ? "true" : "false";
+        case JsonValue::Kind::kNumber: return value.text;
+        case JsonValue::Kind::kString: return '"' + json_escape(value.text) + '"';
+        case JsonValue::Kind::kObject: {
+            std::string out = "{";
+            for (const auto& [key, member] : value.members)
+                out += (out.size() > 1 ? ",\"" : "\"") + json_escape(key) + "\":" + to_json(member);
+            return out + '}';
+        }
+        case JsonValue::Kind::kArray: {
+            std::string out = "[";
+            for (const JsonValue& item : value.items)
+                out += (out.size() > 1 ? "," : "") + to_json(item);
+            return out + ']';
+        }
+    }
+    return "";
+}
+
+/// `line` read as a JSON document, as a record, as a frame and, from its
+/// "result" key on, as a result frame: each is a value or an Expected error,
+/// and an accepted one re-serialises to bytes that read back to the same
+/// bytes.
 void expect_stable(const std::string& line) {
+    if (const Expected<JsonValue> doc = parse_json(line)) {
+        const std::string bytes = to_json(doc.value());
+        const Expected<JsonValue> again = parse_json(bytes);
+        ASSERT_TRUE(again.ok()) << again.error() << "\n" << line;
+        EXPECT_EQ(to_json(again.value()), bytes) << line;
+    }
     if (const Expected<CellRecord> record = cell_record_from_json(line)) {
         const std::string bytes = cell_record_to_json(record.value());
         const Expected<CellRecord> again = cell_record_from_json(bytes);
@@ -717,39 +804,66 @@ void expect_stable(const std::string& line) {
         EXPECT_EQ(cell_record_to_json(again.value()), bytes) << line;
     }
     const std::size_t result = line.find("\"result\":");
-    const std::string frame = "{\"type\":\"result\",\"job\":7," +
-                              (result == std::string::npos ? line : line.substr(result));
-    if (const Expected<net::WireMessage> message = net::decode_message(frame)) {
-        const std::string bytes = net::encode_message(message.value());
-        const Expected<net::WireMessage> again = net::decode_message(bytes);
-        ASSERT_TRUE(again.ok()) << again.error() << "\n" << frame;
-        EXPECT_EQ(net::encode_message(again.value()), bytes) << frame;
+    const std::string result_frame =
+        "{\"type\":\"result\",\"job\":7," +
+        (result == std::string::npos ? line : line.substr(result));
+    for (const std::string& frame : {line, result_frame})
+        if (const Expected<net::WireMessage> message = net::decode_message(frame)) {
+            const std::string bytes = net::encode_message(message.value());
+            const Expected<net::WireMessage> again = net::decode_message(bytes);
+            ASSERT_TRUE(again.ok()) << again.error() << "\n" << frame;
+            EXPECT_EQ(net::encode_message(again.value()), bytes) << frame;
+        }
+}
+
+/// Feeds every seed, every single-member deletion of it and `mutations`
+/// seeded mutations (partners drawn from the same seeds) to expect_stable.
+/// Returns how many inputs `accepts` took.
+template <class Accepts>
+std::size_t fuzz(const std::vector<std::string>& seeds, int mutations, std::uint64_t seed,
+                 Accepts&& accepts) {
+    std::size_t accepted = 0;
+    for (const std::string& line : seeds) {
+        EXPECT_TRUE(accepts(line)) << line;
+        expect_stable(line);
+        for (const std::size_t key : member_keys(line)) {  // every single deletion
+            const std::string deleted = erase_member(line, key);
+            accepted += accepts(deleted);
+            expect_stable(deleted);
+        }
     }
+    Rng rng(seed);
+    for (int i = 0; i < mutations; ++i) {
+        const std::string& line = seeds[rng.next_below(seeds.size())];
+        const std::string& other = seeds[rng.next_below(seeds.size())];
+        const std::string mutated = mutate(line, other, rng);
+        accepted += accepts(mutated);
+        expect_stable(mutated);
+        if (::testing::Test::HasFatalFailure()) break;
+    }
+    return accepted;
 }
 
 TEST(SerializationTest, MutatedRecordsAndFramesFailCleanly) {
-    const std::vector<std::string> seeds = mutation_seeds();
-    std::size_t accepted = 0;
-    for (const std::string& seed : seeds) {
-        ASSERT_TRUE(cell_record_from_json(seed).ok()) << seed;
-        expect_stable(seed);
-        for (const std::size_t key : member_keys(seed)) {  // every single deletion
-            const std::string line = erase_member(seed, key);
-            accepted += cell_record_from_json(line).ok();
-            expect_stable(line);
-        }
-    }
-    Rng rng(0xFA2E);
-    for (int i = 0; i < 4000; ++i) {
-        const std::string& seed = seeds[rng.next_below(seeds.size())];
-        const std::string& other = seeds[rng.next_below(seeds.size())];
-        const std::string line = mutate(seed, other, rng);
-        accepted += cell_record_from_json(line).ok();
-        expect_stable(line);
-        if (HasFatalFailure()) return;
-    }
-    // Deleting an optional row keeps a record readable, so both outcomes ran.
-    EXPECT_GT(accepted, 0u);
+    // Deleting an optional row keeps a record readable, and deleting a
+    // submit frame's epochs or an assign spec's optional row keeps a frame
+    // readable, so both outcomes ran.
+    EXPECT_GT(fuzz(record_seeds(), 4000, 0xFA2E,
+                   [](const std::string& line) { return cell_record_from_json(line).ok(); }),
+              0u);
+    if (HasFatalFailure()) return;
+    EXPECT_GT(fuzz(frame_seeds(), 2000, 0xFA2F,
+                   [](const std::string& line) { return net::decode_message(line).ok(); }),
+              0u);
+}
+
+TEST(SerializationTest, MutatedGoldenLinesFailCleanly) {
+    const std::vector<std::string> lines = golden_seeds();
+    ASSERT_GE(lines.size(), 50u) << "golden files under " FARE_GOLDEN_DIR;
+    // Dropping a member leaves a valid JSON object, so both outcomes ran.
+    EXPECT_GT(fuzz(lines, 2000, 0x601D,
+                   [](const std::string& line) { return parse_json(line).ok(); }),
+              0u);
 }
 
 }  // namespace

@@ -91,10 +91,6 @@ TEST(PlanSchedulerTest, DedupAndShardPartition) {
     for (const std::size_t i : b.owned_cells) ++owned[i];
     for (std::size_t i = 0; i < owned.size(); ++i)
         EXPECT_EQ(owned[i], 1) << "cell " << i;
-
-    // No dedup: every listed cell is its own job.
-    const ScheduledPlan raw = PlanScheduler({}, /*dedup=*/false).schedule(plan);
-    EXPECT_EQ(raw.num_jobs(), 6u);
 }
 
 TEST(MergeShardsTest, RejectsOverlapAndGaps) {

@@ -74,15 +74,6 @@ TEST(SimSessionTest, MemoizationCountsAndCrossRunCache) {
         EXPECT_DOUBLE_EQ(first.cells[i].accuracy(), again.cells[i].accuracy());
 }
 
-TEST(SimSessionTest, MemoizationCanBeDisabled) {
-    SessionOptions opts;
-    opts.memoize = false;
-    SimSession session(opts);
-    const ResultSet results = session.run(tiny_plan());
-    EXPECT_EQ(session.cache_hits(), 0u);
-    for (const CellResult& cell : results) EXPECT_FALSE(cell.from_cache);
-}
-
 TEST(SimSessionTest, ResultSetLookup) {
     SimSession session;
     const ResultSet results = session.run(tiny_plan());
