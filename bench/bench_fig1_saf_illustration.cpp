@@ -10,6 +10,7 @@
 #include "common/table.hpp"
 #include "fare/row_matcher.hpp"
 #include "oracle/corruption_reference.hpp"
+#include "oracle/fixed_matrix.hpp"
 
 int main() {
     using namespace fare;

@@ -14,6 +14,7 @@
 #include "fare/mapper.hpp"
 #include "fare/row_matcher.hpp"
 #include "oracle/row_matcher_reference.hpp"
+#include "oracle/suitor_match.hpp"
 
 namespace {
 
@@ -94,8 +95,10 @@ void row_permutation(benchmark::State& state, RowSolver solve, double block_dens
 
 // BM_RowPermutationBSuitor runs the implicit-graph path, ...Reference the
 // materialised-graph oracle on the same instances: /1, /3, /5 at block
-// density 5%, and fig5_shape/1 at block density 1% — Fig. 5's tie-heavy
-// shape, where nearly every block row takes a faulty row's default benefit.
+// density 5%; fig5_shape/1 at block density 1% — Fig. 5's tie-heavy
+// shape, where nearly every block row takes a faulty row's default benefit;
+// and worn_shape/25, a worn chip: 25% faults under a 1%-dense block, where
+// 23% of (block row, faulty row) pairs touch and get priced, listed edges.
 const bool kRowPermutationBenches = [] {
     const std::pair<const char*, RowSolver> solvers[] = {
         {"BM_RowPermutationBSuitor", &best_row_permutation},
@@ -107,6 +110,10 @@ const bool kRowPermutationBenches = [] {
         benchmark::RegisterBenchmark((std::string(name) + "/fig5_shape").c_str(),
                                      row_permutation, solve, 0.01)
             ->Arg(1);
+    for (const auto& [name, solve] : solvers)
+        benchmark::RegisterBenchmark((std::string(name) + "/worn_shape").c_str(),
+                                     row_permutation, solve, 0.01)
+            ->Arg(25);
     return true;
 }();
 

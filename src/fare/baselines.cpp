@@ -376,12 +376,11 @@ void FaultyHardware::refresh_fault_state(bool scan, bool remap) {
     if (remap) {
         // FARe: row-only re-permutation on top of the standing assignment
         // Pi. NR: a fresh row reorder.
-        for (std::size_t b = 0; b < mappings_.size(); ++b) {
-            if (traits().mapping == MappingPolicy::kFaultAware)
-                mapper_.repermute(mappings_[b], batch_bits_[b], adj_maps_);
-            else if (traits().mapping == MappingPolicy::kNeuronReorder)
+        if (traits().mapping == MappingPolicy::kFaultAware)
+            mapper_.repermute(mappings_, batch_bits_, adj_maps_);
+        else if (traits().mapping == MappingPolicy::kNeuronReorder)
+            for (std::size_t b = 0; b < mappings_.size(); ++b)
                 mappings_[b] = mapper_.map_row_reorder(batch_bits_[b], adj_maps_);
-        }
     }
     ++adjacency_version_;
 }

@@ -11,11 +11,13 @@
 //
 // The algorithm is one proposal loop plus a heaviest-first repair
 // (suitor_match_from) over a source of each vertex's candidates, heaviest
-// first. suitor_match feeds it sorted edge lists in natural vertex order;
-// the row matcher feeds it an implicit graph whose candidate order is the
-// same, skips proposals that must fail and starts the strongest rows first.
-// On its bipartite graphs every start order ends in the same suitors (see
-// suitor_match_from), so both give the same matching bit for bit.
+// first. The row matcher (row_matcher.cpp) feeds it an implicit graph that
+// lays out its own lists, skips proposals that must fail and starts the
+// strongest rows first. The general-graph suitor_match over sorted edge
+// lists, in natural vertex order, is a test oracle (tests/oracle/
+// suitor_match.hpp). On the row matcher's bipartite graphs every start
+// order ends in the same suitors (see suitor_match_from), so both give the
+// same matching bit for bit.
 #pragma once
 
 #include <cstdint>
@@ -25,12 +27,6 @@
 #include "common/error.hpp"
 
 namespace fare {
-
-struct WeightedEdge {
-    std::uint32_t u = 0;
-    std::uint32_t v = 0;
-    double w = 0.0;
-};
 
 /// Result of a matching: each vertex's partner, or kUnmatched.
 struct Matching {
@@ -65,37 +61,6 @@ inline bool outranks(const SuitorCandidate& a, const SuitorCandidate& b) {
     if (a.w != b.w) return a.w > b.w;
     return a.v > b.v;
 }
-
-/// Every vertex's candidates from an edge list, in proposes_before order, in
-/// one flat array. Non-positive weights and self-loops are dropped; parallel
-/// edges keep only their heaviest entry. As a suitor_match_from source it
-/// offers every candidate and skips nothing.
-class CandidateLists {
-public:
-    CandidateLists() = default;
-    CandidateLists(std::uint32_t num_vertices, const std::vector<WeightedEdge>& edges);
-
-    /// u's next unread candidate, or nullptr once u has none left.
-    const SuitorCandidate* head(std::uint32_t u) const {
-        return pos_[u] == end_[u] ? nullptr : &cands_[pos_[u]];
-    }
-    /// Mark u's head read.
-    void pop(std::uint32_t u) { ++pos_[u]; }
-
-    /// Source interface: read u's next candidate into `out`, or return
-    /// false once u has none left.
-    bool next(std::uint32_t u, SuitorCandidate& out) {
-        if (pos_[u] == end_[u]) return false;
-        out = cands_[pos_[u]++];
-        return true;
-    }
-    void accepted(std::uint32_t, const SuitorCandidate&) {}
-
-private:
-    std::vector<SuitorCandidate> cands_;
-    std::vector<std::size_t> pos_;  // vertex u's unread candidates: [pos_[u], end_[u])
-    std::vector<std::size_t> end_;
-};
 
 namespace detail {
 
@@ -151,9 +116,5 @@ Matching suitor_match_from(std::uint32_t num_vertices, std::vector<std::uint32_t
     }
     return detail::repair(suitor);
 }
-
-/// Maximum-weight matching on a general graph with `num_vertices` vertices.
-/// Edges with non-positive weight are ignored. Guarantees >= 1/2 OPT.
-Matching suitor_match(std::uint32_t num_vertices, const std::vector<WeightedEdge>& edges);
 
 }  // namespace fare

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <numeric>
+#include <optional>
 
 #include "common/error.hpp"
 #include "fare/hungarian.hpp"
@@ -261,15 +262,30 @@ BitMatrix FaultAwareMapper::apply(const BitMatrix& adj,
     return out;  // host blocks keep their ideal bits
 }
 
-void FaultAwareMapper::repermute(AdjacencyMapping& mapping, const BitMatrix& adj,
+void FaultAwareMapper::repermute(std::vector<AdjacencyMapping>& mappings,
+                                 const std::vector<BitMatrix>& adjs,
                                  const std::vector<FaultMap>& crossbars) const {
-    for (BlockAssignment& ba : mapping.assignments) {
-        const BinaryBlock block = extract_block(adj, ba.block_index / mapping.grid,
-                                                ba.block_index % mapping.grid);
-        RowMatchResult r =
-            match_rows(block, crossbars[ba.crossbar_index], config_.weights);
-        ba.row_perm = std::move(r.perm);
-        ba.cost = r.cost;
+    FARE_CHECK(mappings.size() == adjs.size(), "one adjacency per mapping");
+    // As in map_batch: one profile per crossbar in use, shared by every
+    // block placed on it, and one image per block.
+    std::vector<std::optional<CrossbarProfile>> profiles(crossbars.size());
+    for (std::size_t b = 0; b < mappings.size(); ++b) {
+        AdjacencyMapping& mapping = mappings[b];
+        for (BlockAssignment& ba : mapping.assignments) {
+            const BinaryBlock block = extract_block(adjs[b], ba.block_index / mapping.grid,
+                                                    ba.block_index % mapping.grid);
+            const FaultMap& map = crossbars[ba.crossbar_index];
+            RowMatchResult r;
+            if (config_.exact_row_matching) {
+                r = match_rows(block, map, config_.weights);
+            } else {
+                std::optional<CrossbarProfile>& xbar = profiles[ba.crossbar_index];
+                if (!xbar) xbar.emplace(map, config_.block_size, config_.weights);
+                r = best_row_permutation(BlockImage(block), *xbar);
+            }
+            ba.row_perm = std::move(r.perm);
+            ba.cost = r.cost;
+        }
     }
 }
 

@@ -126,9 +126,11 @@ public:
     BitMatrix apply(const BitMatrix& adj, const AdjacencyMapping& mapping,
                     const std::vector<FaultMap>& crossbars) const;
 
-    /// Post-deployment fix-up: recompute row permutations against fresh
-    /// fault maps, keeping the block-to-crossbar assignment.
-    void repermute(AdjacencyMapping& mapping, const BitMatrix& adj,
+    /// Post-deployment fix-up: recompute the row permutations of every
+    /// batch mapping (mappings[b] stores adjs[b]) against fresh fault maps,
+    /// keeping each block-to-crossbar assignment. Each crossbar's side of
+    /// the row matchings is built once for all of them.
+    void repermute(std::vector<AdjacencyMapping>& mappings, const std::vector<BitMatrix>& adjs,
                    const std::vector<FaultMap>& crossbars) const;
 
 private:

@@ -16,9 +16,14 @@
 // in row order. Every function here rounds that same way, so the fast
 // matcher, the exact matcher, mapping_cost and the test oracle agree bit for
 // bit for any weights.
-// (Counts times weights would round differently whenever the weights'
-// multiples are inexact, e.g. {0.1, 0.3}; the b-Suitor tie-breaks then move,
-// and on Fig. 5-shaped instances ~90% of permutations change.)
+// When both weights are non-negative integers no larger than 2^32 (FARe's
+// {1, 4}, NR's {1, 1}), a row is priced from its two mismatch counts
+// instead: w0·#SA0 + w1·#SA1, in integers. That is the same double, because
+// every partial sum of the column-order running sum is then an integer
+// below 2^53, which a double holds exactly. Every other weight keeps the
+// running sum: counts times weights would round differently whenever the
+// weights' multiples are inexact, e.g. {0.1, 0.3}; the b-Suitor tie-breaks
+// then move, and on Fig. 5-shaped instances ~90% of permutations change.
 #pragma once
 
 #include <cstdint>
@@ -74,10 +79,11 @@ private:
 };
 
 /// A crossbar's stuck cells as bitsets for n-row blocks: per physical row
-/// the columns < n stuck at 0 and at 1. Enough to price any permutation.
+/// the columns < n stuck at 0 and at 1, priced under one weight pair.
+/// Enough to price any permutation.
 class CrossbarImage {
 public:
-    CrossbarImage(const FaultMap& map, std::uint16_t n);
+    CrossbarImage(const FaultMap& map, std::uint16_t n, const RowMatchWeights& weights = {});
 
     /// Columns (< n) of physical row p stuck at 0 / at 1.
     const std::uint64_t* sa0(std::uint16_t p) const {
@@ -86,19 +92,22 @@ public:
     const std::uint64_t* sa1(std::uint16_t p) const { return sa0(p) + words_; }
 
     /// Weighted mismatch cost of storing the n-bit row `stored` on physical
-    /// row p: w0 per SA0 cell under a 1 and w1 per SA1 cell under a 0, added
-    /// in column order.
-    double cost(const std::uint64_t* stored, std::uint16_t p,
-                const RowMatchWeights& weights) const;
+    /// row p: w0 per SA0 cell under a 1 and w1 per SA1 cell under a 0, from
+    /// the two counts for integer weights and added in column order for any
+    /// others (see the cost definition above).
+    double cost(const std::uint64_t* stored, std::uint16_t p) const;
     /// Cost of `block` under perm: row costs added in row order.
-    double cost(const BlockImage& block, const std::vector<std::uint16_t>& perm,
-                const RowMatchWeights& weights) const;
-    /// SA1 cells under a stored 0 across `block` under perm.
+    double cost(const BlockImage& block, const std::vector<std::uint16_t>& perm) const;
+    /// SA1 cells under a stored 0 across `block` under perm (unweighted).
     std::size_t sa1_misses(const BlockImage& block,
                            const std::vector<std::uint16_t>& perm) const;
 
 private:
     std::size_t words_;
+    RowMatchWeights weights_;
+    bool counted_ = false;  // both weights are integers in [0, 2^32]: price by counts
+    std::uint64_t sa0_count_weight_ = 0;
+    std::uint64_t sa1_count_weight_ = 0;
     std::vector<std::uint64_t> bits_;  // (SA0, SA1) per physical row
 };
 
@@ -112,8 +121,7 @@ struct CrossbarProfile {
     CrossbarProfile(const FaultMap& map, std::uint16_t n, const RowMatchWeights& weights);
 
     std::uint16_t n;
-    RowMatchWeights weights;
-    CrossbarImage image;
+    CrossbarImage image;  ///< priced under the profile's weights
     std::vector<double> base;            ///< per physical row: every fault mismatched
     std::vector<std::uint16_t> faulty;   ///< physical rows with base > 0, ascending
     std::vector<double> default_benefit;  ///< d per faulty index

@@ -13,13 +13,4 @@ CellSlices slice_fixed(std::int16_t q) {
     return slices;
 }
 
-std::int16_t unslice_fixed(const CellSlices& slices) {
-    std::uint16_t u = 0;
-    for (int c = 0; c < kCellsPerWeight; ++c) {
-        u = static_cast<std::uint16_t>(u << kBitsPerCell);
-        u = static_cast<std::uint16_t>(u | (slices[static_cast<std::size_t>(c)] & 0x3u));
-    }
-    return cell_image_to_fixed(u);
-}
-
 }  // namespace fare

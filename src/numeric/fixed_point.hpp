@@ -62,8 +62,7 @@ inline std::uint16_t fixed_to_cell_image(std::int16_t q) {
     return static_cast<std::uint16_t>((q < 0 ? 0x8000u : 0u) | mag);
 }
 
-/// Inverse of fixed_to_cell_image (identical to unslice_fixed on the
-/// re-assembled slices; 0x8000 decodes to 0 just like unslice does).
+/// Inverse of fixed_to_cell_image (0x8000, a negative zero, decodes to 0).
 inline std::int16_t cell_image_to_fixed(std::uint16_t u) {
     const auto mag = static_cast<std::int32_t>(u & 0x7FFFu);
     return static_cast<std::int16_t>((u & 0x8000u) ? -mag : mag);
@@ -72,9 +71,6 @@ inline std::int16_t cell_image_to_fixed(std::uint16_t u) {
 /// Split a value into 8 cells of 2 bits of its sign-magnitude encoding
 /// (sign bit + 15 magnitude bits), MSB slice first.
 CellSlices slice_fixed(std::int16_t q);
-
-/// Recombine cell slices into the signed value (shift-and-add + sign).
-std::int16_t unslice_fixed(const CellSlices& slices);
 
 /// Quantisation step (1/256 for Q8.8).
 inline constexpr float kFixedStep = 1.0f / (1 << kFixedFractionBits);

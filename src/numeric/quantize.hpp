@@ -11,7 +11,4 @@ namespace fare {
 /// hardware would actually compute with in the absence of faults.
 Matrix quantize_dequantize(const Matrix& m);
 
-/// Worst-case absolute quantisation error of the format (half a step).
-inline constexpr float kQuantErrorBound = kFixedStep / 2.0f;
-
 }  // namespace fare

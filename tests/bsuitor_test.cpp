@@ -9,6 +9,7 @@
 #include <string>
 
 #include "common/rng.hpp"
+#include "oracle/suitor_match.hpp"
 
 namespace fare {
 namespace {

@@ -153,17 +153,68 @@ TEST(MapperTest, RepermuteKeepsAssignment) {
     FaultAwareMapper mapper(small_mapper(16));
     const BitMatrix adj = random_adjacency(32, 0.1, rng);
     auto pool = random_pool(8, 16, 0.03, 0.3, rng);
-    AdjacencyMapping mapping = mapper.map_batch(adj, pool);
+    std::vector<AdjacencyMapping> mappings{mapper.map_batch(adj, pool)};
     std::vector<std::size_t> before;
-    for (const auto& a : mapping.assignments) before.push_back(a.crossbar_index);
+    for (const auto& a : mappings[0].assignments) before.push_back(a.crossbar_index);
 
     // Post-deployment wear: add faults, then repermute rows only.
     Rng wear(13);
     inject_additional_faults(pool, 0.02, 0.3, wear);
-    mapper.repermute(mapping, adj, pool);
+    mapper.repermute(mappings, {adj}, pool);
     std::vector<std::size_t> after;
-    for (const auto& a : mapping.assignments) after.push_back(a.crossbar_index);
+    for (const auto& a : mappings[0].assignments) after.push_back(a.crossbar_index);
     EXPECT_EQ(before, after);  // Pi unchanged; only row perms refreshed
+}
+
+/// repermute re-matches every batch at once, on one profile per crossbar
+/// shared by the blocks of all batches placed on it. Each assignment must
+/// keep its block and crossbar and carry the permutation and cost of a
+/// fresh solve of that pair alone, bit for bit, with either row matcher.
+TEST(MapperTest, RepermuteMatchesPerAssignmentSolve) {
+    for (const bool exact : {false, true}) {
+        Rng rng(23);
+        MapperConfig cfg = small_mapper(32);
+        cfg.exact_row_matching = exact;
+        const FaultAwareMapper mapper(cfg);
+        FaultInjectionConfig faults;
+        faults.density = 0.03;
+        faults.sa1_fraction = 0.5;
+        faults.cluster_shape = 0.5;
+        faults.seed = rng.next_u64();
+        auto pool = inject_faults(12, 32, 32, faults);
+        // 4 + 4 + 9 blocks on 12 crossbars: batches share crossbars.
+        std::vector<BitMatrix> adjs;
+        std::vector<AdjacencyMapping> mappings;
+        for (const std::size_t n : {40, 60, 80}) {
+            adjs.push_back(random_adjacency(n, 0.05, rng));
+            mappings.push_back(mapper.map_batch(adjs.back(), pool));
+        }
+        Rng wear(29);
+        inject_additional_faults(pool, 0.05, 0.5, wear);
+        const std::vector<AdjacencyMapping> before = mappings;
+        mapper.repermute(mappings, adjs, pool);
+
+        std::size_t moved = 0;
+        for (std::size_t b = 0; b < mappings.size(); ++b) {
+            ASSERT_EQ(mappings[b].assignments.size(), before[b].assignments.size());
+            for (std::size_t k = 0; k < mappings[b].assignments.size(); ++k) {
+                const BlockAssignment& ba = mappings[b].assignments[k];
+                const BlockAssignment& was = before[b].assignments[k];
+                EXPECT_EQ(ba.block_index, was.block_index);
+                EXPECT_EQ(ba.crossbar_index, was.crossbar_index);
+                const BinaryBlock block = mapper.extract_block(
+                    adjs[b], ba.block_index / mappings[b].grid, ba.block_index % mappings[b].grid);
+                const FaultMap& map = pool[ba.crossbar_index];
+                const RowMatchResult fresh =
+                    exact ? best_row_permutation_exact(block, map, cfg.weights)
+                          : best_row_permutation(block, map, cfg.weights);
+                EXPECT_EQ(ba.row_perm, fresh.perm) << "exact=" << exact << " batch " << b;
+                EXPECT_EQ(ba.cost, fresh.cost) << "exact=" << exact << " batch " << b;
+                moved += ba.row_perm != was.row_perm;
+            }
+        }
+        EXPECT_GT(moved, 0u) << "exact=" << exact;  // the wear re-placed some rows
+    }
 }
 
 TEST(MapperTest, CandidatePruningKeepsQuality) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/error.hpp"
+#include "oracle/fixed_matrix.hpp"
 
 namespace fare {
 

@@ -1,5 +1,7 @@
-// A matrix on the hardware's 16-bit fixed-point grid, for the oracles that
-// model the bit-sliced crossbars value by value (oracle/mvm_engine.hpp).
+// The hardware's 16-bit fixed-point grid for the oracles that model the
+// bit-sliced crossbars value by value (oracle/mvm_engine.hpp,
+// oracle/corruption_reference.hpp): a fixed-point matrix, the slice
+// recombination and the format's quantisation error bound.
 #pragma once
 
 #include <cstdint>
@@ -24,5 +26,12 @@ FixedMatrix quantize(const Matrix& m);
 
 /// fixed_to_float on every element.
 Matrix dequantize(const FixedMatrix& q);
+
+/// Recombine cell slices into the signed value (shift-and-add + sign): the
+/// inverse of slice_fixed.
+std::int16_t unslice_fixed(const CellSlices& slices);
+
+/// Worst-case absolute quantisation error of the format (half a step).
+inline constexpr float kQuantErrorBound = kFixedStep / 2.0f;
 
 }  // namespace fare

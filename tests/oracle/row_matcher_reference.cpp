@@ -4,7 +4,7 @@
 #include <numeric>
 
 #include "common/error.hpp"
-#include "fare/bsuitor.hpp"
+#include "oracle/suitor_match.hpp"
 
 namespace fare {
 

@@ -11,6 +11,9 @@
 #include "fare/bsuitor.hpp"
 #include "fare/hungarian.hpp"
 #include "oracle/row_matcher_reference.hpp"
+#include "oracle/suitor_match.hpp"
+#include "reram/accelerator.hpp"
+#include "reram/wear_model.hpp"
 
 namespace fare {
 namespace {
@@ -63,6 +66,39 @@ TEST(MappingCostTest, MatchingBitsCostNothing) {
     map.add(0, 0, FaultType::kSA1);  // stored 1, stuck 1
     map.add(0, 1, FaultType::kSA0);  // stored 0, stuck 0
     EXPECT_DOUBLE_EQ(mapping_cost(block, map, identity_perm(2), {}), 0.0);
+}
+
+bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+/// Integer weights are priced from the two mismatch counts. Up to 2^31 per
+/// mismatch the result must be the column-order running sum's double, bit
+/// for bit, for every (block row, physical row) pair.
+TEST(MappingCostTest, IntegerWeightsPriceLikeTheColumnOrderSum) {
+    const double weights[] = {0.0, 1.0, 4.0, 0x1p31};
+    Rng rng(41);
+    for (const std::uint16_t n : {7, 64, 100, 128}) {
+        const BinaryBlock block = random_block(n, 0.3, rng);
+        const FaultMap map = random_map(n, 0.4, 0.5, rng);
+        const BlockImage image(block);
+        std::vector<std::pair<RowMatchWeights, CrossbarImage>> priced;
+        for (const double w0 : weights)
+            for (const double w1 : weights)
+                priced.emplace_back(RowMatchWeights{w0, w1}, CrossbarImage(map, n, {w0, w1}));
+        for (std::uint16_t r = 0; r < n; ++r)
+            for (std::uint16_t p = 0; p < n; ++p) {
+                std::vector<bool> sa1_misses;  // per mismatch, in column order
+                for (const CellFault& f : map.row_faults(p))
+                    if ((f.type == FaultType::kSA0) == (block.at(r, f.col) == 1))
+                        sa1_misses.push_back(f.type == FaultType::kSA1);
+                for (const auto& [w, xbar] : priced) {
+                    double sum = 0.0;
+                    for (const bool sa1 : sa1_misses) sum += sa1 ? w.sa1 : w.sa0;
+                    ASSERT_TRUE(same_bits(xbar.cost(image.row(r), p), sum))
+                        << "n=" << n << " w={" << w.sa0 << "," << w.sa1 << "} r=" << r
+                        << " p=" << p;
+                }
+            }
+    }
 }
 
 TEST(RowMatcherTest, FindsZeroCostPermutationWhenOneExists) {
@@ -172,8 +208,6 @@ TEST_P(RowMatcherSweep, NeverWorseThanIdentity) {
 
 INSTANTIATE_TEST_SUITE_P(Densities, RowMatcherSweep,
                          ::testing::Values(0.01, 0.03, 0.05, 0.1, 0.2));
-
-bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
 
 /// The equivalence grid: calls visit(block, map, weights, where) on every
 /// instance. It covers empty and dense blocks, fault-free maps, SA1-only
@@ -346,6 +380,93 @@ TEST(RowMatcherEquivalenceTest, SharedImagesMatchReferenceOnFig5Pools) {
                     ++cell;
                 }
     EXPECT_EQ(instances, 2u * 3 * 2 * 5 * 4 * 4);
+}
+
+/// (touching, all) (block row, faulty row) pairs of `block` on `map`: a
+/// pair touches when the block row stores a 1 in one of the physical row's
+/// fault columns (< n).
+std::pair<std::size_t, std::size_t> touching_pairs(const BinaryBlock& block,
+                                                   const FaultMap& map) {
+    std::size_t touching = 0, all = 0;
+    for (std::uint16_t p = 0; p < map.rows(); ++p) {
+        std::vector<std::uint16_t> cols;
+        for (const CellFault& f : map.row_faults(p))
+            if (f.col < block.size) cols.push_back(f.col);
+        if (cols.empty()) continue;
+        for (std::uint16_t r = 0; r < block.size; ++r) {
+            ++all;
+            touching += std::any_of(cols.begin(), cols.end(),
+                                    [&](std::uint16_t c) { return block.at(r, c) == 1; });
+        }
+    }
+    return {touching, all};
+}
+
+/// Worn pools: the regime after deployment wear, where every arrival adds
+/// faults and 20-35% of (block row, faulty row) pairs touch (Fig. 5 pools:
+/// ~2.5%). Each pool is one tile of four crossbars, each an endurance hot
+/// spot with probability 1/2 (one of the four at n = 64, three at n = 128),
+/// worn by WearModel::advance at two write levels (8-36% faults); n = 64
+/// runs on 72-row crossbars (spare rows, fault columns beyond the block)
+/// and n = 128 on 128-row ones. Blocks hold ~0.5, 1.5 and 3 ones per row.
+/// Each crossbar's profile is shared by every block, as in repermute, and
+/// every pair must equal the per-pair reference bit for bit under all four
+/// weight pairs. The touching share (23.4%) is asserted, so the regime
+/// cannot drift away from what it stands for.
+TEST(RowMatcherEquivalenceTest, SharedImagesMatchReferenceOnWornPools) {
+    const RowMatchWeights weights[] = {{1.0, 4.0}, {1.0, 1.0}, {1.25, 3.75}, {0.1, 0.3}};
+    Rng rng(31);
+    std::size_t instances = 0, touching = 0, all = 0;
+    for (const std::uint16_t n : {64, 128}) {
+        const auto phys = static_cast<std::uint16_t>(n == 64 ? 72 : 128);
+        AcceleratorConfig chip;
+        chip.tile.crossbar_rows = phys;
+        chip.tile.crossbar_cols = phys;
+        chip.tile.crossbars_per_tile = 4;
+        chip.num_tiles = 1;
+        Accelerator acc(chip);
+        WearSpec spec;
+        spec.endurance_mean_writes = 1000.0;
+        spec.hot_spot_fraction = 0.5;
+        spec.hot_spot_severity = 1.5;
+        WearModel wear(acc.num_crossbars(), phys, phys, spec, 0.5, rng.next_u64());
+        std::uint64_t written = 0;
+        for (const std::uint64_t writes : {350u, 500u}) {
+            for (std::size_t x = 0; x < acc.num_crossbars(); ++x)
+                acc.crossbar(x).add_uniform_writes(writes - written);
+            written = writes;
+            wear.advance(acc);
+            const std::vector<FaultMap> pool = acc.true_fault_maps();
+            std::vector<BinaryBlock> blocks;
+            for (const double ones_per_row : {0.5, 1.5, 3.0})
+                blocks.push_back(random_block(n, ones_per_row / n, rng));
+            const std::vector<BlockImage> images(blocks.begin(), blocks.end());
+            for (const FaultMap& map : pool)
+                for (const BinaryBlock& block : blocks) {
+                    const auto [t, a] = touching_pairs(block, map);
+                    touching += t;
+                    all += a;
+                }
+            for (const RowMatchWeights& w : weights)
+                for (std::size_t x = 0; x < pool.size(); ++x) {
+                    const CrossbarProfile xbar(pool[x], n, w);
+                    for (std::size_t i = 0; i < blocks.size(); ++i) {
+                        expect_same_result(
+                            best_row_permutation(images[i], xbar),
+                            best_row_permutation_reference(blocks[i], pool[x], w),
+                            ::testing::Message()
+                                << "n=" << n << " writes=" << writes << " crossbar=" << x
+                                << " faults=" << pool[x].fault_density() << " w={" << w.sa0
+                                << "," << w.sa1 << "} block=" << i);
+                        ++instances;
+                    }
+                }
+        }
+    }
+    EXPECT_EQ(instances, 2u * 2 * 4 * 4 * 3);
+    const double share = static_cast<double>(touching) / static_cast<double>(all);
+    EXPECT_GE(share, 0.20) << touching << " of " << all << " pairs touch";
+    EXPECT_LE(share, 0.35) << touching << " of " << all << " pairs touch";
 }
 
 }  // namespace

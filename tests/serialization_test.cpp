@@ -816,6 +816,12 @@ void expect_stable(const std::string& line) {
         }
 }
 
+/// Seeded mutations per fuzz run. FARE_FUZZ_SCALE (CMakeLists.txt) is 10 in
+/// the FARE_SANITIZE build, where a bad read aborts, and 1 otherwise.
+constexpr int kRecordMutations = 4000 * FARE_FUZZ_SCALE;
+constexpr int kFrameMutations = 2000 * FARE_FUZZ_SCALE;
+constexpr int kGoldenMutations = 2000 * FARE_FUZZ_SCALE;
+
 /// Feeds every seed, every single-member deletion of it and `mutations`
 /// seeded mutations (partners drawn from the same seeds) to expect_stable.
 /// Returns how many inputs `accepts` took.
@@ -848,11 +854,11 @@ TEST(SerializationTest, MutatedRecordsAndFramesFailCleanly) {
     // Deleting an optional row keeps a record readable, and deleting a
     // submit frame's epochs or an assign spec's optional row keeps a frame
     // readable, so both outcomes ran.
-    EXPECT_GT(fuzz(record_seeds(), 4000, 0xFA2E,
+    EXPECT_GT(fuzz(record_seeds(), kRecordMutations, 0xFA2E,
                    [](const std::string& line) { return cell_record_from_json(line).ok(); }),
               0u);
     if (HasFatalFailure()) return;
-    EXPECT_GT(fuzz(frame_seeds(), 2000, 0xFA2F,
+    EXPECT_GT(fuzz(frame_seeds(), kFrameMutations, 0xFA2F,
                    [](const std::string& line) { return net::decode_message(line).ok(); }),
               0u);
 }
@@ -861,7 +867,7 @@ TEST(SerializationTest, MutatedGoldenLinesFailCleanly) {
     const std::vector<std::string> lines = golden_seeds();
     ASSERT_GE(lines.size(), 50u) << "golden files under " FARE_GOLDEN_DIR;
     // Dropping a member leaves a valid JSON object, so both outcomes ran.
-    EXPECT_GT(fuzz(lines, 2000, 0x601D,
+    EXPECT_GT(fuzz(lines, kGoldenMutations, 0x601D,
                    [](const std::string& line) { return parse_json(line).ok(); }),
               0u);
 }
