@@ -28,9 +28,9 @@ int main() {
     SessionOptions options;
     options.progress = &std::cout;
     SimSession session(options);
-    // Streaming sink: cells reach the BENCH_*.json.tmp staging file as they
-    // finish; the final file is published atomically at plan end.
-    session.add_sink(std::make_unique<JsonLinesSink>()).streaming();
+    // Cells reach the BENCH_*.json.tmp staging file as they finish; the
+    // final file is published atomically at plan end.
+    session.add_sink(std::make_unique<JsonLinesSink>());
     const ResultSet results = session.run(plan);
 
     struct Curve {

@@ -40,10 +40,10 @@ int main() {
     if (const char* cache_dir = std::getenv("FARE_CACHE_DIR"))
         options.cache_dir = cache_dir;
     SimSession session(options);
-    // Streaming: JSON lines land in the BENCH_*.json.tmp staging file as the
-    // completed plan prefix grows (tail it to watch a long grid), published
-    // to BENCH_*.json by an atomic rename when the plan ends.
-    session.add_sink(std::make_unique<JsonLinesSink>()).streaming();
+    // JSON lines land in the BENCH_*.json.tmp staging file as the completed
+    // plan prefix grows (tail it to watch a long grid), published to
+    // BENCH_*.json by an atomic rename when the plan ends.
+    session.add_sink(std::make_unique<JsonLinesSink>());
     // The figure tables themselves come from the pivot sink — one panel per
     // SA1 ratio, one accuracy column per scheme, FARe drop appended — so the
     // bench no longer hand-assembles rows from ResultSet lookups.

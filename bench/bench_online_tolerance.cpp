@@ -72,8 +72,7 @@ int main() {
     // Cell lines go to an explicitly named file: the plan-derived default
     // (BENCH_online_tolerance.json) is taken by the GBench-shaped summary.
     session.add_sink(std::make_unique<JsonLinesSink>(
-                         out_dir() + "/BENCH_online_tolerance_cells.json"))
-        .streaming();
+        out_dir() + "/BENCH_online_tolerance_cells.json"));
     session.add_sink(std::make_unique<PivotSink>(&std::cout));
     std::cout << "online_tolerance sweep: " << plan.size() << " cells on "
               << session.threads() << " threads\n";

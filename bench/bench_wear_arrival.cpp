@@ -35,7 +35,7 @@ int main() {
     if (const char* cache_dir = std::getenv("FARE_CACHE_DIR"))
         options.cache_dir = cache_dir;
     SimSession session(options);
-    session.add_sink(std::make_unique<JsonLinesSink>()).streaming();
+    session.add_sink(std::make_unique<JsonLinesSink>());
     std::cout << "wear_arrival sweep: " << plan.size() << " cells on "
               << session.threads() << " threads\n";
     const ResultSet results = session.run(plan);

@@ -75,9 +75,9 @@ int main(int argc, char** argv) {
     if (const char* cache_dir = std::getenv("FARE_CACHE_DIR"))
         options.cache_dir = cache_dir;
     SimSession session(options);
-    // Streaming: finished cells appear in BENCH_*.json.tmp as the sweep
-    // runs; the final file publishes atomically at plan end.
-    session.add_sink(std::make_unique<JsonLinesSink>()).streaming();
+    // Finished cells appear in BENCH_*.json.tmp as the sweep runs; the
+    // final file publishes atomically at plan end.
+    session.add_sink(std::make_unique<JsonLinesSink>());
     const ResultSet results = session.run(plan);
 
     Table t({"Endurance", "fault-unaware", "FARe", "FARe margin",

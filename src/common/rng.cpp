@@ -125,8 +125,4 @@ bool Rng::next_bool(double p) {
     return next_double() < p;
 }
 
-Rng Rng::fork() {
-    return Rng(next_u64());
-}
-
 }  // namespace fare

@@ -77,9 +77,6 @@ public:
         }
     }
 
-    /// Derive an independent child stream (e.g. one per crossbar/partition).
-    Rng fork();
-
 private:
     std::uint64_t s_[4];
     double cached_gaussian_ = 0.0;

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <string>
 
 #include "common/error.hpp"
 #include "common/simd_scalar.hpp"
@@ -49,8 +50,8 @@ int env_isa() {
     return resolved;
 }
 
-/// Programmatic override; -1 = none. Wins over FARE_SIMD.
-std::atomic<int> g_override{-1};
+/// SimdIsaScope pin; -1 = none. Wins over FARE_SIMD.
+std::atomic<int> g_pin{-1};
 
 /// Degrade an ISA request the host cannot execute to scalar: results are
 /// bit-identical by contract, so a fleet-wide FARE_SIMD=neon simply runs
@@ -90,29 +91,11 @@ SimdIsa detected_isa() {
 }
 
 SimdIsa active_isa() {
-    const int override_isa = g_override.load(std::memory_order_acquire);
-    if (override_isa >= 0) return static_cast<SimdIsa>(override_isa);
+    const int pin = g_pin.load(std::memory_order_acquire);
+    if (pin >= 0) return static_cast<SimdIsa>(pin);
     const int env = env_isa();
     if (env >= 0) return clamp_to_supported(static_cast<SimdIsa>(env));
     return detected_isa();
-}
-
-SimdIsa set_isa(SimdIsa isa) {
-    const SimdIsa effective = clamp_to_supported(isa);
-    g_override.store(static_cast<int>(effective), std::memory_order_release);
-    return effective;
-}
-
-SimdIsa set_isa_mode(const std::string& mode) {
-    if (mode == "auto") {
-        g_override.store(-1, std::memory_order_release);
-        return active_isa();
-    }
-    if (mode == "scalar") return set_isa(SimdIsa::kScalar);
-    if (mode == "avx2") return set_isa(SimdIsa::kAvx2);
-    if (mode == "neon") return set_isa(SimdIsa::kNeon);
-    throw InvalidArgument("SIMD mode must be auto|scalar|avx2|neon, got '" +
-                          mode + "'");
 }
 
 const SimdKernels& kernels() { return kernels(active_isa()); }
@@ -124,12 +107,13 @@ const SimdKernels& kernels(SimdIsa isa) {
 }
 
 SimdIsaScope::SimdIsaScope(SimdIsa isa)
-    : previous_(g_override.load(std::memory_order_acquire)) {
-    set_isa(isa);
+    : previous_(g_pin.load(std::memory_order_acquire)) {
+    g_pin.store(static_cast<int>(clamp_to_supported(isa)),
+                std::memory_order_release);
 }
 
 SimdIsaScope::~SimdIsaScope() {
-    g_override.store(previous_, std::memory_order_release);
+    g_pin.store(previous_, std::memory_order_release);
 }
 
 }  // namespace fare::simd

@@ -11,11 +11,11 @@
 //   detected_isa()  what the CPU supports (cpuid on x86; AdvSIMD is
 //                   architectural on AArch64), intersected with what the
 //                   build compiled in (-DFARE_SIMD=OFF forces scalar)
-//   FARE_SIMD env   auto | scalar | avx2 | neon — pins the selection for
-//                   reproducibility/debugging; an ISA the host cannot run
-//                   degrades to scalar so one fleet-wide setting works on
-//                   heterogeneous machines
-//   set_isa(...)    programmatic override (SessionOptions::simd)
+//   FARE_SIMD env   auto | scalar | avx2 | neon — the one runtime selector,
+//                   pins the selection for reproducibility/debugging; an
+//                   ISA the host cannot run degrades to scalar so one
+//                   fleet-wide setting works on heterogeneous machines
+//   SimdIsaScope    in-process pin for tests and comparisons
 //
 // Bit-identity contract: for identical inputs, every kernel returns results
 // byte-identical to the scalar table — the scalar kernels are the oracle
@@ -30,7 +30,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 
 namespace fare::simd {
 
@@ -44,21 +43,10 @@ const char* isa_name(SimdIsa isa);
 /// support). Cached after the first query.
 SimdIsa detected_isa();
 
-/// ISA the kernel table currently dispatches to: the programmatic override
-/// if one is set, else the FARE_SIMD environment selection, else
+/// ISA the kernel table currently dispatches to: the SimdIsaScope pin if
+/// one is active, else the FARE_SIMD environment selection, else
 /// detected_isa(). Throws InvalidArgument on a malformed FARE_SIMD value.
 SimdIsa active_isa();
-
-/// Programmatic override (wins over FARE_SIMD). Requests the host cannot
-/// execute degrade to scalar — results are bit-identical either way.
-/// Returns the ISA actually selected.
-SimdIsa set_isa(SimdIsa isa);
-
-/// Parse-and-set from a user-facing mode string: "auto" clears the
-/// override (back to FARE_SIMD/detected), "scalar"/"avx2"/"neon" pin the
-/// table. Throws InvalidArgument on anything else. Returns the ISA now
-/// active.
-SimdIsa set_isa_mode(const std::string& mode);
 
 /// One process-wide kernel table. All pointers are always valid; raw
 /// pointers + lengths so Matrix and std::vector callers share the same entry
@@ -118,12 +106,13 @@ struct SimdKernels {
 const SimdKernels& kernels();
 
 /// Table for a specific ISA; kScalar is always available. Requesting a
-/// table the build/CPU cannot run throws InvalidArgument — use set_isa()
+/// table the build/CPU cannot run throws InvalidArgument — use SimdIsaScope
 /// for degrade-to-scalar semantics.
 const SimdKernels& kernels(SimdIsa isa);
 
-/// RAII override for tests: pins the ISA in scope, restores the previous
-/// override (or "no override") on exit.
+/// RAII pin for tests: selects the ISA in scope (wins over FARE_SIMD; an
+/// ISA the host cannot run degrades to scalar — results are bit-identical
+/// either way) and restores the previous pin (or "no pin") on exit.
 class SimdIsaScope {
 public:
     explicit SimdIsaScope(SimdIsa isa);
@@ -132,7 +121,7 @@ public:
     SimdIsaScope& operator=(const SimdIsaScope&) = delete;
 
 private:
-    int previous_;  // -1 = no override was set
+    int previous_;  // -1 = no pin was set
 };
 
 }  // namespace fare::simd

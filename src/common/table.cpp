@@ -42,30 +42,6 @@ std::string Table::to_ascii() const {
     return os.str();
 }
 
-std::string Table::to_csv() const {
-    auto quote = [](const std::string& cell) {
-        if (cell.find_first_of(",\"\n") == std::string::npos) return cell;
-        std::string out = "\"";
-        for (char ch : cell) {
-            if (ch == '"') out += '"';
-            out += ch;
-        }
-        out += '"';
-        return out;
-    };
-    std::ostringstream os;
-    auto emit = [&](const std::vector<std::string>& row) {
-        for (std::size_t c = 0; c < row.size(); ++c) {
-            if (c) os << ',';
-            os << quote(row[c]);
-        }
-        os << '\n';
-    };
-    emit(header_);
-    for (const auto& row : rows_) emit(row);
-    return os.str();
-}
-
 void Table::print(std::ostream& os) const {
     os << to_ascii();
 }

@@ -1,4 +1,4 @@
-// Plain-text / CSV table writer used by the benchmark harness to print the
+// Plain-text table writer used by the benchmark harness to print the
 // same rows and series the paper's tables and figures report.
 #pragma once
 
@@ -8,8 +8,8 @@
 
 namespace fare {
 
-/// Accumulates rows of string cells and renders them either as an aligned
-/// ASCII table (for terminals / bench_output.txt) or CSV (for re-plotting).
+/// Accumulates rows of string cells and renders them as an aligned ASCII
+/// table (for terminals / bench_output.txt).
 class Table {
 public:
     explicit Table(std::vector<std::string> header);
@@ -21,9 +21,6 @@ public:
 
     /// Render with column alignment and a header separator.
     std::string to_ascii() const;
-
-    /// Render as RFC-4180 CSV (cells containing commas/quotes are quoted).
-    std::string to_csv() const;
 
     void print(std::ostream& os) const;
 

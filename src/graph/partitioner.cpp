@@ -372,75 +372,34 @@ PartitionQuality compute_quality(const CSRGraph& g, const Partitioning& p,
 
 namespace {
 
-class MultilevelPartitioner final : public Partitioner {
-public:
-    const char* name() const override { return "multilevel"; }
-    Partitioning partition(const CSRGraph& g, int k,
-                           std::uint64_t seed) const override {
-        PartitionConfig cfg;
-        cfg.seed = seed;
-        return partition_multilevel(g, k, cfg);
-    }
-};
+Partitioning multilevel(const CSRGraph& g, int k, std::uint64_t seed) {
+    PartitionConfig cfg;
+    cfg.seed = seed;
+    return partition_multilevel(g, k, cfg);
+}
 
-class LdgPartitioner final : public Partitioner {
-public:
-    const char* name() const override { return "ldg"; }
-    bool bounded_balance() const override { return true; }
-    Partitioning partition(const CSRGraph& g, int k,
-                           std::uint64_t seed) const override {
-        return partition_ldg(g, k, seed);
-    }
-};
+Partitioning refennel(const CSRGraph& g, int k, std::uint64_t seed) {
+    return partition_refennel(g, k, seed);
+}
 
-class WeightedLdgPartitioner final : public Partitioner {
-public:
-    const char* name() const override { return "weighted-ldg"; }
-    Partitioning partition(const CSRGraph& g, int k,
-                           std::uint64_t seed) const override {
-        return partition_ldg_weighted(g, k, seed);
-    }
-};
-
-class FennelPartitioner final : public Partitioner {
-public:
-    const char* name() const override { return "fennel"; }
-    bool bounded_balance() const override { return true; }
-    Partitioning partition(const CSRGraph& g, int k,
-                           std::uint64_t seed) const override {
-        return partition_fennel(g, k, seed);
-    }
-};
-
-class ReFennelPartitioner final : public Partitioner {
-public:
-    const char* name() const override { return "refennel"; }
-    bool bounded_balance() const override { return true; }
-    Partitioning partition(const CSRGraph& g, int k,
-                           std::uint64_t seed) const override {
-        return partition_refennel(g, k, seed);
-    }
+constexpr Partitioner kPartitioners[] = {
+    {"multilevel", false, &multilevel},
+    {"ldg", true, &partition_ldg},
+    {"weighted-ldg", false, &partition_ldg_weighted},
+    {"fennel", true, &partition_fennel},
+    {"refennel", true, &refennel},
 };
 
 }  // namespace
 
-const std::vector<const Partitioner*>& registered_partitioners() {
-    static const MultilevelPartitioner multilevel;
-    static const LdgPartitioner ldg;
-    static const WeightedLdgPartitioner weighted_ldg;
-    static const FennelPartitioner fennel;
-    static const ReFennelPartitioner refennel;
-    static const std::vector<const Partitioner*> all = {
-        &multilevel, &ldg, &weighted_ldg, &fennel, &refennel};
-    return all;
-}
+std::span<const Partitioner> registered_partitioners() { return kPartitioners; }
 
 Expected<const Partitioner*> try_find_partitioner(const std::string& name) {
-    for (const Partitioner* p : registered_partitioners())
-        if (name == p->name()) return p;
+    for (const Partitioner& p : kPartitioners)
+        if (name == p.name) return &p;
     std::ostringstream os;
     os << "unknown partitioner '" << name << "' (valid:";
-    for (const Partitioner* p : registered_partitioners()) os << ' ' << p->name();
+    for (const Partitioner& p : kPartitioners) os << ' ' << p.name;
     os << ')';
     return Expected<const Partitioner*>::failure(os.str());
 }

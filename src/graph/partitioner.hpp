@@ -14,14 +14,15 @@
 //   refennel      Fennel plus re-streaming passes, best cut kept
 //
 // Every algorithm is reachable two ways: the free functions below, or the
-// polymorphic `Partitioner` registry (find_partitioner("fennel")), which is
-// what the sweep stack uses so partitioning strategy can be swept like any
-// other knob. A `PartitionQuality` report (edge-cut rate, alpha/beta balance,
-// replication factor) is computed once per partitioning and carried into
-// CellResult serialization.
+// `Partitioner` table (find_partitioner("fennel")), which is what the sweep
+// stack uses so partitioning strategy can be swept like any other knob. A
+// `PartitionQuality` report (edge-cut rate, alpha/beta balance, replication
+// factor) is computed once per partitioning and carried into CellResult
+// serialization.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -79,24 +80,21 @@ struct PartitionQuality {
 PartitionQuality compute_quality(const CSRGraph& g, const Partitioning& p,
                                  std::string algo = {});
 
-/// Polymorphic partitioning strategy, registry-named like schemes so the
+/// One row of the partitioner table, registry-named like schemes so the
 /// sweep stack can select one per cell ("multilevel", "ldg", "weighted-ldg",
 /// "fennel", "refennel").
-class Partitioner {
-public:
-    virtual ~Partitioner() = default;
+struct Partitioner {
     /// Registry name (stable; used in CellSpec keys and serialized results).
-    virtual const char* name() const = 0;
+    const char* name;
     /// True when the algorithm enforces the hard streaming capacity
     /// streaming_capacity(n, k) on part *node counts* — tests assert the
     /// bound only where the algorithm contracts it.
-    virtual bool bounded_balance() const { return false; }
-    virtual Partitioning partition(const CSRGraph& g, int k,
-                                   std::uint64_t seed) const = 0;
+    bool bounded_balance;
+    Partitioning (*partition)(const CSRGraph& g, int k, std::uint64_t seed);
 };
 
 /// All registered partitioners, in stable registration order.
-const std::vector<const Partitioner*>& registered_partitioners();
+std::span<const Partitioner> registered_partitioners();
 
 /// Lookup by registry name; failure carries the list of valid names.
 Expected<const Partitioner*> try_find_partitioner(const std::string& name);

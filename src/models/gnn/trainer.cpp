@@ -23,7 +23,7 @@ std::shared_ptr<const GnnBatchSet> build_gnn_batches(const Dataset& dataset,
     const Partitioner& algo = find_partitioner(config.partitioner);
     const auto parts =
         algo.partition(dataset.graph, config.num_partitions, config.seed);
-    set->partition_quality = compute_quality(dataset.graph, parts, algo.name());
+    set->partition_quality = compute_quality(dataset.graph, parts, algo.name);
     auto subs = make_cluster_batches(dataset.graph, parts, config.partitions_per_batch,
                                      config.seed);
 

@@ -54,14 +54,4 @@ DeploymentResult ModelFamily::run_deploy(const WorkloadSpec& workload, Scheme sc
                           scenario, hw_overrides, hw_seed);
 }
 
-std::string model_family_usage() {
-    std::ostringstream os;
-    for (const ModelFamily* fam : registered_model_families()) {
-        os << "  " << fam->name() << ':';
-        for (const auto& w : fam->workloads()) os << ' ' << w.label();
-        os << '\n';
-    }
-    return os.str();
-}
-
 }  // namespace fare

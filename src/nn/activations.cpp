@@ -31,23 +31,6 @@ float leaky_relu_grad_scalar(float x, float slope) {
     return x > 0.0f ? 1.0f : slope;
 }
 
-Matrix leaky_relu(const Matrix& x, float slope) {
-    Matrix y = x;
-    for (auto& v : y.flat()) v = leaky_relu_scalar(v, slope);
-    return y;
-}
-
-Matrix leaky_relu_backward(const Matrix& grad, const Matrix& pre, float slope) {
-    FARE_CHECK(grad.rows() == pre.rows() && grad.cols() == pre.cols(),
-               "leaky_relu_backward shape mismatch");
-    Matrix g = grad;
-    auto p = pre.flat();
-    auto out = g.flat();
-    for (std::size_t i = 0; i < out.size(); ++i)
-        out[i] *= leaky_relu_grad_scalar(p[i], slope);
-    return g;
-}
-
 Matrix softmax_rows(const Matrix& x) {
     Matrix y(x.rows(), x.cols());
     for (std::size_t r = 0; r < x.rows(); ++r) {

@@ -10,10 +10,7 @@ Matrix relu(const Matrix& x);
 /// Gradient mask: g * 1[x > 0], where x is the pre-activation.
 Matrix relu_backward(const Matrix& grad, const Matrix& pre);
 
-/// y = x > 0 ? x : slope * x.
-Matrix leaky_relu(const Matrix& x, float slope = 0.2f);
-Matrix leaky_relu_backward(const Matrix& grad, const Matrix& pre, float slope = 0.2f);
-
+/// y = x > 0 ? x : slope * x, and its derivative (GAT attention scores).
 float leaky_relu_scalar(float x, float slope = 0.2f);
 float leaky_relu_grad_scalar(float x, float slope = 0.2f);
 

@@ -92,7 +92,4 @@ const ModelFamily& find_model_family(const std::string& name);
 /// the registered family names.
 Expected<const ModelFamily*> try_find_model_family(const std::string& name);
 
-/// One line per registered family, for usage messages.
-std::string model_family_usage();
-
 }  // namespace fare

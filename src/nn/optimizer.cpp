@@ -38,24 +38,4 @@ void Adam::step(const std::vector<Matrix*>& params, const std::vector<Matrix*>& 
     }
 }
 
-Sgd::Sgd(float lr, float momentum) : lr_(lr), momentum_(momentum) {
-    FARE_CHECK(lr > 0.0f, "learning rate must be positive");
-}
-
-void Sgd::step(const std::vector<Matrix*>& params, const std::vector<Matrix*>& grads) {
-    FARE_CHECK(params.size() == grads.size(), "params/grads size mismatch");
-    if (velocity_.empty())
-        for (Matrix* p : params) velocity_.emplace_back(p->rows(), p->cols());
-    FARE_CHECK(velocity_.size() == params.size(), "optimizer bound to different model");
-    for (std::size_t i = 0; i < params.size(); ++i) {
-        auto p = params[i]->flat();
-        auto g = grads[i]->flat();
-        auto vel = velocity_[i].flat();
-        for (std::size_t j = 0; j < p.size(); ++j) {
-            vel[j] = momentum_ * vel[j] - lr_ * g[j];
-            p[j] += vel[j];
-        }
-    }
-}
-
 }  // namespace fare

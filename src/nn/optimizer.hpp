@@ -1,7 +1,7 @@
-// First-order optimizers. The optimizer state lives on the host (paper
-// §III-A: pipelined training with host-resident weight update logic); it
-// updates the *logical* weights, which are then (re)programmed onto the
-// faulty crossbars.
+// The optimizer (Adam; TrainLoop runs it for every model family). Its state
+// lives on the host (paper §III-A: pipelined training with host-resident
+// weight update logic); it updates the *logical* weights, which are then
+// (re)programmed onto the faulty crossbars.
 #pragma once
 
 #include <vector>
@@ -10,38 +10,19 @@
 
 namespace fare {
 
-class Optimizer {
-public:
-    virtual ~Optimizer() = default;
-    /// Apply one update step; params and grads are index-aligned.
-    virtual void step(const std::vector<Matrix*>& params,
-                      const std::vector<Matrix*>& grads) = 0;
-};
-
 /// Adam (Kingma & Ba) with bias correction.
-class Adam final : public Optimizer {
+class Adam {
 public:
     explicit Adam(float lr = 0.01f, float beta1 = 0.9f, float beta2 = 0.999f,
                   float eps = 1e-8f);
+    /// Apply one update step; params and grads are index-aligned.
     void step(const std::vector<Matrix*>& params,
-              const std::vector<Matrix*>& grads) override;
+              const std::vector<Matrix*>& grads);
 
 private:
     float lr_, beta1_, beta2_, eps_;
     std::vector<Matrix> m_, v_;
     long t_ = 0;
-};
-
-/// SGD with optional momentum.
-class Sgd final : public Optimizer {
-public:
-    explicit Sgd(float lr = 0.01f, float momentum = 0.0f);
-    void step(const std::vector<Matrix*>& params,
-              const std::vector<Matrix*>& grads) override;
-
-private:
-    float lr_, momentum_;
-    std::vector<Matrix> velocity_;
 };
 
 }  // namespace fare

@@ -133,13 +133,6 @@ Matrix matmul_a_bt(const Matrix& a, const Matrix& b) {
     return c;
 }
 
-Matrix hadamard(const Matrix& a, const Matrix& b) {
-    FARE_CHECK(a.rows() == b.rows() && a.cols() == b.cols(), "hadamard shape mismatch");
-    Matrix c(a.rows(), a.cols());
-    for (std::size_t i = 0; i < a.size(); ++i) c.flat()[i] = a.flat()[i] * b.flat()[i];
-    return c;
-}
-
 float max_abs_diff(const Matrix& a, const Matrix& b) {
     FARE_CHECK(a.rows() == b.rows() && a.cols() == b.cols(), "max_abs_diff shape mismatch");
     float m = 0.0f;

@@ -135,9 +135,6 @@ Matrix matmul_at_b(const Matrix& a, const Matrix& b);
 /// C = A * B^T without materialising B^T.
 Matrix matmul_a_bt(const Matrix& a, const Matrix& b);
 
-/// Elementwise Hadamard product.
-Matrix hadamard(const Matrix& a, const Matrix& b);
-
 /// Max |a - b| over all elements; shapes must match.
 float max_abs_diff(const Matrix& a, const Matrix& b);
 

@@ -56,9 +56,6 @@ int usage(std::ostream& os, int code) {
           "  fare-run --plan NAME [options]\n"
           "    --shard I/N      run slice I of N (default 0/1 = whole plan)\n"
           "    --threads N      worker threads (0 = auto / FARE_THREADS)\n"
-          "    --simd MODE      kernel table: auto|scalar|avx2|neon (default\n"
-          "                     auto = FARE_SIMD env, else best detected ISA;\n"
-          "                     results are bit-identical for every mode)\n"
           "    --cache-dir DIR  persistent cell cache: resume interrupted\n"
           "                     sweeps, reuse unchanged cells across runs;\n"
           "                     safe to share between concurrent shard\n"
@@ -79,7 +76,10 @@ int usage(std::ostream& os, int code) {
           "                     (live/dead/superseded/corrupt/evicted)\n"
           "    --stream         print the console table cells as they finish\n"
           "    --quiet          no console table\n"
-          "    --progress       print one dot per executed cell\n\n"
+          "    --progress       print one dot per executed cell\n"
+          "  The SIMD kernel table follows the FARE_SIMD environment variable\n"
+          "  (auto|scalar|avx2|neon; default auto = best detected ISA);\n"
+          "  results are bit-identical for every setting.\n\n"
           "Run a plan on a fleet of fare-worker processes (the cell cache\n"
           "and all output options behave exactly as in a local run):\n"
           "  fare-run --plan NAME --listen HOST:PORT [options]\n"
@@ -131,8 +131,8 @@ int list_registries(std::ostream& os) {
     for (const Scheme scheme : all_schemes())
         os << "  " << scheme_name(scheme) << '\n';
     os << "\npartitioners:\n";
-    for (const Partitioner* partitioner : registered_partitioners())
-        os << "  " << partitioner->name() << '\n';
+    for (const Partitioner& partitioner : registered_partitioners())
+        os << "  " << partitioner.name << '\n';
     os << "\nbuilt-in plans:\n";
     for (const NamedPlan& plan : builtin_plans())
         os << "  " << plan.name << " — " << plan.description << '\n';
@@ -143,7 +143,7 @@ int list_registries(std::ostream& os) {
 /// prefix up to it completes (ordered-prefix streaming delivery).
 class StreamingLineSink final : public ResultSink {
 public:
-    explicit StreamingLineSink(std::ostream& os) : os_(os) { streaming(); }
+    explicit StreamingLineSink(std::ostream& os) : os_(os) {}
     void begin(const ExperimentPlan& plan) override { plan_ = plan.name; }
     void cell(const CellResult& r) override {
         os_ << cell_to_json(plan_, r.plan_index, r) << '\n' << std::flush;
@@ -154,11 +154,9 @@ private:
     std::string plan_;
 };
 
-/// Writes a plan's cells, keyed by plan index, as full-fidelity records
-/// (--out) and as display lines (--json, --merge); an empty path writes
-/// nothing.
-void write_outputs(const std::string& plan_name,
-                   const std::map<std::size_t, CellResult>& cells,
+/// Writes a plan's cells, in plan order, as full-fidelity records (--out)
+/// and as display lines (--json, --merge); an empty path writes nothing.
+void write_outputs(const std::string& plan_name, const ResultSet& cells,
                    const std::string& records_path, const std::string& display_path,
                    bool canonical) {
     const auto open = [](const std::string& path) {
@@ -168,19 +166,20 @@ void write_outputs(const std::string& plan_name,
     };
     if (!records_path.empty()) {
         std::ofstream out = open(records_path);
-        for (const auto& [index, cell] : cells) {
+        for (const CellResult& cell : cells) {
             CellRecord record;
             record.plan = plan_name;
             record.key = cell.spec.key();
-            record.plan_index = index;
+            record.plan_index = cell.plan_index;
             record.result = cell;
             out << cell_record_to_json(record) << '\n';
         }
     }
     if (!display_path.empty()) {
         std::ofstream out = open(display_path);
-        for (const auto& [index, cell] : cells)
-            out << cell_to_json(plan_name, index, canonical ? canonicalized(cell) : cell)
+        for (const CellResult& cell : cells)
+            out << cell_to_json(plan_name, cell.plan_index,
+                                canonical ? canonicalized(cell) : cell)
                 << '\n';
     }
 }
@@ -243,7 +242,7 @@ int compact_cache(const std::string& cache_dir, std::uint64_t max_bytes) {
 
 int merge(const std::string& out_path, const std::vector<std::string>& inputs,
           bool canonical) {
-    std::map<std::size_t, CellResult> by_index;
+    std::vector<ResultSet> shards;
     std::string plan_name;
     for (const std::string& input : inputs) {
         std::ifstream in(input);
@@ -251,6 +250,7 @@ int merge(const std::string& out_path, const std::vector<std::string>& inputs,
             std::cerr << "fare-run: cannot open " << input << '\n';
             return 1;
         }
+        ResultSet& shard = shards.emplace_back();
         std::string line;
         std::size_t line_no = 0;
         while (std::getline(in, line)) {
@@ -269,29 +269,25 @@ int merge(const std::string& out_path, const std::vector<std::string>& inputs,
                           << rec.plan << "', expected '" << plan_name << "'\n";
                 return 1;
             }
-            if (!by_index.emplace(rec.plan_index, rec.result).second) {
-                std::cerr << "fare-run: plan cell " << rec.plan_index
-                          << " appears in two shards\n";
-                return 1;
-            }
+            CellResult& cell = shard.cells.emplace_back(rec.result);
+            cell.plan_index = rec.plan_index;
         }
     }
-    if (by_index.empty()) {
+    if (plan_name.empty()) {
         std::cerr << "fare-run: no records to merge\n";
         return 1;
     }
-    // Shards jointly cover the plan exactly once: indices must be 0..M-1.
-    std::size_t expected = 0;
-    for (const auto& [index, cell] : by_index) {
-        if (index != expected) {
-            std::cerr << "fare-run: plan cell " << expected
-                      << " missing from every shard\n";
-            return 1;
-        }
-        ++expected;
+    // Shards must jointly cover the plan exactly once. Only builtin plans
+    // write --out records, so the registry knows the plan's cell count.
+    ResultSet merged;
+    try {
+        merged = merge_shards(find_builtin_plan(plan_name), shards);
+    } catch (const std::exception& e) {
+        std::cerr << "fare-run: " << e.what() << '\n';
+        return 1;
     }
-    write_outputs(plan_name, by_index, "", out_path, canonical);
-    std::cout << "merged " << by_index.size() << " cells from " << inputs.size()
+    write_outputs(plan_name, merged, "", out_path, canonical);
+    std::cout << "merged " << merged.size() << " cells from " << inputs.size()
               << " shard file(s) into " << out_path << '\n';
     return 0;
 }
@@ -321,9 +317,7 @@ void write_port_file(const std::string& path, std::uint16_t port) {
 class WireStreamSink final : public ResultSink {
 public:
     WireStreamSink(net::Socket& socket, std::string plan)
-        : socket_(socket), plan_(std::move(plan)) {
-        streaming();
-    }
+        : socket_(socket), plan_(std::move(plan)) {}
     void cell(const CellResult& r) override {
         if (!submitter_alive_) return;
         const Expected<bool> sent = net::send_message(
@@ -503,7 +497,9 @@ int submit(const std::string& spec, const std::string& secret,
         }
     }
 
-    write_outputs(plan_name, by_index, out_path, json_path, canonical);
+    ResultSet results;
+    for (auto& [index, cell] : by_index) results.cells.push_back(std::move(cell));
+    write_outputs(plan_name, results, out_path, json_path, canonical);
     std::cerr << "fare-run: plan '" << plan_name << "' via "
               << spec.substr(at + 1) << ": " << by_index.size()
               << " cells streamed back\n";
@@ -540,7 +536,6 @@ int run(int argc, char** argv) {
             options.shard = shard.value();
         } else if (arg == "--threads")
             options.threads = parse_flag<std::size_t>(arg, value(), 0);
-        else if (arg == "--simd") options.simd = value();
         else if (arg == "--cache-dir") cache_dir = value();
         else if (arg == "--cache-max-bytes") cache_max_bytes = parse_bytes(value());
         else if (arg == "--cache-compact") cache_compact = true;
@@ -638,9 +633,7 @@ int run(int argc, char** argv) {
     if (stats) session.add_sink(std::make_unique<SeedStatsSink>(std::cout));
     const ResultSet results = session.run(plan);
 
-    std::map<std::size_t, CellResult> by_index;
-    for (const CellResult& cell : results) by_index.emplace(cell.plan_index, cell);
-    write_outputs(plan.name, by_index, out_path, json_path, canonical);
+    write_outputs(plan.name, results, out_path, json_path, canonical);
     // Cache lifecycle report: what this run's disk cache held, reclaimed,
     // and evicted (the constructor's corrupt-line count included, so a
     // resumed sweep can see how much of the log it had to recompute).

@@ -12,8 +12,7 @@ ResultBus::ResultBus(const ExperimentPlan& plan, std::vector<ResultSink*> sinks,
     : plan_(plan), sinks_(std::move(sinks)), cells_(slots), ready_(slots, 0) {}
 
 void ResultBus::begin() {
-    for (ResultSink* sink : sinks_)
-        if (sink->is_streaming()) sink->begin(plan_);
+    for (ResultSink* sink : sinks_) sink->begin(plan_);
 }
 
 void ResultBus::deliver(std::size_t slot, CellResult cell) {
@@ -21,24 +20,17 @@ void ResultBus::deliver(std::size_t slot, CellResult cell) {
     FARE_ASSERT(slot < cells_.size() && !ready_[slot]);
     cells_[slot] = std::move(cell);
     ready_[slot] = 1;
-    // Stream the newly-completed ordered prefix. Sink callbacks run under
-    // the bus lock, so streaming sinks never need their own synchronisation.
-    while (next_streamed_ < cells_.size() && ready_[next_streamed_]) {
-        for (ResultSink* sink : sinks_)
-            if (sink->is_streaming()) sink->cell(cells_[next_streamed_]);
-        ++next_streamed_;
+    // Deliver the newly-completed ordered prefix. Sink callbacks run under
+    // the bus lock, so sinks never need their own synchronisation.
+    while (next_delivered_ < cells_.size() && ready_[next_delivered_]) {
+        for (ResultSink* sink : sinks_) sink->cell(cells_[next_delivered_]);
+        ++next_delivered_;
     }
 }
 
 ResultSet ResultBus::finish() {
     std::lock_guard<std::mutex> lock(mutex_);
-    for (const char r : ready_) FARE_ASSERT(r);
-    FARE_ASSERT(next_streamed_ == cells_.size());
-    for (ResultSink* sink : sinks_) {
-        if (sink->is_streaming()) continue;
-        sink->begin(plan_);
-        for (const CellResult& cell : cells_) sink->cell(cell);
-    }
+    FARE_ASSERT(next_delivered_ == cells_.size());
     for (ResultSink* sink : sinks_) sink->end(plan_);
     ResultSet results;
     results.cells = std::move(cells_);

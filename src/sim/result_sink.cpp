@@ -61,21 +61,6 @@ void ConsoleTableSink::end(const ExperimentPlan& plan) {
         << table_.to_ascii() << std::flush;
 }
 
-CsvSink::CsvSink(std::string path) : path_(std::move(path)), table_(kColumns) {}
-
-// Rows accumulate across plans (no reset in begin): a sink shared by a
-// multi-plan session keeps every plan's cells, rewriting one well-formed CSV
-// at each plan end rather than silently truncating to the last plan.
-void CsvSink::begin(const ExperimentPlan&) {}
-
-void CsvSink::cell(const CellResult& result) { table_.add_row(cell_row(result)); }
-
-void CsvSink::end(const ExperimentPlan&) {
-    std::ofstream out(path_, std::ios::trunc);
-    FARE_CHECK(out.good(), "cannot open CSV sink path: " + path_);
-    out << table_.to_csv();
-}
-
 JsonLinesSink::JsonLinesSink(std::string path) : path_(std::move(path)) {}
 
 void JsonLinesSink::begin(const ExperimentPlan& plan) {

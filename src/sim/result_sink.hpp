@@ -1,13 +1,12 @@
 // Pluggable result reporting for SimSession: benches stop hand-formatting
-// output and instead attach sinks — an aligned console table, RFC-4180 CSV,
-// JSON lines (one object per cell) for machine-readable perf/accuracy
-// trajectories under bench/out/BENCH_<plan>.json, or seed-replicate
-// statistics (mean/σ error bars over the seed axis).
+// output and instead attach sinks — an aligned console table, JSON lines
+// (one object per cell) for machine-readable perf/accuracy trajectories
+// under bench/out/BENCH_<plan>.json, seed-replicate statistics (mean/σ
+// error bars over the seed axis) or paper-style pivot tables.
 //
-// Delivery contract: by default a sink observes begin / every cell / end in
-// plan order once the run completes. A sink switched to streaming() instead
-// observes begin at run start and each cell as soon as the plan prefix up to
-// it has finished — same order, delivered incrementally (see
+// Delivery contract: every sink observes begin at run start, each cell as
+// soon as the plan prefix up to it has finished — strict plan order,
+// delivered incrementally — and end once the run completes (see
 // sim/result_bus.hpp).
 #pragma once
 
@@ -26,26 +25,14 @@
 
 namespace fare {
 
-/// Observer over one plan execution.
+/// Observer over one plan execution. The ResultBus serialises every
+/// callback, so implementations never need their own locking.
 class ResultSink {
 public:
     virtual ~ResultSink();
     virtual void begin(const ExperimentPlan& plan);
     virtual void cell(const CellResult& result) = 0;
     virtual void end(const ExperimentPlan& plan);
-
-    /// Opt into streaming delivery (cells as the completed prefix grows,
-    /// possibly mid-run) instead of plan-order-at-end. Callbacks are
-    /// serialised by the ResultBus either way, so implementations never need
-    /// their own locking. Returns *this for chaining off add_sink().
-    ResultSink& streaming(bool on = true) {
-        streaming_ = on;
-        return *this;
-    }
-    bool is_streaming() const { return streaming_; }
-
-private:
-    bool streaming_ = false;
 };
 
 /// Aligned ASCII table of the generic cell columns, printed at plan end.
@@ -61,27 +48,13 @@ private:
     Table table_;
 };
 
-/// RFC-4180 CSV with one row per cell. Rows accumulate across every plan
-/// the owning session runs; the file is rewritten in full at each plan end.
-class CsvSink final : public ResultSink {
-public:
-    explicit CsvSink(std::string path);
-    void begin(const ExperimentPlan& plan) override;
-    void cell(const CellResult& result) override;
-    void end(const ExperimentPlan& plan) override;
-
-private:
-    std::string path_;
-    Table table_;
-};
-
 /// JSON lines: one self-describing object per cell. Cells are staged in
 /// `<path>.tmp` and atomically renamed over `<path>` at plan end, so readers
 /// never observe a truncated file and a run killed mid-plan leaves any
 /// previously-published results intact (a resumed run republishes from
 /// scratch instead of appending to a torn tail). The first plan resolving to
 /// a path replaces it; later plans hitting the same explicit path append.
-/// Works in streaming mode: lines land in the staging file as cells finish.
+/// Lines land in the staging file as cells finish.
 class JsonLinesSink final : public ResultSink {
 public:
     /// Writes to `path`; an empty path derives

@@ -27,10 +27,10 @@ SimSession::SimSession(SessionOptions options,
       cache_(cache ? std::move(cache)
                    : make_cell_cache(options.cache_dir,
                                      options.cache_max_bytes)) {
-    // Resolve the SIMD selection now so a bad mode string fails fast here
-    // instead of deep inside the first kernel call. "auto" leaves any
-    // existing override untouched unless one was set by a previous session.
-    simd::set_isa_mode(options.simd.empty() ? "auto" : options.simd);
+    // Resolve FARE_SIMD now so a malformed value fails fast here instead of
+    // deep inside the first kernel call. Reading leaves any SimdIsaScope pin
+    // in place.
+    simd::active_isa();
 }
 
 SimSession::~SimSession() = default;
@@ -83,8 +83,8 @@ ResultSet SimSession::run(const ExperimentPlan& plan) {
         }
     };
 
-    // Serve cache hits first — streaming sinks can then emit the completed
-    // prefix before any execution starts (a fully-cached resume streams the
+    // Serve cache hits first — sinks can then emit the completed prefix
+    // before any execution starts (a fully-cached resume streams the
     // whole plan immediately).
     std::vector<std::size_t> to_run;
     for (const std::size_t job : sched.owned_jobs) {

@@ -3,7 +3,7 @@
 //   PlanScheduler  (sim/scheduler.hpp)  canonical keys, dedup, shard slices
 //   CellExecutor   (sim/executor.hpp)   inline or worker-pool execution
 //   CellCache      (sim/cell_cache.hpp) in-memory memo or on-disk resume
-//   ResultBus      (sim/result_bus.hpp) streaming + plan-order sink delivery
+//   ResultBus      (sim/result_bus.hpp) ordered-prefix sink delivery
 //
 // A session wires the four together from SessionOptions (or injected
 // implementations), so benches keep the one-liner API while sweeps gain
@@ -13,8 +13,8 @@
 //
 // Guarantees:
 //   * results are returned (and reported to sinks) in plan order, regardless
-//     of which worker finished which cell first; streaming sinks see the
-//     same order, delivered as the completed prefix grows;
+//     of which worker finished which cell first; sinks see each cell as the
+//     completed prefix grows;
 //   * every cell is a pure function of its CellSpec, so a parallel run is
 //     bit-identical to a serial run, and an N-shard run merges bit-identical
 //     to a single-session run of the same plan;
@@ -61,12 +61,6 @@ struct SessionOptions {
     /// entries are evicted until the live records fit in this many bytes.
     /// 0 = unbounded. Ignored without cache_dir.
     std::uint64_t cache_max_bytes = 0;
-    /// SIMD kernel selection: "auto" (default: FARE_SIMD env, else best
-    /// detected ISA) or "scalar"/"avx2"/"neon" to pin the table
-    /// process-wide. An ISA the host cannot run degrades to scalar; results
-    /// are bit-identical for every setting (common/simd.hpp). Resolved
-    /// eagerly in the SimSession constructor so a bad value fails fast.
-    std::string simd = "auto";
 };
 
 class SimSession {
@@ -82,8 +76,8 @@ public:
     SimSession& operator=(const SimSession&) = delete;
 
     /// Attach a sink; the session owns it. Sinks observe every subsequent
-    /// run() — in plan order at run end by default, or incrementally when
-    /// the sink enables streaming(). Returns a reference for configuration.
+    /// run() in plan order, each cell as the completed prefix grows (see
+    /// sim/result_bus.hpp). Returns a reference to the attached sink.
     ResultSink& add_sink(std::unique_ptr<ResultSink> sink);
 
     /// Execute the plan (this session's shard of it): unique cell keys fan

@@ -32,17 +32,6 @@ TEST(ActivationsTest, LeakyReluSlope) {
     EXPECT_FLOAT_EQ(leaky_relu_grad_scalar(1.0f, 0.2f), 1.0f);
 }
 
-TEST(ActivationsTest, LeakyReluMatrixMatchesScalar) {
-    Matrix x{{-1.0f, 2.0f}};
-    const Matrix y = leaky_relu(x, 0.1f);
-    EXPECT_FLOAT_EQ(y(0, 0), -0.1f);
-    EXPECT_FLOAT_EQ(y(0, 1), 2.0f);
-    Matrix grad{{1.0f, 1.0f}};
-    const Matrix g = leaky_relu_backward(grad, x, 0.1f);
-    EXPECT_FLOAT_EQ(g(0, 0), 0.1f);
-    EXPECT_FLOAT_EQ(g(0, 1), 1.0f);
-}
-
 TEST(ActivationsTest, SoftmaxRowsSumToOne) {
     Matrix x{{1.0f, 2.0f, 3.0f}, {-5.0f, 0.0f, 5.0f}};
     const Matrix y = softmax_rows(x);

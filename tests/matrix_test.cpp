@@ -78,14 +78,6 @@ TEST(MatrixTest, TransposeInvolution) {
     EXPECT_EQ(a.transposed().transposed(), a);
 }
 
-TEST(MatrixTest, HadamardElementwise) {
-    Matrix a{{1, 2}, {3, 4}};
-    Matrix b{{2, 2}, {0.5f, 1}};
-    Matrix c = hadamard(a, b);
-    EXPECT_FLOAT_EQ(c(0, 0), 2.0f);
-    EXPECT_FLOAT_EQ(c(1, 0), 1.5f);
-}
-
 TEST(MatrixTest, ArithmeticOperators) {
     Matrix a{{1, 2}};
     Matrix b{{3, 4}};

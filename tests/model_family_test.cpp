@@ -141,10 +141,6 @@ TEST(ModelFamilyTest, SweepBuilderPruneAxis) {
 }
 
 TEST(ModelFamilyTest, UsageStringsNameEveryFamilyAndWorkload) {
-    const std::string usage = model_family_usage();
-    EXPECT_NE(usage.find("gnn"), std::string::npos);
-    EXPECT_NE(usage.find("transformer"), std::string::npos);
-    EXPECT_NE(usage.find("SeqCls (Transformer)"), std::string::npos);
     const std::string workloads = workload_usage();
     EXPECT_NE(workloads.find("PPI GCN"), std::string::npos);
     EXPECT_NE(workloads.find("SeqCls Transformer"), std::string::npos);

@@ -10,7 +10,7 @@ namespace fare {
 namespace {
 
 /// Minimise f(w) = 0.5 * ||w - target||^2 — gradient is (w - target).
-void run_quadratic(Optimizer& opt, int steps, Matrix& w, const Matrix& target) {
+void run_quadratic(Adam& opt, int steps, Matrix& w, const Matrix& target) {
     Matrix grad(w.rows(), w.cols());
     for (int s = 0; s < steps; ++s) {
         for (std::size_t i = 0; i < w.size(); ++i)
@@ -24,14 +24,6 @@ TEST(AdamTest, ConvergesOnQuadratic) {
     Matrix w(2, 2, 0.0f);
     Matrix target{{1.0f, -2.0f}, {0.5f, 3.0f}};
     run_quadratic(adam, 400, w, target);
-    EXPECT_LT(max_abs_diff(w, target), 0.05f);
-}
-
-TEST(SgdTest, ConvergesOnQuadratic) {
-    Sgd sgd(0.1f, 0.9f);
-    Matrix w(2, 2, 0.0f);
-    Matrix target{{1.0f, -2.0f}, {0.5f, 3.0f}};
-    run_quadratic(sgd, 300, w, target);
     EXPECT_LT(max_abs_diff(w, target), 0.05f);
 }
 
@@ -50,18 +42,6 @@ TEST(AdamTest, ZeroGradientNoMove) {
     Matrix grad(1, 1, 0.0f);
     adam.step({&w}, {&grad});
     EXPECT_FLOAT_EQ(w(0, 0), 1.0f);
-}
-
-TEST(SgdTest, MomentumAccumulates) {
-    Sgd sgd(0.1f, 0.9f);
-    Matrix w(1, 1, 0.0f);
-    Matrix grad(1, 1, 1.0f);
-    sgd.step({&w}, {&grad});
-    const float first = w(0, 0);
-    sgd.step({&w}, {&grad});
-    const float second_step = w(0, 0) - first;
-    EXPECT_LT(second_step, first);  // second move larger in magnitude (negative)
-    EXPECT_NEAR(second_step, -0.19f, 1e-5f);
 }
 
 TEST(OptimizerTest, MultipleParamsIndependent) {
@@ -89,7 +69,6 @@ TEST(OptimizerTest, RebindingDifferentModelRejected) {
 
 TEST(OptimizerTest, InvalidLearningRateRejected) {
     EXPECT_THROW(Adam(-0.1f), InvalidArgument);
-    EXPECT_THROW(Sgd(0.0f), InvalidArgument);
 }
 
 }  // namespace

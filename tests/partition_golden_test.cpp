@@ -126,12 +126,12 @@ TEST(PartitionGoldenTest, RelativeOrderingHolds) {
 TEST(PartitionGoldenTest, QualityReportIsSeedStableAcrossRuns) {
     // The golden envelope only means something if the measurement itself is
     // reproducible: same graph + seed must give bit-identical quality.
-    for (const Partitioner* algo : registered_partitioners()) {
+    for (const Partitioner& algo : registered_partitioners()) {
         const PartitionQuality a = compute_quality(
-            sbm_graph(), algo->partition(sbm_graph(), 8, kSeed), algo->name());
+            sbm_graph(), algo.partition(sbm_graph(), 8, kSeed), algo.name);
         const PartitionQuality b = compute_quality(
-            sbm_graph(), algo->partition(sbm_graph(), 8, kSeed), algo->name());
-        SCOPED_TRACE(algo->name());
+            sbm_graph(), algo.partition(sbm_graph(), 8, kSeed), algo.name);
+        SCOPED_TRACE(algo.name);
         EXPECT_EQ(a.edge_cut, b.edge_cut);
         EXPECT_EQ(a.alpha, b.alpha);
         EXPECT_EQ(a.beta, b.beta);

@@ -74,7 +74,7 @@ void run_streaming_smoke(const std::string& algo_name) {
         ASSERT_LT(a, kParts);
         ++sizes[static_cast<std::size_t>(a)];
     }
-    if (algo.bounded_balance()) {
+    if (algo.bounded_balance) {
         const std::size_t cap = streaming_capacity(g.num_nodes(), kParts);
         for (const std::size_t size : sizes) EXPECT_LE(size, cap);
     }

@@ -2,7 +2,7 @@
 // added to the registry must satisfy the shared contract on randomized graph
 // shapes — complete assignment, exact edge-cut accounting, determinism under
 // a fixed seed, the hard streaming capacity where the algorithm contracts it
-// (bounded_balance()), and ReFennel's never-worse-than-Fennel guarantee.
+// (bounded_balance), and ReFennel's never-worse-than-Fennel guarantee.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -89,24 +89,24 @@ std::vector<std::size_t> part_sizes(const Partitioning& p) {
 
 TEST(PartitionPropertyTest, RegistryHasTheFiveAlgorithms) {
     std::vector<std::string> names;
-    for (const Partitioner* algo : registered_partitioners())
-        names.emplace_back(algo->name());
+    for (const Partitioner& algo : registered_partitioners())
+        names.emplace_back(algo.name);
     const std::vector<std::string> expected = {"multilevel", "ldg",
                                                "weighted-ldg", "fennel",
                                                "refennel"};
     EXPECT_EQ(names, expected);
     for (const std::string& name : expected)
-        EXPECT_STREQ(find_partitioner(name).name(), name.c_str());
+        EXPECT_STREQ(find_partitioner(name).name, name.c_str());
     EXPECT_FALSE(try_find_partitioner("metis").ok());
     EXPECT_THROW(find_partitioner("metis"), InvalidArgument);
 }
 
 TEST(PartitionPropertyTest, CompleteAssignmentOnEveryShape) {
     for (const Shape& shape : shapes())
-        for (const Partitioner* algo : registered_partitioners())
+        for (const Partitioner& algo : registered_partitioners())
             for (const int k : {1, 2, 5, 8}) {
-                const Partitioning p = algo->partition(shape.graph, k, 1);
-                SCOPED_TRACE(std::string(algo->name()) + " on " + shape.name +
+                const Partitioning p = algo.partition(shape.graph, k, 1);
+                SCOPED_TRACE(std::string(algo.name) + " on " + shape.name +
                              " k=" + std::to_string(k));
                 ASSERT_EQ(p.k, k);
                 ASSERT_EQ(p.assignment.size(), shape.graph.num_nodes());
@@ -119,17 +119,17 @@ TEST(PartitionPropertyTest, CompleteAssignmentOnEveryShape) {
 
 TEST(PartitionPropertyTest, EdgeCutMatchesBruteForceRecount) {
     for (const Shape& shape : shapes())
-        for (const Partitioner* algo : registered_partitioners())
+        for (const Partitioner& algo : registered_partitioners())
             for (const int k : {2, 5}) {
-                const Partitioning p = algo->partition(shape.graph, k, 3);
-                SCOPED_TRACE(std::string(algo->name()) + " on " + shape.name);
+                const Partitioning p = algo.partition(shape.graph, k, 3);
+                SCOPED_TRACE(std::string(algo.name) + " on " + shape.name);
                 const std::size_t brute = brute_force_cut(shape.graph, p);
                 EXPECT_EQ(p.edge_cut(shape.graph), brute);
                 const PartitionQuality q =
-                    compute_quality(shape.graph, p, algo->name());
+                    compute_quality(shape.graph, p, algo.name);
                 EXPECT_EQ(q.edge_cut, brute);
                 EXPECT_EQ(q.parts, k);
-                EXPECT_EQ(q.algo, algo->name());
+                EXPECT_EQ(q.algo, algo.name);
                 if (shape.graph.num_edges() > 0) {
                     EXPECT_DOUBLE_EQ(
                         q.edge_cut_rate,
@@ -144,23 +144,23 @@ TEST(PartitionPropertyTest, EdgeCutMatchesBruteForceRecount) {
 
 TEST(PartitionPropertyTest, DeterministicUnderFixedSeed) {
     for (const Shape& shape : shapes())
-        for (const Partitioner* algo : registered_partitioners()) {
-            const Partitioning a = algo->partition(shape.graph, 5, 42);
-            const Partitioning b = algo->partition(shape.graph, 5, 42);
-            SCOPED_TRACE(std::string(algo->name()) + " on " + shape.name);
+        for (const Partitioner& algo : registered_partitioners()) {
+            const Partitioning a = algo.partition(shape.graph, 5, 42);
+            const Partitioning b = algo.partition(shape.graph, 5, 42);
+            SCOPED_TRACE(std::string(algo.name) + " on " + shape.name);
             EXPECT_EQ(a.assignment, b.assignment);
         }
 }
 
 TEST(PartitionPropertyTest, BoundedPartitionersHonourStreamingCapacity) {
     for (const Shape& shape : shapes())
-        for (const Partitioner* algo : registered_partitioners()) {
-            if (!algo->bounded_balance()) continue;
+        for (const Partitioner& algo : registered_partitioners()) {
+            if (!algo.bounded_balance) continue;
             for (const int k : {2, 5, 8}) {
-                const Partitioning p = algo->partition(shape.graph, k, 9);
+                const Partitioning p = algo.partition(shape.graph, k, 9);
                 const std::size_t cap =
                     streaming_capacity(shape.graph.num_nodes(), k);
-                SCOPED_TRACE(std::string(algo->name()) + " on " + shape.name +
+                SCOPED_TRACE(std::string(algo.name) + " on " + shape.name +
                              " k=" + std::to_string(k));
                 for (const std::size_t size : part_sizes(p))
                     EXPECT_LE(size, cap);
@@ -180,18 +180,18 @@ TEST(PartitionPropertyTest, CapacityTimesPartsAlwaysCoversTheGraph) {
 
 TEST(PartitionPropertyTest, MorePartsThanNodesThrows) {
     const CSRGraph tiny = grid_graph(2, 2);  // 4 nodes
-    for (const Partitioner* algo : registered_partitioners()) {
-        SCOPED_TRACE(algo->name());
-        EXPECT_THROW(algo->partition(tiny, 10, 1), InvalidArgument);
-        EXPECT_THROW(algo->partition(tiny, 0, 1), InvalidArgument);
+    for (const Partitioner& algo : registered_partitioners()) {
+        SCOPED_TRACE(algo.name);
+        EXPECT_THROW(algo.partition(tiny, 10, 1), InvalidArgument);
+        EXPECT_THROW(algo.partition(tiny, 0, 1), InvalidArgument);
     }
 }
 
 TEST(PartitionPropertyTest, SinglePartIsTrivialEverywhere) {
     for (const Shape& shape : shapes())
-        for (const Partitioner* algo : registered_partitioners()) {
-            const Partitioning p = algo->partition(shape.graph, 1, 1);
-            SCOPED_TRACE(std::string(algo->name()) + " on " + shape.name);
+        for (const Partitioner& algo : registered_partitioners()) {
+            const Partitioning p = algo.partition(shape.graph, 1, 1);
+            SCOPED_TRACE(std::string(algo.name) + " on " + shape.name);
             EXPECT_EQ(p.edge_cut(shape.graph), 0u);
             const PartitionQuality q = compute_quality(shape.graph, p);
             EXPECT_DOUBLE_EQ(q.edge_cut_rate, 0.0);

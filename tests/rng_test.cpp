@@ -117,12 +117,6 @@ TEST(RngTest, ShuffleIsPermutation) {
     EXPECT_EQ(sorted, orig);
 }
 
-TEST(RngTest, ForkProducesIndependentStream) {
-    Rng a(31);
-    Rng child = a.fork();
-    EXPECT_NE(a.next_u64(), child.next_u64());
-}
-
 TEST(RngTest, BernoulliFrequency) {
     Rng rng(37);
     int hits = 0;

@@ -6,9 +6,12 @@
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <numeric>
 #include <sstream>
 
 #include "common/error.hpp"
+#include "sim/cell_cache.hpp"
+#include "sim/executor.hpp"
 #include "sim/registry.hpp"
 #include "sim/result_sink.hpp"
 #include "sim/session.hpp"
@@ -96,8 +99,6 @@ TEST(SimSessionTest, SinksObserveCellsInPlanOrder) {
     SimSession session;
     std::ostringstream table_out;
     session.add_sink(std::make_unique<ConsoleTableSink>(table_out));
-    const std::string csv_path = ::testing::TempDir() + "/cells.csv";
-    session.add_sink(std::make_unique<CsvSink>(csv_path));
     const std::string json_path = ::testing::TempDir() + "/cells.json";
     session.add_sink(std::make_unique<JsonLinesSink>(json_path));
 
@@ -108,13 +109,8 @@ TEST(SimSessionTest, SinksObserveCellsInPlanOrder) {
     EXPECT_NE(table_out.str().find("sink_plan"), std::string::npos);
     EXPECT_NE(table_out.str().find("fault-unaware"), std::string::npos);
 
-    std::ifstream csv(csv_path);
-    std::string line;
-    std::size_t csv_lines = 0;
-    while (std::getline(csv, line)) ++csv_lines;
-    EXPECT_EQ(csv_lines, plan.size() + 1);  // header + cells
-
     std::ifstream json(json_path);
+    std::string line;
     std::size_t json_lines = 0;
     while (std::getline(json, line)) {
         // Plan-ordered: the cell index field counts up from 0.
@@ -128,15 +124,12 @@ TEST(SimSessionTest, SinksObserveCellsInPlanOrder) {
     }
     EXPECT_EQ(json_lines, plan.size());
     (void)results;
-    std::remove(csv_path.c_str());
     std::remove(json_path.c_str());
 }
 
 TEST(SimSessionTest, ExplicitPathSinksAccumulateAcrossPlans) {
     SimSession session;
-    const std::string csv_path = ::testing::TempDir() + "/multi.csv";
     const std::string json_path = ::testing::TempDir() + "/multi.json";
-    session.add_sink(std::make_unique<CsvSink>(csv_path));
     session.add_sink(std::make_unique<JsonLinesSink>(json_path));
 
     const ExperimentPlan plan = tiny_plan("multi");
@@ -144,16 +137,10 @@ TEST(SimSessionTest, ExplicitPathSinksAccumulateAcrossPlans) {
     session.run(plan);  // second plan: fully cached, still reported
 
     std::string line;
-    std::ifstream csv(csv_path);
-    std::size_t csv_lines = 0;
-    while (std::getline(csv, line)) ++csv_lines;
-    EXPECT_EQ(csv_lines, 2 * plan.size() + 1);  // one header, both plans
-
     std::ifstream json(json_path);
     std::size_t json_lines = 0;
     while (std::getline(json, line)) ++json_lines;
     EXPECT_EQ(json_lines, 2 * plan.size());
-    std::remove(csv_path.c_str());
     std::remove(json_path.c_str());
 }
 
@@ -189,7 +176,7 @@ TEST(SimSessionTest, DeployModeCellsCarryDeploymentResult) {
     EXPECT_NE(json.find("\"trained_accuracy\":"), std::string::npos);
 }
 
-/// Records delivery order and lifecycle callbacks; used in streaming mode.
+/// Records delivery order and lifecycle callbacks.
 class RecordingSink final : public ResultSink {
 public:
     void begin(const ExperimentPlan&) override { ++begins; }
@@ -207,28 +194,72 @@ TEST(SimSessionTest, StreamingSinkSeesOrderedPrefixDelivery) {
     SessionOptions options;
     options.threads = 4;  // workers finish out of order; delivery must not
     SimSession session(options);
-    auto streaming = std::make_unique<RecordingSink>();
-    RecordingSink* stream = streaming.get();
-    session.add_sink(std::move(streaming)).streaming();
-    auto at_end = std::make_unique<RecordingSink>();
-    RecordingSink* plan_order = at_end.get();
-    session.add_sink(std::move(at_end));
+    auto first_sink = std::make_unique<RecordingSink>();
+    RecordingSink* first = first_sink.get();
+    session.add_sink(std::move(first_sink));
+    auto second_sink = std::make_unique<RecordingSink>();
+    RecordingSink* second = second_sink.get();
+    session.add_sink(std::move(second_sink));
 
     const ExperimentPlan plan = tiny_plan("streamed");
     const ResultSet results = session.run(plan);
 
-    // Both contracts observe every cell in strict plan order.
+    // Every sink observes every cell in strict plan order.
     std::vector<std::size_t> expected;
     for (std::size_t i = 0; i < plan.size(); ++i) expected.push_back(i);
-    EXPECT_EQ(stream->indices, expected);
-    EXPECT_EQ(plan_order->indices, expected);
-    EXPECT_EQ(stream->begins, 1);
-    EXPECT_EQ(stream->ends, 1);
-    EXPECT_EQ(plan_order->begins, 1);
-    EXPECT_EQ(plan_order->ends, 1);
+    EXPECT_EQ(first->indices, expected);
+    EXPECT_EQ(second->indices, expected);
+    EXPECT_EQ(first->begins, 1);
+    EXPECT_EQ(first->ends, 1);
+    EXPECT_EQ(second->begins, 1);
+    EXPECT_EQ(second->ends, 1);
     ASSERT_EQ(results.size(), plan.size());
     for (std::size_t i = 0; i < results.size(); ++i)
         EXPECT_EQ(results.cells[i].plan_index, i);
+}
+
+/// Runs jobs in order on the calling thread and, before job k, checks that
+/// `sink` has already been handed cells 0..k-1. Results are synthetic: only
+/// their delivery is under test.
+class PrefixCheckingExecutor final : public CellExecutor {
+public:
+    explicit PrefixCheckingExecutor(const RecordingSink& sink) : sink_(sink) {}
+    void execute(const std::vector<const CellSpec*>& jobs,
+                 const DoneFn& done) override {
+        for (std::size_t k = 0; k < jobs.size(); ++k) {
+            std::vector<std::size_t> prefix(k);
+            std::iota(prefix.begin(), prefix.end(), std::size_t{0});
+            EXPECT_EQ(sink_.indices, prefix) << "before job " << k;
+            CellResult result;
+            result.spec = *jobs[k];
+            done(k, std::move(result));
+        }
+    }
+    std::size_t width() const override { return 1; }
+
+private:
+    const RecordingSink& sink_;
+};
+
+TEST(SimSessionTest, SinkSeesEachCellBeforeTheNextJobRuns) {
+    const ExperimentPlan plan =
+        SweepBuilder("prefix")
+            .workload(find_workload("PPI", GnnKind::kGCN))
+            .axis(&FaultScenario::density, {0.01, 0.05})
+            .sa1_fraction(0.5)
+            .schemes({Scheme::kFaultUnaware, Scheme::kFARe})
+            .build();
+    // No duplicate keys, so job k is plan cell k.
+    ASSERT_EQ(PlanScheduler().schedule(plan).num_jobs(), plan.size());
+
+    auto recording = std::make_unique<RecordingSink>();
+    RecordingSink* sink = recording.get();
+    SimSession session(SessionOptions{},
+                       std::make_unique<PrefixCheckingExecutor>(*sink), nullptr);
+    session.add_sink(std::move(recording));
+    session.run(plan);
+    EXPECT_EQ(sink->indices.size(), plan.size());
+    EXPECT_EQ(sink->ends, 1);
 }
 
 TEST(SimSessionTest, JsonLinesSinkPublishesAtomically) {
@@ -241,7 +272,6 @@ TEST(SimSessionTest, JsonLinesSinkPublishesAtomically) {
         // may appear at the published path — only the staging file.
         SimSession session;
         auto& sink = session.add_sink(std::make_unique<JsonLinesSink>(path));
-        sink.streaming();
         sink.begin(plan);
         CellResult fake;
         fake.spec = plan.cells[0];
@@ -252,7 +282,7 @@ TEST(SimSessionTest, JsonLinesSinkPublishesAtomically) {
 
     // A completed run publishes the full file and removes the staging copy.
     SimSession session;
-    session.add_sink(std::make_unique<JsonLinesSink>(path)).streaming();
+    session.add_sink(std::make_unique<JsonLinesSink>(path));
     session.run(plan);
     std::ifstream published(path);
     ASSERT_TRUE(published.good());

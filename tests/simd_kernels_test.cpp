@@ -3,10 +3,10 @@
 //   * every kernel in the active vector table is fuzzed against the scalar
 //     oracle table and must match BYTE for byte — including ragged tails,
 //     saturating inputs, round-to-nearest-even ties and empty inputs;
-//   * dispatch plumbing: mode parsing, degrade-to-scalar for ISAs the host
-//     cannot run, the RAII test scope, SessionOptions::simd;
-//   * end to end: a full online-tolerance cell run under simd="scalar" is
-//     byte-identical to the same run under simd="auto".
+//   * dispatch plumbing: degrade-to-scalar for ISAs the host cannot run,
+//     the RAII test scope, and a session leaving that scope's pin alone;
+//   * end to end: a full online-tolerance cell run with scalar pinned is
+//     byte-identical to the same run under the default selection.
 //
 // On a host with no vector ISA the fuzz cases compare scalar against scalar
 // (vacuously true); CI's AVX2 runners exercise the real comparison, and the
@@ -237,26 +237,22 @@ TEST(SimdKernelsTest, AggregationKernelsMatchScalarOracle) {
     }
 }
 
-TEST(SimdDispatchTest, ModeParsingAndDegradeToScalar) {
-    // Active default never exceeds what the host can run.
-    EXPECT_EQ(simd::set_isa_mode("auto"), simd::active_isa());
-
+TEST(SimdDispatchTest, ScopeDegradesToScalar) {
     // Pinning scalar always works.
-    EXPECT_EQ(simd::set_isa_mode("scalar"), SimdIsa::kScalar);
-    EXPECT_EQ(simd::active_isa(), SimdIsa::kScalar);
+    {
+        simd::SimdIsaScope pin(SimdIsa::kScalar);
+        EXPECT_EQ(simd::active_isa(), SimdIsa::kScalar);
+    }
 
     // Pinning an ISA the host cannot run degrades to scalar; pinning the
     // detected one selects it.
     for (const SimdIsa isa : {SimdIsa::kAvx2, SimdIsa::kNeon}) {
-        const SimdIsa got = simd::set_isa(isa);
+        simd::SimdIsaScope pin(isa);
         if (isa == simd::detected_isa())
-            EXPECT_EQ(got, isa);
+            EXPECT_EQ(simd::active_isa(), isa);
         else
-            EXPECT_EQ(got, SimdIsa::kScalar);
+            EXPECT_EQ(simd::active_isa(), SimdIsa::kScalar);
     }
-
-    EXPECT_THROW(simd::set_isa_mode("sse9"), InvalidArgument);
-    EXPECT_THROW(simd::set_isa_mode(""), InvalidArgument);
 
     // kernels(isa) throws for unavailable ISAs instead of degrading.
     for (const SimdIsa isa : {SimdIsa::kAvx2, SimdIsa::kNeon}) {
@@ -268,12 +264,9 @@ TEST(SimdDispatchTest, ModeParsingAndDegradeToScalar) {
     EXPECT_STREQ(simd::isa_name(SimdIsa::kScalar), "scalar");
     EXPECT_STREQ(simd::isa_name(SimdIsa::kAvx2), "avx2");
     EXPECT_STREQ(simd::isa_name(SimdIsa::kNeon), "neon");
-
-    simd::set_isa_mode("auto");  // leave no override behind
 }
 
 TEST(SimdDispatchTest, IsaScopeRestoresPreviousSelection) {
-    simd::set_isa_mode("auto");
     const SimdIsa ambient = simd::active_isa();
     {
         simd::SimdIsaScope pin(SimdIsa::kScalar);
@@ -285,6 +278,13 @@ TEST(SimdDispatchTest, IsaScopeRestoresPreviousSelection) {
         EXPECT_EQ(simd::active_isa(), SimdIsa::kScalar);
     }
     EXPECT_EQ(simd::active_isa(), ambient);
+}
+
+TEST(SimdDispatchTest, SessionKeepsTheScopePin) {
+    // Constructing a session resolves FARE_SIMD but must not touch a pin.
+    simd::SimdIsaScope pin(SimdIsa::kScalar);
+    { SimSession session; }
+    EXPECT_EQ(simd::active_isa(), SimdIsa::kScalar);
 }
 
 /// Tiny online-tolerance plan — wear, soft errors, detection rounds, spare
@@ -318,15 +318,15 @@ std::string canonical(const ResultSet& results) {
 }
 
 TEST(SimdEndToEndTest, OnlineCellIsByteIdenticalScalarVsAuto) {
-    SessionOptions scalar_opts;
-    scalar_opts.simd = "scalar";
-    SimSession scalar_session(scalar_opts, std::make_unique<PoolExecutor>(1),
-                              nullptr);
-    const ResultSet scalar_run = scalar_session.run(tiny_online_plan());
+    ResultSet scalar_run;
+    {
+        simd::SimdIsaScope pin(SimdIsa::kScalar);
+        SimSession scalar_session(SessionOptions{},
+                                  std::make_unique<PoolExecutor>(1), nullptr);
+        scalar_run = scalar_session.run(tiny_online_plan());
+    }
 
-    SessionOptions auto_opts;
-    auto_opts.simd = "auto";
-    SimSession auto_session(auto_opts, std::make_unique<PoolExecutor>(1),
+    SimSession auto_session(SessionOptions{}, std::make_unique<PoolExecutor>(1),
                             nullptr);
     const ResultSet auto_run = auto_session.run(tiny_online_plan());
 

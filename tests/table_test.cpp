@@ -27,20 +27,6 @@ TEST(TableTest, EmptyHeaderRejected) {
     EXPECT_THROW(Table({}), InvalidArgument);
 }
 
-TEST(TableTest, CsvEscapesSpecialCharacters) {
-    Table t({"k", "v"});
-    t.add_row({"with,comma", "with\"quote"});
-    const std::string csv = t.to_csv();
-    EXPECT_NE(csv.find("\"with,comma\""), std::string::npos);
-    EXPECT_NE(csv.find("\"with\"\"quote\""), std::string::npos);
-}
-
-TEST(TableTest, CsvPlainCellsUnquoted) {
-    Table t({"k"});
-    t.add_row({"plain"});
-    EXPECT_EQ(t.to_csv(), "k\nplain\n");
-}
-
 TEST(FmtTest, FixedPrecision) {
     EXPECT_EQ(fmt(1.23456, 2), "1.23");
     EXPECT_EQ(fmt(1.0, 3), "1.000");
