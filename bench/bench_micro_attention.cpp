@@ -47,7 +47,7 @@ void BM_AttentionForward(benchmark::State& state) {
     const TransformerConfig config =
         bench_config(static_cast<std::size_t>(state.range(0)), 2);
     TransformerModel model(config);
-    model.sync_effective();
+    sync_effective(model.params());
     const auto sequences = bench_batch(config, 16);
     std::vector<const std::vector<int>*> batch;
     for (const auto& seq : sequences) batch.push_back(&seq);
@@ -62,7 +62,8 @@ void BM_AttentionForwardBackward(benchmark::State& state) {
     const TransformerConfig config =
         bench_config(static_cast<std::size_t>(state.range(0)), 2);
     TransformerModel model(config);
-    model.sync_effective();
+    const std::vector<Param*> params = model.params();
+    sync_effective(params);
     const auto sequences = bench_batch(config, 16);
     std::vector<const std::vector<int>*> batch;
     std::vector<int> labels;
@@ -71,11 +72,11 @@ void BM_AttentionForwardBackward(benchmark::State& state) {
         labels.push_back(static_cast<int>(i) % config.num_classes);
     const std::vector<bool> mask(labels.size(), true);
     for (auto _ : state) {
-        model.zero_grads();
+        zero_grads(params);
         const Matrix logits = model.forward(batch);
         const LossResult loss = softmax_cross_entropy(logits, labels, mask);
         model.backward(loss.grad);
-        benchmark::DoNotOptimize(model.grads());
+        benchmark::DoNotOptimize(params.back()->grad);
     }
     state.counters["d_model"] = static_cast<double>(config.d_model);
 }
@@ -93,9 +94,10 @@ void BM_TransformerWeightRefresh(benchmark::State& state) {
     hw_config.faults.sa1_fraction = 0.5;
     hw_config.seed = 17;
     FaultyHardware hw(Scheme::kFARe, hw_config);
-    hw.bind_params(model.params());
+    std::vector<Matrix*> params;
+    for (Param* p : model.params()) params.push_back(&p->value);
+    hw.bind_params(params);
     hw.preprocess({});
-    const std::vector<Matrix*> params = model.params();
     for (auto _ : state) {
         for (std::size_t i = 0; i < params.size(); ++i)
             benchmark::DoNotOptimize(hw.effective_weights(i, *params[i]));

@@ -25,34 +25,26 @@ class GATLayer final : public Layer {
 public:
     GATLayer(std::size_t in, std::size_t out, bool with_relu, Rng& rng)
         : with_relu_(with_relu),
-          w_(in, out),
-          a_src_(1, out),
-          a_dst_(1, out),
-          grad_w_(in, out),
-          grad_a_src_(1, out),
-          grad_a_dst_(1, out) {
-        w_.xavier_init(rng);
-        a_src_.xavier_init(rng);
-        a_dst_.xavier_init(rng);
-        w_eff_ = w_;
-        a_src_eff_ = a_src_;
-        a_dst_eff_ = a_dst_;
-    }
+          w_(in, out, rng),
+          a_src_(1, out, rng),
+          a_dst_(1, out, rng) {}
 
     Matrix forward(const Matrix& x, const BatchGraphView& g) override {
         const std::size_t n = g.num_nodes();
         x_ = x;
-        h_ = matmul(x, w_eff_);  // combination phase on weight crossbars
+        h_ = matmul(x, w_.effective);  // combination phase on weight crossbars
         const std::size_t d = h_.cols();
 
+        const Matrix& a_src = a_src_.effective;
+        const Matrix& a_dst = a_dst_.effective;
         s_.assign(n, 0.0f);
         t_.assign(n, 0.0f);
         for (std::size_t i = 0; i < n; ++i) {
             auto hrow = h_.row(i);
             float s = 0.0f, t = 0.0f;
             for (std::size_t k = 0; k < d; ++k) {
-                s += a_src_eff_(0, k) * hrow[k];
-                t += a_dst_eff_(0, k) * hrow[k];
+                s += a_src(0, k) * hrow[k];
+                t += a_dst(0, k) * hrow[k];
             }
             s_[i] = s;
             t_[i] = t;
@@ -135,33 +127,27 @@ public:
         }
 
         // s_i = a_src . h_i, t_i = a_dst . h_i
+        const Matrix& a_src = a_src_.effective;
+        const Matrix& a_dst = a_dst_.effective;
         for (std::size_t i = 0; i < n; ++i) {
             auto hrow = h_.row(i);
             auto ghrow = g_h.row(i);
             for (std::size_t k = 0; k < d; ++k) {
-                grad_a_src_(0, k) += g_s[i] * hrow[k];
-                grad_a_dst_(0, k) += g_t[i] * hrow[k];
-                ghrow[k] += g_s[i] * a_src_eff_(0, k) + g_t[i] * a_dst_eff_(0, k);
+                a_src_.grad(0, k) += g_s[i] * hrow[k];
+                a_dst_.grad(0, k) += g_t[i] * hrow[k];
+                ghrow[k] += g_s[i] * a_src(0, k) + g_t[i] * a_dst(0, k);
             }
         }
 
-        grad_w_ += matmul_at_b(x_, g_h);
-        return matmul_a_bt(g_h, w_eff_);
+        w_.grad += matmul_at_b(x_, g_h);
+        return matmul_a_bt(g_h, w_.effective);
     }
 
-    std::vector<Matrix*> params() override { return {&w_, &a_src_, &a_dst_}; }
-    std::vector<Matrix*> grads() override {
-        return {&grad_w_, &grad_a_src_, &grad_a_dst_};
-    }
-    std::vector<Matrix*> effective_params() override {
-        return {&w_eff_, &a_src_eff_, &a_dst_eff_};
-    }
+    std::vector<Param*> params() override { return {&w_, &a_src_, &a_dst_}; }
 
 private:
     bool with_relu_;
-    Matrix w_, a_src_, a_dst_;
-    Matrix grad_w_, grad_a_src_, grad_a_dst_;
-    Matrix w_eff_, a_src_eff_, a_dst_eff_;
+    Param w_, a_src_, a_dst_;  // declared in Xavier draw order
     // forward caches
     Matrix x_, h_, pre_;
     std::vector<float> s_, t_, z_, alpha_;

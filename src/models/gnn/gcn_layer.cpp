@@ -13,15 +13,12 @@ namespace {
 class GCNLayer final : public Layer {
 public:
     GCNLayer(std::size_t in, std::size_t out, bool with_relu, Rng& rng)
-        : with_relu_(with_relu), w_(in, out), grad_w_(in, out) {
-        w_.xavier_init(rng);
-        w_eff_ = w_;
-    }
+        : with_relu_(with_relu), w_(in, out, rng) {}
 
     Matrix forward(const Matrix& x, const BatchGraphView& g) override {
         x_ = x;
-        const Matrix h = matmul(x, w_eff_);   // combination phase
-        pre_ = g.gcn_multiply(h);             // aggregation phase
+        const Matrix h = matmul(x, w_.effective);  // combination phase
+        pre_ = g.gcn_multiply(h);                   // aggregation phase
         return with_relu_ ? relu(pre_) : pre_;
     }
 
@@ -29,17 +26,15 @@ public:
         const Matrix g_pre =
             with_relu_ ? relu_backward(grad_out, pre_) : grad_out;
         const Matrix g_h = g.gcn_multiply_t(g_pre);
-        grad_w_ += matmul_at_b(x_, g_h);
-        return matmul_a_bt(g_h, w_eff_);
+        w_.grad += matmul_at_b(x_, g_h);
+        return matmul_a_bt(g_h, w_.effective);
     }
 
-    std::vector<Matrix*> params() override { return {&w_}; }
-    std::vector<Matrix*> grads() override { return {&grad_w_}; }
-    std::vector<Matrix*> effective_params() override { return {&w_eff_}; }
+    std::vector<Param*> params() override { return {&w_}; }
 
 private:
     bool with_relu_;
-    Matrix w_, grad_w_, w_eff_;
+    Param w_;
     Matrix x_, pre_;  // forward caches
 };
 

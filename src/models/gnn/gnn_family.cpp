@@ -1,5 +1,6 @@
-#include "models/gnn/gnn_family.hpp"
-
+// The paper's model family: Cluster-GCN style mini-batch GNN training
+// (GCN / GAT / GraphSAGE) on partitioned synthetic graphs, with the Table II
+// configurations and the paper-scale timing of each workload.
 #include <atomic>
 #include <future>
 #include <map>
@@ -8,6 +9,7 @@
 #include <tuple>
 
 #include "models/gnn/trainer.hpp"
+#include "nn/model_family.hpp"
 #include "sim/registry.hpp"
 
 namespace fare {
@@ -92,29 +94,82 @@ BatchSetCache& batch_set_cache() {
     return cache;
 }
 
-}  // namespace
+std::vector<WorkloadSpec> gnn_workloads() { return fig5_workloads(); }
 
-WorkloadArtefactCounts workload_artefact_counts() { return batch_set_cache().counts(); }
-
-std::vector<WorkloadSpec> GnnFamily::workloads() const { return fig5_workloads(); }
-
-TrainConfig GnnFamily::train_config(const WorkloadSpec& workload,
-                                    std::uint64_t seed) const {
-    // WorkloadSpec::train_config handles the "gnn" family inline (it only
-    // dispatches here for other families), so this cannot recurse.
-    return workload.train_config(seed);
+TrainConfig gnn_train_config(const WorkloadSpec& workload, std::uint64_t seed) {
+    TrainConfig tc;
+    tc.kind = workload.kind;
+    tc.hidden = 32;
+    tc.num_layers = 2;
+    tc.lr = 0.01f;  // Table II
+    tc.epochs = default_experiment_epochs();
+    tc.seed = seed;
+    tc.record_curve = false;
+    // Table II scaled ~100x: partitions / batch keep the same proportions
+    // (e.g. Reddit 1500 partitions, batch 10 -> 48 partitions, batch 4).
+    if (workload.dataset == "PPI") {
+        tc.num_partitions = 40;
+        tc.partitions_per_batch = 4;
+    } else if (workload.dataset == "Reddit") {
+        tc.num_partitions = 48;
+        tc.partitions_per_batch = 4;
+    } else if (workload.dataset == "Amazon2M") {
+        tc.num_partitions = 50;
+        tc.partitions_per_batch = 5;
+    } else {  // Ogbl
+        tc.num_partitions = 48;
+        tc.partitions_per_batch = 4;
+    }
+    return tc;
 }
 
-WorkloadTiming GnnFamily::paper_scale_timing(const WorkloadSpec& workload) const {
-    return workload.paper_scale_timing();
+WorkloadTiming gnn_paper_scale_timing(const WorkloadSpec& workload) {
+    // Paper-scale pipeline inputs: N = partitions / batch-size subgraphs per
+    // epoch (Table II), hidden width 1024 (the paper's NR discussion), 100
+    // epochs.
+    WorkloadTiming w;
+    w.epochs = 100;
+    w.hidden = 1024;
+    w.layers = 2;
+    w.features = 602;  // representative of the real datasets' feature widths
+    if (workload.dataset == "PPI") {
+        w.batches_per_epoch = 250 / 5;
+        w.avg_batch_nodes = 56944 / 250 * 5;
+        w.features = 50;
+    } else if (workload.dataset == "Reddit") {
+        w.batches_per_epoch = 1500 / 10;
+        w.avg_batch_nodes = 232965 / 1500 * 10;
+        w.features = 602;
+    } else if (workload.dataset == "Amazon2M") {
+        w.batches_per_epoch = 10000 / 20;
+        w.avg_batch_nodes = 2449029 / 10000 * 20;
+        w.features = 100;
+    } else {  // Ogbl
+        w.batches_per_epoch = 15000 / 16;
+        w.avg_batch_nodes = 2927963 / 15000 * 16;
+        w.features = 128;
+    }
+    // Physical weight rows: layer1 (features x hidden) + layer2
+    // (hidden x classes), with GAT/SAGE carrying extra parameter rows.
+    const std::size_t base_rows = w.features + w.hidden;
+    const std::size_t factor = (workload.kind == GnnKind::kSAGE) ? 2 : 1;
+    w.weight_rows_total = base_rows * factor + (workload.kind == GnnKind::kGAT ? 2 : 0);
+    return w;
 }
 
-TrainerFactory GnnFamily::make_trainers(const WorkloadSpec& workload,
-                                        const TrainConfig& train_config) const {
+TrainerFactory gnn_make_trainers(const WorkloadSpec& workload,
+                                 const TrainConfig& train_config) {
     auto data = batch_set_cache().get(workload, train_config);
     return [data, train_config](HardwareModel* hardware) {
         return std::make_unique<Trainer>(data, train_config, hardware);
     };
 }
+
+}  // namespace
+
+const ModelFamily kGnnFamily = {"gnn", gnn_workloads, gnn_train_config,
+                                gnn_paper_scale_timing, gnn_make_trainers};
+
+WorkloadArtefactCounts workload_artefact_counts() { return batch_set_cache().counts(); }
 
 }  // namespace fare

@@ -11,20 +11,4 @@ const char* gnn_kind_name(GnnKind kind) {
     return "?";
 }
 
-void Layer::zero_grads() {
-    for (Matrix* g : grads()) g->fill(0.0f);
-}
-
-void Layer::sync_effective() {
-    auto p = params();
-    auto e = effective_params();
-    for (std::size_t i = 0; i < p.size(); ++i) *e[i] = *p[i];
-}
-
-std::size_t Layer::num_weights() {
-    std::size_t n = 0;
-    for (Matrix* p : params()) n += p->size();
-    return n;
-}
-
 }  // namespace fare

@@ -1,22 +1,18 @@
 // GNN layer interface.
 //
-// Layers keep two copies of every parameter: the *logical* weights the
-// optimizer updates (host-side master copy) and the *effective* weights the
-// forward/backward computation uses — what the faulty crossbars actually
-// return after corruption and clipping. The trainer refreshes the effective
-// copies from the hardware model before every batch; with ideal hardware
-// they simply mirror the logical weights. Gradients are computed w.r.t. the
-// effective weights (that is what the analog tiles differentiate through)
-// and applied to the logical weights, mirroring on-device training with a
-// host-resident optimizer state (paper §III-A).
+// Every weight of a layer is an nn/param.hpp Param: the forward/backward
+// computation reads its *effective* copy — what the faulty crossbars
+// actually return after corruption and clipping — and accumulates into its
+// gradient, which the host-resident optimizer applies to the *logical*
+// value (paper §III-A).
 #pragma once
 
 #include <memory>
 #include <vector>
 
 #include "models/gnn/batch_view.hpp"
+#include "nn/param.hpp"
 #include "nn/train_types.hpp"
-#include "numeric/matrix.hpp"
 
 namespace fare {
 
@@ -33,17 +29,8 @@ public:
     /// Accumulates parameter gradients and returns grad w.r.t. the input.
     virtual Matrix backward(const Matrix& grad_out, const BatchGraphView& g) = 0;
 
-    /// Logical (master) parameters, matched index-for-index with grads()
-    /// and effective_params().
-    virtual std::vector<Matrix*> params() = 0;
-    virtual std::vector<Matrix*> grads() = 0;
-    /// Hardware-visible copies used in compute; refreshed by the trainer.
-    virtual std::vector<Matrix*> effective_params() = 0;
-
-    void zero_grads();
-    /// Copy logical -> effective (ideal hardware).
-    void sync_effective();
-    std::size_t num_weights();
+    /// The layer's weights, in a stable order (the crossbar bind order).
+    virtual std::vector<Param*> params() = 0;
 };
 
 /// Graph Convolutional Network layer: Y = act(A_gcn (X W)).

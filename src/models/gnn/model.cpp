@@ -25,31 +25,11 @@ Model::Model(const ModelConfig& config) : config_(config) {
     }
 }
 
-std::vector<Matrix*> Model::params() {
-    std::vector<Matrix*> out;
+std::vector<Param*> Model::params() {
+    std::vector<Param*> out;
     for (auto& l : layers_)
-        for (Matrix* p : l->params()) out.push_back(p);
+        for (Param* p : l->params()) out.push_back(p);
     return out;
-}
-
-std::vector<Matrix*> Model::grads() {
-    std::vector<Matrix*> out;
-    for (auto& l : layers_)
-        for (Matrix* g : l->grads()) out.push_back(g);
-    return out;
-}
-
-std::vector<Matrix*> Model::effective_params() {
-    std::vector<Matrix*> out;
-    for (auto& l : layers_)
-        for (Matrix* e : l->effective_params()) out.push_back(e);
-    return out;
-}
-
-std::size_t Model::num_weights() {
-    std::size_t n = 0;
-    for (auto& l : layers_) n += l->num_weights();
-    return n;
 }
 
 Matrix Model::forward(const Matrix& x, const BatchGraphView& g) {
@@ -62,14 +42,6 @@ void Model::backward(const Matrix& grad_logits, const BatchGraphView& g) {
     Matrix grad = grad_logits;
     for (auto it = layers_.rbegin(); it != layers_.rend(); ++it)
         grad = (*it)->backward(grad, g);
-}
-
-void Model::zero_grads() {
-    for (auto& l : layers_) l->zero_grads();
-}
-
-void Model::sync_effective() {
-    for (auto& l : layers_) l->sync_effective();
 }
 
 }  // namespace fare

@@ -26,23 +26,15 @@ public:
     std::size_t num_layers() const { return layers_.size(); }
     Layer& layer(std::size_t i) { return *layers_[i]; }
 
-    /// Flattened parameter/gradient/effective-parameter lists across layers
-    /// (stable indexing used by the hardware model).
-    std::vector<Matrix*> params();
-    std::vector<Matrix*> grads();
-    std::vector<Matrix*> effective_params();
-
-    std::size_t num_weights();
+    /// Every layer's weights, layer by layer (the stable indexing the
+    /// hardware model binds).
+    std::vector<Param*> params();
 
     /// Forward through all layers; logits out.
     Matrix forward(const Matrix& x, const BatchGraphView& g);
 
     /// Backward from d loss / d logits.
     void backward(const Matrix& grad_logits, const BatchGraphView& g);
-
-    void zero_grads();
-    /// Copy logical -> effective weights for all layers (ideal hardware).
-    void sync_effective();
 
 private:
     ModelConfig config_;

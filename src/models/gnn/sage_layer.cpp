@@ -13,45 +13,31 @@ namespace {
 class SAGELayer final : public Layer {
 public:
     SAGELayer(std::size_t in, std::size_t out, bool with_relu, Rng& rng)
-        : with_relu_(with_relu),
-          w_self_(in, out),
-          w_neigh_(in, out),
-          grad_w_self_(in, out),
-          grad_w_neigh_(in, out) {
-        w_self_.xavier_init(rng);
-        w_neigh_.xavier_init(rng);
-        w_self_eff_ = w_self_;
-        w_neigh_eff_ = w_neigh_;
-    }
+        : with_relu_(with_relu), w_self_(in, out, rng), w_neigh_(in, out, rng) {}
 
     Matrix forward(const Matrix& x, const BatchGraphView& g) override {
         x_ = x;
         m_ = g.mean_multiply(x);  // aggregation phase
-        pre_ = matmul(x, w_self_eff_);
-        pre_ += matmul(m_, w_neigh_eff_);  // combination phase
+        pre_ = matmul(x, w_self_.effective);
+        pre_ += matmul(m_, w_neigh_.effective);  // combination phase
         return with_relu_ ? relu(pre_) : pre_;
     }
 
     Matrix backward(const Matrix& grad_out, const BatchGraphView& g) override {
         const Matrix g_pre =
             with_relu_ ? relu_backward(grad_out, pre_) : grad_out;
-        grad_w_self_ += matmul_at_b(x_, g_pre);
-        grad_w_neigh_ += matmul_at_b(m_, g_pre);
-        Matrix g_x = matmul_a_bt(g_pre, w_self_eff_);
-        g_x += g.mean_multiply_t(matmul_a_bt(g_pre, w_neigh_eff_));
+        w_self_.grad += matmul_at_b(x_, g_pre);
+        w_neigh_.grad += matmul_at_b(m_, g_pre);
+        Matrix g_x = matmul_a_bt(g_pre, w_self_.effective);
+        g_x += g.mean_multiply_t(matmul_a_bt(g_pre, w_neigh_.effective));
         return g_x;
     }
 
-    std::vector<Matrix*> params() override { return {&w_self_, &w_neigh_}; }
-    std::vector<Matrix*> grads() override { return {&grad_w_self_, &grad_w_neigh_}; }
-    std::vector<Matrix*> effective_params() override {
-        return {&w_self_eff_, &w_neigh_eff_};
-    }
+    std::vector<Param*> params() override { return {&w_self_, &w_neigh_}; }
 
 private:
     bool with_relu_;
-    Matrix w_self_, w_neigh_, grad_w_self_, grad_w_neigh_;
-    Matrix w_self_eff_, w_neigh_eff_;
+    Param w_self_, w_neigh_;  // declared in Xavier draw order
     Matrix x_, m_, pre_;  // forward caches
 };
 

@@ -96,7 +96,7 @@ const BatchGraphView& Trainer::effective_view(std::size_t batch_idx) {
 LossResult Trainer::train_batch(std::size_t batch_idx, MetricAccumulator& metrics) {
     const GnnBatchSet::Batch& batch = data_->batches[batch_idx];
     const BatchGraphView& view = effective_view(batch_idx);
-    model_->zero_grads();
+    zero_grads(model_->params());
     const Matrix logits = model_->forward(batch.features, view);
     LossResult loss = softmax_cross_entropy(logits, batch.labels, batch.train_mask);
     if (loss.count == 0) return loss;

@@ -62,9 +62,7 @@ public:
     const std::vector<BitMatrix>& batch_adjacency() const { return data_->adjacency; }
 
 private:
-    std::vector<Matrix*> params() override { return model_->params(); }
-    std::vector<Matrix*> grads() override { return model_->grads(); }
-    std::vector<Matrix*> effective_params() override { return model_->effective_params(); }
+    std::vector<Param*> params() override { return model_->params(); }
     /// Partition hints, then the batches' ideal adjacency: FARe computes its
     /// fault-aware mapping Pi here.
     void preprocess(HardwareModel& hardware) override;

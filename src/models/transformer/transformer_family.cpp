@@ -1,8 +1,11 @@
-#include "models/transformer/transformer_family.hpp"
-
+// "transformer" model family: token-embedding + self-attention + MLP blocks
+// trained on the same HardwareModel / crossbar / tile mapping as the GNN
+// stack, with a synthetic sequence-classification workload registered beside
+// the graph datasets.
 #include "common/error.hpp"
 #include "models/transformer/seq_dataset.hpp"
 #include "models/transformer/transformer_trainer.hpp"
+#include "nn/model_family.hpp"
 #include "sim/registry.hpp"
 
 namespace fare {
@@ -17,9 +20,7 @@ SeqDataset make_workload_data(const WorkloadSpec& workload, std::uint64_t seed) 
     return make_seq_cls(config, seed);
 }
 
-}  // namespace
-
-std::vector<WorkloadSpec> TransformerFamily::workloads() const {
+std::vector<WorkloadSpec> transformer_workloads() {
     WorkloadSpec w;
     w.dataset = "SeqCls";
     w.family = "transformer";
@@ -27,9 +28,7 @@ std::vector<WorkloadSpec> TransformerFamily::workloads() const {
     return {w};
 }
 
-TrainConfig TransformerFamily::train_config(const WorkloadSpec& workload,
-                                            std::uint64_t seed) const {
-    (void)workload;
+TrainConfig transformer_train_config(const WorkloadSpec&, std::uint64_t seed) {
     TrainConfig tc;
     tc.hidden = 32;      // d_model
     tc.num_layers = 2;   // attention+MLP blocks
@@ -40,9 +39,7 @@ TrainConfig TransformerFamily::train_config(const WorkloadSpec& workload,
     return tc;
 }
 
-WorkloadTiming TransformerFamily::paper_scale_timing(
-    const WorkloadSpec& workload) const {
-    (void)workload;
+WorkloadTiming transformer_paper_scale_timing(const WorkloadSpec&) {
     // Paper-scale stand-in: a small BERT-style encoder (vocab 8192, length
     // 128, d=512, ff=1024, 4 blocks) fine-tuned for 100 epochs in batches of
     // 16 sequences.
@@ -57,13 +54,20 @@ WorkloadTiming TransformerFamily::paper_scale_timing(
     return w;
 }
 
-TrainerFactory TransformerFamily::make_trainers(const WorkloadSpec& workload,
-                                                const TrainConfig& train_config) const {
+TrainerFactory transformer_make_trainers(const WorkloadSpec& workload,
+                                        const TrainConfig& train_config) {
     auto data = std::make_shared<const SeqDataset>(
         make_workload_data(workload, train_config.seed));
     return [data, train_config](HardwareModel* hardware) {
         return std::make_unique<TransformerTrainer>(*data, train_config, hardware);
     };
 }
+
+}  // namespace
+
+const ModelFamily kTransformerFamily = {"transformer", transformer_workloads,
+                                        transformer_train_config,
+                                        transformer_paper_scale_timing,
+                                        transformer_make_trainers};
 
 }  // namespace fare

@@ -19,72 +19,26 @@ TransformerModel::TransformerModel(const TransformerConfig& config)
     const std::size_t ff = config.ff_mult * d;
 
     Rng rng(config.seed ^ 0x7F2AB1ULL);
-    auto init = [&rng](std::size_t r, std::size_t c) {
-        Matrix m(r, c);
-        m.xavier_init(rng);
-        return m;
-    };
-    embed_ = init(vocab, d);
-    pos_ = init(len, d);
+    embed_ = Param(vocab, d, rng);
+    pos_ = Param(len, d, rng);
     block_.resize(config.num_blocks);
     for (auto& b : block_) {
-        b.wq = init(d, d);
-        b.wk = init(d, d);
-        b.wv = init(d, d);
-        b.wo = init(d, d);
-        b.w1 = init(d, ff);
-        b.w2 = init(ff, d);
+        b.wq = Param(d, d, rng);
+        b.wk = Param(d, d, rng);
+        b.wv = Param(d, d, rng);
+        b.wo = Param(d, d, rng);
+        b.w1 = Param(d, ff, rng);
+        b.w2 = Param(ff, d, rng);
     }
-    wc_ = init(d, classes);
-
-    auto zeros_like = [](const Matrix& m) { return Matrix(m.rows(), m.cols()); };
-    g_embed_ = zeros_like(embed_);
-    g_pos_ = zeros_like(pos_);
-    g_wc_ = zeros_like(wc_);
-    g_block_.resize(config.num_blocks);
-    for (std::size_t i = 0; i < block_.size(); ++i) {
-        g_block_[i] = {zeros_like(block_[i].wq), zeros_like(block_[i].wk),
-                       zeros_like(block_[i].wv), zeros_like(block_[i].wo),
-                       zeros_like(block_[i].w1), zeros_like(block_[i].w2)};
-    }
-    e_embed_ = embed_;
-    e_pos_ = pos_;
-    e_wc_ = wc_;
-    e_block_ = block_;
+    wc_ = Param(d, classes, rng);
 }
 
-std::vector<Matrix*> TransformerModel::params() {
-    std::vector<Matrix*> out = {&embed_, &pos_};
+std::vector<Param*> TransformerModel::params() {
+    std::vector<Param*> out = {&embed_, &pos_};
     for (auto& b : block_)
-        for (Matrix* m : {&b.wq, &b.wk, &b.wv, &b.wo, &b.w1, &b.w2}) out.push_back(m);
+        for (Param* p : {&b.wq, &b.wk, &b.wv, &b.wo, &b.w1, &b.w2}) out.push_back(p);
     out.push_back(&wc_);
     return out;
-}
-
-std::vector<Matrix*> TransformerModel::grads() {
-    std::vector<Matrix*> out = {&g_embed_, &g_pos_};
-    for (auto& b : g_block_)
-        for (Matrix* m : {&b.wq, &b.wk, &b.wv, &b.wo, &b.w1, &b.w2}) out.push_back(m);
-    out.push_back(&g_wc_);
-    return out;
-}
-
-std::vector<Matrix*> TransformerModel::effective_params() {
-    std::vector<Matrix*> out = {&e_embed_, &e_pos_};
-    for (auto& b : e_block_)
-        for (Matrix* m : {&b.wq, &b.wk, &b.wv, &b.wo, &b.w1, &b.w2}) out.push_back(m);
-    out.push_back(&e_wc_);
-    return out;
-}
-
-void TransformerModel::zero_grads() {
-    for (Matrix* g : grads()) g->fill(0.0f);
-}
-
-void TransformerModel::sync_effective() {
-    auto src = params();
-    auto dst = effective_params();
-    for (std::size_t i = 0; i < src.size(); ++i) *dst[i] = *src[i];
 }
 
 Matrix TransformerModel::forward(
@@ -108,28 +62,28 @@ Matrix TransformerModel::forward(
         Matrix x(len, d);
         for (std::size_t i = 0; i < len; ++i) {
             auto dst = x.row(i);
-            auto emb = e_embed_.row(static_cast<std::size_t>(toks[i]));
-            auto pos = e_pos_.row(i);
+            auto emb = embed_.effective.row(static_cast<std::size_t>(toks[i]));
+            auto pos = pos_.effective.row(i);
             for (std::size_t j = 0; j < d; ++j) dst[j] = emb[j] + pos[j];
         }
 
         for (std::size_t bi = 0; bi < config_.num_blocks; ++bi) {
-            const BlockParams& w = e_block_[bi];
+            const BlockParams& w = block_[bi];
             BlockCache& bc = sc.blocks[bi];
             bc.x_in = x;
-            bc.q = matmul(x, w.wq);
-            bc.k = matmul(x, w.wk);
-            bc.v = matmul(x, w.wv);
+            bc.q = matmul(x, w.wq.effective);
+            bc.k = matmul(x, w.wk.effective);
+            bc.v = matmul(x, w.wv.effective);
             Matrix scores = matmul_a_bt(bc.q, bc.k);
             scores *= scale;
             bc.attn = softmax_rows(scores);
             bc.h = matmul(bc.attn, bc.v);
             bc.x1 = x;
-            bc.x1 += matmul(bc.h, w.wo);
-            bc.u = matmul(bc.x1, w.w1);
+            bc.x1 += matmul(bc.h, w.wo.effective);
+            bc.u = matmul(bc.x1, w.w1.effective);
             bc.r = relu(bc.u);
             x = bc.x1;
-            x += matmul(bc.r, w.w2);
+            x += matmul(bc.r, w.w2.effective);
         }
         sc.x_out = x;
 
@@ -142,7 +96,7 @@ Matrix TransformerModel::forward(
         auto out = logits.row(s);
         for (std::size_t c = 0; c < logits.cols(); ++c) {
             float acc = 0.0f;
-            for (std::size_t j = 0; j < d; ++j) acc += pooled[j] * e_wc_(j, c);
+            for (std::size_t j = 0; j < d; ++j) acc += pooled[j] * wc_.effective(j, c);
             out[c] = acc;
         }
     }
@@ -167,8 +121,8 @@ void TransformerModel::backward(const Matrix& grad_logits) {
         Matrix pooled(1, d);
         std::copy(pooled_.row(s).begin(), pooled_.row(s).end(), pooled.row(0).begin());
 
-        g_wc_ += matmul_at_b(pooled, g);
-        const Matrix dpooled = matmul_a_bt(g, e_wc_);  // (1 x d)
+        wc_.grad += matmul_at_b(pooled, g);
+        const Matrix dpooled = matmul_a_bt(g, wc_.effective);  // (1 x d)
 
         Matrix dx(len, d);
         for (std::size_t i = 0; i < len; ++i) {
@@ -178,23 +132,22 @@ void TransformerModel::backward(const Matrix& grad_logits) {
         }
 
         for (std::size_t bi = config_.num_blocks; bi-- > 0;) {
-            const BlockParams& w = e_block_[bi];
-            BlockParams& gw = g_block_[bi];
+            BlockParams& w = block_[bi];
             BlockCache& bc = sc.blocks[bi];
 
             // X2 = X1 + relu(X1 W1) W2
             const Matrix& dm = dx;
-            gw.w2 += matmul_at_b(bc.r, dm);
-            const Matrix dr = matmul_a_bt(dm, w.w2);
+            w.w2.grad += matmul_at_b(bc.r, dm);
+            const Matrix dr = matmul_a_bt(dm, w.w2.effective);
             const Matrix du = relu_backward(dr, bc.u);
-            gw.w1 += matmul_at_b(bc.x1, du);
+            w.w1.grad += matmul_at_b(bc.x1, du);
             Matrix dx1 = dx;
-            dx1 += matmul_a_bt(du, w.w1);
+            dx1 += matmul_a_bt(du, w.w1.effective);
 
             // X1 = X + (A V) Wo
             const Matrix& dout = dx1;
-            gw.wo += matmul_at_b(bc.h, dout);
-            const Matrix dh = matmul_a_bt(dout, w.wo);
+            w.wo.grad += matmul_at_b(bc.h, dout);
+            const Matrix dh = matmul_a_bt(dout, w.wo.effective);
             const Matrix da = matmul_a_bt(dh, bc.v);
             const Matrix dv = matmul_at_b(bc.attn, dh);
 
@@ -213,21 +166,21 @@ void TransformerModel::backward(const Matrix& grad_logits) {
             Matrix dk = matmul_at_b(ds, bc.q);
             dk *= scale;
 
-            gw.wq += matmul_at_b(bc.x_in, dq);
-            gw.wk += matmul_at_b(bc.x_in, dk);
-            gw.wv += matmul_at_b(bc.x_in, dv);
+            w.wq.grad += matmul_at_b(bc.x_in, dq);
+            w.wk.grad += matmul_at_b(bc.x_in, dk);
+            w.wv.grad += matmul_at_b(bc.x_in, dv);
 
             Matrix dxin = dx1;  // residual path
-            dxin += matmul_a_bt(dq, w.wq);
-            dxin += matmul_a_bt(dk, w.wk);
-            dxin += matmul_a_bt(dv, w.wv);
+            dxin += matmul_a_bt(dq, w.wq.effective);
+            dxin += matmul_a_bt(dk, w.wk.effective);
+            dxin += matmul_a_bt(dv, w.wv.effective);
             dx = std::move(dxin);
         }
 
-        g_pos_ += dx;
+        pos_.grad += dx;
         const std::vector<int>& toks = *sc.tokens;
         for (std::size_t i = 0; i < len; ++i) {
-            auto dst = g_embed_.row(static_cast<std::size_t>(toks[i]));
+            auto dst = embed_.grad.row(static_cast<std::size_t>(toks[i]));
             auto src = dx.row(i);
             for (std::size_t j = 0; j < d; ++j) dst[j] += src[j];
         }

@@ -9,10 +9,10 @@
 //              X2 = X1 + relu(X1 W1) W2
 //   logits = mean_rows(X_last) Wc
 //
-// Mirrors the GNN Layer contract: logical (master) parameters the optimizer
-// updates, plus effective copies refreshed from the hardware model before
-// each batch. Gradients are computed w.r.t. the effective weights and applied
-// to the logical ones (on-device training with a host-resident optimizer).
+// Every parameter is an nn/param.hpp Param, as in the GNN layers: forward
+// and backward read its effective copy, refreshed from the hardware model
+// before each batch, and the gradients go to the logical value (on-device
+// training with a host-resident optimizer).
 // GEMMs go through numeric/matrix.hpp and therefore the PR 8 SIMD kernel
 // tables; the attention softmax runs on the host (special-function units in
 // the accelerator model).
@@ -21,7 +21,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "numeric/matrix.hpp"
+#include "nn/param.hpp"
 
 namespace fare {
 
@@ -41,13 +41,7 @@ public:
 
     /// Parameter order (stable; this is the crossbar bind order):
     /// embed, pos, then per block {Wq, Wk, Wv, Wo, W1, W2}, then Wc.
-    std::vector<Matrix*> params();
-    std::vector<Matrix*> grads();
-    std::vector<Matrix*> effective_params();
-
-    void zero_grads();
-    /// Copy logical -> effective (ideal hardware).
-    void sync_effective();
+    std::vector<Param*> params();
 
     /// Forward a batch of token sequences with the current effective weights;
     /// returns (batch x classes) logits and caches activations for backward.
@@ -60,7 +54,7 @@ public:
 
 private:
     struct BlockParams {
-        Matrix wq, wk, wv, wo, w1, w2;
+        Param wq, wk, wv, wo, w1, w2;
     };
     struct BlockCache {
         Matrix x_in, q, k, v, attn, h, x1, u, r;
@@ -72,13 +66,8 @@ private:
     };
 
     TransformerConfig config_;
-    // Logical / gradient / effective triples.
-    Matrix embed_, pos_, wc_;
+    Param embed_, pos_, wc_;
     std::vector<BlockParams> block_;
-    Matrix g_embed_, g_pos_, g_wc_;
-    std::vector<BlockParams> g_block_;
-    Matrix e_embed_, e_pos_, e_wc_;
-    std::vector<BlockParams> e_block_;
 
     std::vector<SeqCache> cache_;
     Matrix pooled_;  ///< (batch x d) mean-pooled final states

@@ -55,7 +55,7 @@ Matrix TransformerTrainer::forward_batch(const std::vector<std::size_t>& seqs,
 LossResult TransformerTrainer::train_batch(std::size_t batch,
                                            MetricAccumulator& metrics) {
     const auto& seqs = batches_[batch];
-    model_->zero_grads();
+    zero_grads(model_->params());
     std::vector<int> labels;
     const Matrix logits = forward_batch(seqs, labels);
     const std::vector<bool> mask(seqs.size(), true);

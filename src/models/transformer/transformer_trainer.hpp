@@ -27,9 +27,7 @@ public:
     std::size_t num_batches() const override { return batches_.size(); }
 
 private:
-    std::vector<Matrix*> params() override { return model_->params(); }
-    std::vector<Matrix*> grads() override { return model_->grads(); }
-    std::vector<Matrix*> effective_params() override { return model_->effective_params(); }
+    std::vector<Param*> params() override { return model_->params(); }
     LossResult train_batch(std::size_t batch, MetricAccumulator& metrics) override;
     void evaluate(Split split, MetricAccumulator& metrics) override;
 

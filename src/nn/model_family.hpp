@@ -1,14 +1,14 @@
 // Model-family registry: the seam that makes the sweep/cell machinery
-// model-agnostic. A family owns a set of workloads (registered beside the
-// graph datasets), knows how to build their training configuration, and
-// makes trainers (nn/train_loop adapters) over a workload's data; train and
-// deploy under a fault scenario are written once, on top of that hook.
-// Families are registry-named like schemes and partitioners: "gnn" (the
-// paper's Cluster-GCN stack) and "transformer" (token-embedding +
-// self-attention + MLP blocks on the same HardwareModel seam).
+// model-agnostic. A family is one table row: a name and the functions that
+// list its workloads (registered beside the graph datasets), build their
+// training configuration and paper-scale timing, and make trainers
+// (nn/train_loop adapters) over a workload's data. Families are
+// registry-named like schemes and partitioners: "gnn" (the paper's
+// Cluster-GCN stack) and "transformer" (token-embedding + self-attention +
+// MLP blocks on the same HardwareModel seam).
 //
-// The sim/ and fare/ types are forward-declared so nn/ stays free of their
-// includes; implementations live under src/models/.
+// The sim/ and reram/ types are forward-declared so nn/ stays free of their
+// includes; the rows live under src/models/.
 #pragma once
 
 #include <cstdint>
@@ -21,56 +21,36 @@
 namespace fare {
 
 struct WorkloadSpec;
-struct FaultScenario;
-struct HardwareOverrides;
-struct SchemeRunResult;
-struct DeploymentResult;
 struct WorkloadTiming;
-enum class Scheme;
 
-class ModelFamily {
-public:
-    virtual ~ModelFamily() = default;
-
+struct ModelFamily {
     /// Registry name, e.g. "gnn" or "transformer". Appears in CellSpec memo
     /// keys as `|model=<name>` for every family except "gnn" (key-inert at
     /// the default so legacy keys and disk caches stay byte-stable).
-    virtual std::string name() const = 0;
+    const char* name;
 
     /// The workloads this family registers (each WorkloadSpec carries
-    /// `family == name()`).
-    virtual std::vector<WorkloadSpec> workloads() const = 0;
+    /// `family == name`).
+    std::vector<WorkloadSpec> (*workloads)();
 
     /// Training configuration for one of this family's workloads.
-    virtual TrainConfig train_config(const WorkloadSpec& workload,
-                                     std::uint64_t seed) const = 0;
+    TrainConfig (*train_config)(const WorkloadSpec& workload, std::uint64_t seed);
 
     /// Timing-model description at paper scale (Fig. 7 plumbing).
-    virtual WorkloadTiming paper_scale_timing(const WorkloadSpec& workload) const = 0;
+    WorkloadTiming (*paper_scale_timing)(const WorkloadSpec& workload);
 
     /// Build `workload`'s data once and return a factory of trainers over
     /// it, all configured by `train_config`. A family may share that data
     /// with other calls whose inputs are equal (see
-    /// workload_artefact_counts).
-    virtual TrainerFactory make_trainers(const WorkloadSpec& workload,
-                                         const TrainConfig& train_config) const = 0;
-
-    /// Train `workload` from scratch under `scheme` on the (possibly faulty)
-    /// simulated hardware and report the scheme-level diagnostics.
-    SchemeRunResult run_train(const WorkloadSpec& workload, Scheme scheme,
-                              const TrainConfig& train_config,
-                              const FaultScenario& scenario,
-                              const HardwareOverrides& hw_overrides,
-                              std::uint64_t hw_seed) const;
-
-    /// Train on ideal hardware, then deploy the weights onto the faulty chip
-    /// under `scheme` and evaluate there (CellMode::kDeploy).
-    DeploymentResult run_deploy(const WorkloadSpec& workload, Scheme scheme,
-                                const TrainConfig& train_config,
-                                const FaultScenario& scenario,
-                                const HardwareOverrides& hw_overrides,
-                                std::uint64_t hw_seed) const;
+    /// workload_artefact_counts). run_scheme and run_deployment
+    /// (fare/fare_trainer.hpp) train and deploy over the factory.
+    TrainerFactory (*make_trainers)(const WorkloadSpec& workload,
+                                    const TrainConfig& train_config);
 };
+
+/// The rows, defined beside each family's trainer under src/models/.
+extern const ModelFamily kGnnFamily;
+extern const ModelFamily kTransformerFamily;
 
 /// Workload artefacts shared across cells in this process (the GNN
 /// family's cluster batch sets, cached by make_trainers): sets built, and

@@ -11,12 +11,11 @@ Adam::Adam(float lr, float beta1, float beta2, float eps)
     FARE_CHECK(lr > 0.0f, "learning rate must be positive");
 }
 
-void Adam::step(const std::vector<Matrix*>& params, const std::vector<Matrix*>& grads) {
-    FARE_CHECK(params.size() == grads.size(), "params/grads size mismatch");
+void Adam::step(const std::vector<Param*>& params) {
     if (m_.empty()) {
-        for (Matrix* p : params) {
-            m_.emplace_back(p->rows(), p->cols());
-            v_.emplace_back(p->rows(), p->cols());
+        for (const Param* p : params) {
+            m_.emplace_back(p->value.rows(), p->value.cols());
+            v_.emplace_back(p->value.rows(), p->value.cols());
         }
     }
     FARE_CHECK(m_.size() == params.size(), "optimizer bound to different model");
@@ -24,8 +23,8 @@ void Adam::step(const std::vector<Matrix*>& params, const std::vector<Matrix*>& 
     const float bc1 = 1.0f - std::pow(beta1_, static_cast<float>(t_));
     const float bc2 = 1.0f - std::pow(beta2_, static_cast<float>(t_));
     for (std::size_t i = 0; i < params.size(); ++i) {
-        auto p = params[i]->flat();
-        auto g = grads[i]->flat();
+        auto p = params[i]->value.flat();
+        auto g = params[i]->grad.flat();
         auto m = m_[i].flat();
         auto v = v_[i].flat();
         for (std::size_t j = 0; j < p.size(); ++j) {

@@ -6,7 +6,7 @@
 
 #include <vector>
 
-#include "numeric/matrix.hpp"
+#include "nn/param.hpp"
 
 namespace fare {
 
@@ -15,9 +15,8 @@ class Adam {
 public:
     explicit Adam(float lr = 0.01f, float beta1 = 0.9f, float beta2 = 0.999f,
                   float eps = 1e-8f);
-    /// Apply one update step; params and grads are index-aligned.
-    void step(const std::vector<Matrix*>& params,
-              const std::vector<Matrix*>& grads);
+    /// Apply one update step to every param's value from its gradient.
+    void step(const std::vector<Param*>& params);
 
 private:
     float lr_, beta1_, beta2_, eps_;

@@ -23,11 +23,11 @@ void TrainLoop::refresh_effective_weights() {
         params_version_, hardware_ != nullptr ? hardware_->weights_state_version() : 0};
     if (refreshed_ == stamps) return;  // nothing changed since the last pass
 
-    const auto logical = params();
-    const auto eff = effective_params();
-    for (std::size_t i = 0; i < logical.size(); ++i)
-        *eff[i] = hardware_ != nullptr ? hardware_->effective_weights(i, *logical[i])
-                                       : *logical[i];
+    const auto ps = params();
+    for (std::size_t i = 0; i < ps.size(); ++i)
+        ps[i]->effective = hardware_ != nullptr
+                               ? hardware_->effective_weights(i, ps[i]->value)
+                               : ps[i]->value;
     refreshed_ = stamps;
 }
 
@@ -40,7 +40,7 @@ MetricAccumulator TrainLoop::evaluate_split(Split split) {
 
 std::vector<Matrix> TrainLoop::export_params() {
     std::vector<Matrix> out;
-    for (Matrix* p : params()) out.push_back(*p);
+    for (const Param* p : params()) out.push_back(p->value);
     return out;
 }
 
@@ -48,17 +48,20 @@ void TrainLoop::import_params(const std::vector<Matrix>& params_in) {
     const auto dst = params();
     FARE_CHECK(params_in.size() == dst.size(), "parameter count mismatch on import");
     for (std::size_t i = 0; i < params_in.size(); ++i) {
-        FARE_CHECK(params_in[i].rows() == dst[i]->rows() &&
-                       params_in[i].cols() == dst[i]->cols(),
+        Matrix& value = dst[i]->value;
+        FARE_CHECK(params_in[i].rows() == value.rows() &&
+                       params_in[i].cols() == value.cols(),
                    "parameter shape mismatch on import");
-        *dst[i] = params_in[i];
+        value = params_in[i];
     }
     ++params_version_;
 }
 
 void TrainLoop::prepare_hardware() {
     if (hardware_ == nullptr) return;
-    hardware_->bind_params(params());
+    std::vector<Matrix*> values;
+    for (Param* p : params()) values.push_back(&p->value);
+    hardware_->bind_params(values);
     preprocess(*hardware_);
 }
 
@@ -90,7 +93,7 @@ TrainResult TrainLoop::run() {
             refresh_effective_weights();
             const LossResult loss = train_batch(order[step], train_metrics);
             if (loss.count == 0) continue;
-            optimizer.step(params(), grads());
+            optimizer.step(params());
             ++params_version_;
             // Step hook: write-endurance accounting and mid-epoch fault
             // arrival. A hardware model that changes fault state here bumps

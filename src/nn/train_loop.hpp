@@ -10,7 +10,7 @@
 // evaluation and both stopwatches).
 //
 // A family's trainer is an adapter that supplies only its batch shape:
-// its parameter lists, a fixed set of batches, one batch's
+// its parameters, a fixed set of batches, one batch's
 // forward/loss/backward, split evaluation and any preprocessing input
 // beyond the weights (the GNN's adjacency stream). A new family writes an
 // adapter, never a loop.
@@ -27,6 +27,7 @@
 #include "nn/hardware_model.hpp"
 #include "nn/loss.hpp"
 #include "nn/metrics.hpp"
+#include "nn/param.hpp"
 #include "nn/train_types.hpp"
 
 namespace fare {
@@ -68,11 +69,8 @@ protected:
 
     // ---- Adapter hooks --------------------------------------------------
 
-    /// Logical parameters, their gradients and their effective copies,
-    /// index-aligned in a stable order (the crossbar bind order).
-    virtual std::vector<Matrix*> params() = 0;
-    virtual std::vector<Matrix*> grads() = 0;
-    virtual std::vector<Matrix*> effective_params() = 0;
+    /// Every trainable matrix in a stable order (the crossbar bind order).
+    virtual std::vector<Param*> params() = 0;
 
     /// Hand the freshly bound hardware its preprocessing inputs. Default:
     /// no adjacency stream, so the mapper only finishes its weight layout.

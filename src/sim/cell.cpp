@@ -2,6 +2,7 @@
 
 #include "common/error.hpp"
 #include "common/stopwatch.hpp"
+#include "fare/fare_trainer.hpp"
 #include "nn/model_family.hpp"
 
 namespace fare {
@@ -68,18 +69,19 @@ CellResult run_cell(const CellSpec& spec) {
     CellResult result;
     result.spec = spec;
     Stopwatch watch;
-    // Model-agnostic dispatch: the workload's family owns dataset
-    // construction and the train/deploy loop; the cell machinery only
-    // handles seeding, caching and serialization.
+    // Model-agnostic dispatch: the workload's family builds the data and
+    // its trainers; the cell machinery only handles seeding, caching and
+    // serialization.
     const ModelFamily& family = find_model_family(spec.workload.family);
     const TrainConfig tc = spec.train_config();
     const std::uint64_t hw_seed = spec.hardware_seed.value_or(spec.seed);
+    const TrainerFactory trainers = family.make_trainers(spec.workload, tc);
     if (spec.mode == CellMode::kDeploy) {
-        result.deployment = family.run_deploy(spec.workload, spec.scheme, tc,
-                                              spec.faults, spec.hardware, hw_seed);
+        result.deployment = run_deployment(trainers, spec.scheme, tc, spec.faults,
+                                           spec.hardware, hw_seed);
     } else {
-        result.run = family.run_train(spec.workload, spec.scheme, tc, spec.faults,
-                                      spec.hardware, hw_seed);
+        result.run = run_scheme(trainers, spec.scheme, tc, spec.faults, spec.hardware,
+                                hw_seed);
     }
     result.wall_seconds = watch.elapsed_ms() / 1e3;
     return result;

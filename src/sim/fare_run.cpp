@@ -124,7 +124,7 @@ int usage(std::ostream& os, int code) {
 int list_registries(std::ostream& os) {
     os << "model families:\n";
     for (const ModelFamily* family : registered_model_families())
-        os << "  " << family->name() << '\n';
+        os << "  " << family->name << '\n';
     os << "\nworkloads (--plan cells reference these):\n"
        << workload_usage();
     os << "\nschemes:\n";

@@ -35,66 +35,11 @@ Dataset WorkloadSpec::make_dataset(std::uint64_t seed) const {
 }
 
 TrainConfig WorkloadSpec::train_config(std::uint64_t seed) const {
-    if (family != "gnn") return find_model_family(family).train_config(*this, seed);
-    TrainConfig tc;
-    tc.kind = kind;
-    tc.hidden = 32;
-    tc.num_layers = 2;
-    tc.lr = 0.01f;  // Table II
-    tc.epochs = default_experiment_epochs();
-    tc.seed = seed;
-    tc.record_curve = false;
-    // Table II scaled ~100x: partitions / batch keep the same proportions
-    // (e.g. Reddit 1500 partitions, batch 10 -> 48 partitions, batch 4).
-    if (dataset == "PPI") {
-        tc.num_partitions = 40;
-        tc.partitions_per_batch = 4;
-    } else if (dataset == "Reddit") {
-        tc.num_partitions = 48;
-        tc.partitions_per_batch = 4;
-    } else if (dataset == "Amazon2M") {
-        tc.num_partitions = 50;
-        tc.partitions_per_batch = 5;
-    } else {  // Ogbl
-        tc.num_partitions = 48;
-        tc.partitions_per_batch = 4;
-    }
-    return tc;
+    return find_model_family(family).train_config(*this, seed);
 }
 
 WorkloadTiming WorkloadSpec::paper_scale_timing() const {
-    if (family != "gnn") return find_model_family(family).paper_scale_timing(*this);
-    // Paper-scale pipeline inputs: N = partitions / batch-size subgraphs per
-    // epoch (Table II), hidden width 1024 (the paper's NR discussion), 100
-    // epochs.
-    WorkloadTiming w;
-    w.epochs = 100;
-    w.hidden = 1024;
-    w.layers = 2;
-    w.features = 602;  // representative of the real datasets' feature widths
-    if (dataset == "PPI") {
-        w.batches_per_epoch = 250 / 5;
-        w.avg_batch_nodes = 56944 / 250 * 5;
-        w.features = 50;
-    } else if (dataset == "Reddit") {
-        w.batches_per_epoch = 1500 / 10;
-        w.avg_batch_nodes = 232965 / 1500 * 10;
-        w.features = 602;
-    } else if (dataset == "Amazon2M") {
-        w.batches_per_epoch = 10000 / 20;
-        w.avg_batch_nodes = 2449029 / 10000 * 20;
-        w.features = 100;
-    } else {  // Ogbl
-        w.batches_per_epoch = 15000 / 16;
-        w.avg_batch_nodes = 2927963 / 15000 * 16;
-        w.features = 128;
-    }
-    // Physical weight rows: layer1 (features x hidden) + layer2
-    // (hidden x classes), with GAT/SAGE carrying extra parameter rows.
-    const std::size_t base_rows = w.features + w.hidden;
-    const std::size_t factor = (kind == GnnKind::kSAGE) ? 2 : 1;
-    w.weight_rows_total = base_rows * factor + (kind == GnnKind::kGAT ? 2 : 0);
-    return w;
+    return find_model_family(family).paper_scale_timing(*this);
 }
 
 std::string WorkloadSpec::label() const {
@@ -197,7 +142,7 @@ std::string workload_usage() {
     std::ostringstream os;
     for (const ModelFamily* fam : registered_model_families())
         for (const auto& w : fam->workloads())
-            os << "  " << w.dataset << ' ' << w.model_name() << "  [" << fam->name()
+            os << "  " << w.dataset << ' ' << w.model_name() << "  [" << fam->name
                << "]\n";
     return os.str();
 }

@@ -35,14 +35,14 @@ struct WorkloadSpec {
     /// this throws for them.
     Dataset make_dataset(std::uint64_t seed = 1) const;
 
-    /// Training configuration (Table II hyperparameters, scaled). Non-GNN
-    /// families dispatch through their ModelFamily::train_config.
+    /// Training configuration (for the GNN family, Table II
+    /// hyperparameters, scaled): the family row's train_config.
     TrainConfig train_config(std::uint64_t seed = 1) const;
 
     /// Timing-model description for Fig. 7 — uses the *paper-scale* batch
     /// counts and hidden sizes so the normalized-time ratios reflect the
-    /// workloads the paper timed, not our scaled-down replicas. Non-GNN
-    /// families dispatch through their ModelFamily::paper_scale_timing.
+    /// workloads the paper timed, not our scaled-down replicas: the family
+    /// row's paper_scale_timing.
     WorkloadTiming paper_scale_timing() const;
 
     std::string label() const;  ///< e.g. "Reddit (GCN)", "SeqCls (Transformer)"

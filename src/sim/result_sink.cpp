@@ -90,25 +90,15 @@ void JsonLinesSink::begin(const ExperimentPlan& plan) {
 }
 
 void JsonLinesSink::cell(const CellResult& result) {
-    // begin() may not have run when a sink is driven manually; open lazily,
-    // writing straight to the destination (no staging without an end()).
-    if (!out_.is_open()) {
-        FARE_CHECK(!path_.empty(),
-                   "JsonLinesSink without a path needs a plan (begin())");
-        tmp_path_.clear();
-        out_.open(path_, std::ios::trunc);
-        FARE_CHECK(out_.good(), "cannot open JSON-lines sink path: " + path_);
-    }
+    FARE_CHECK(out_.is_open(), "JsonLinesSink::cell before begin()");
     out_ << cell_to_json(plan_name_, index_++, result) << '\n' << std::flush;
 }
 
 void JsonLinesSink::end(const ExperimentPlan&) {
-    if (tmp_path_.empty()) return;  // lazily-opened direct write
     out_.close();
     std::error_code ec;
     std::filesystem::rename(tmp_path_, final_path_, ec);
     FARE_CHECK(!ec, "cannot publish JSON-lines sink file: " + final_path_);
-    tmp_path_.clear();
 }
 
 void SeedStatsSink::Stats::add(double x) {

@@ -70,7 +70,7 @@ private:
     std::string plan_name_;
     std::set<std::string> seen_paths_;  // replace on first open, append after
     std::string final_path_;  ///< publish destination of the active plan
-    std::string tmp_path_;    ///< staging file ("" => legacy direct write)
+    std::string tmp_path_;    ///< staging file of the active plan
     std::ofstream out_;
     std::size_t index_ = 0;
 };

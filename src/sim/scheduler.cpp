@@ -70,22 +70,25 @@ ResultSet merge_shards(const ExperimentPlan& plan,
     ResultSet merged;
     merged.cells.resize(plan.cells.size());
     std::vector<char> seen(plan.cells.size(), 0);
+    // A bad shard set is an input error: the messages name the cell only.
     for (const ResultSet& shard : shards) {
         for (const CellResult& cell : shard.cells) {
-            FARE_CHECK(cell.plan_index < plan.cells.size(),
-                       "shard cell index " + std::to_string(cell.plan_index) +
-                           " outside plan '" + plan.name + "' (" +
-                           std::to_string(plan.cells.size()) + " cells)");
-            FARE_CHECK(!seen[cell.plan_index],
-                       "plan cell " + std::to_string(cell.plan_index) +
-                           " reported by two shards");
+            if (cell.plan_index >= plan.cells.size())
+                throw InvalidArgument("shard cell index " +
+                                      std::to_string(cell.plan_index) + " outside plan '" +
+                                      plan.name + "' (" +
+                                      std::to_string(plan.cells.size()) + " cells)");
+            if (seen[cell.plan_index])
+                throw InvalidArgument("plan cell " + std::to_string(cell.plan_index) +
+                                      " reported by two shards");
             seen[cell.plan_index] = 1;
             merged.cells[cell.plan_index] = cell;
         }
     }
     for (std::size_t i = 0; i < seen.size(); ++i)
-        FARE_CHECK(seen[i], "plan cell " + std::to_string(i) +
-                                " missing from every shard");
+        if (!seen[i])
+            throw InvalidArgument("plan cell " + std::to_string(i) +
+                                  " missing from every shard");
     return merged;
 }
 

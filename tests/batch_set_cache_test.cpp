@@ -203,8 +203,9 @@ TEST(BatchSetCacheTest, FailedBuildThrowsToEveryCallerAndCachesNothing) {
 TEST(BatchSetCacheTest, DeploymentBuildsOneSetForHostAndEdge) {
     const TrainConfig tc = ppi_config(601);
     const CountDelta delta;
-    const DeploymentResult deployed = gnn().run_deploy(
-        ppi(), Scheme::kFARe, tc, FaultScenario::pre_deployment(0.03, 0.5), {}, 7);
+    const DeploymentResult deployed =
+        run_deployment(gnn().make_trainers(ppi(), tc), Scheme::kFARe, tc,
+                       FaultScenario::pre_deployment(0.03, 0.5), {}, 7);
     EXPECT_GT(deployed.trained_accuracy, 0.0);
     EXPECT_EQ(delta.built(), 1u);
     EXPECT_EQ(delta.reused(), 0u);

@@ -45,13 +45,13 @@ void check_gradient(Layer& layer, const BatchGraphView& g, Matrix& x,
     for (std::size_t i = 0; i < target->size(); ++i) {
         const float saved = target->flat()[i];
         target->flat()[i] = saved + eps;
-        layer.sync_effective();
+        sync_effective(layer.params());
         const float hi = probe_loss(layer.forward(x, g), probe);
         target->flat()[i] = saved - eps;
-        layer.sync_effective();
+        sync_effective(layer.params());
         const float lo = probe_loss(layer.forward(x, g), probe);
         target->flat()[i] = saved;
-        layer.sync_effective();
+        sync_effective(layer.params());
         const float numeric = (hi - lo) / (2 * eps);
         EXPECT_NEAR(analytic.flat()[i], numeric,
                     tol + 0.05f * std::fabs(numeric))
@@ -74,16 +74,15 @@ TEST_P(LayerGradientTest, WeightGradientsMatchFiniteDifference) {
     auto layer = GetParam().make(in, out, /*with_relu=*/false, rng);
     const Matrix probe = random_matrix(n, out, rng);
 
-    layer->sync_effective();
-    layer->zero_grads();
+    const auto params = layer->params();
+    sync_effective(params);
+    zero_grads(params);
     layer->forward(x, g);
     layer->backward(probe, g);
 
-    auto params = layer->params();
-    auto grads = layer->grads();
-    for (std::size_t p = 0; p < params.size(); ++p) {
-        Matrix analytic = *grads[p];
-        check_gradient(*layer, g, x, probe, params[p], analytic, 0.02f);
+    for (Param* p : params) {
+        const Matrix analytic = p->grad;
+        check_gradient(*layer, g, x, probe, &p->value, analytic, 0.02f);
     }
 }
 
@@ -95,8 +94,8 @@ TEST_P(LayerGradientTest, InputGradientMatchesFiniteDifference) {
     auto layer = GetParam().make(in, out, /*with_relu=*/false, rng);
     const Matrix probe = random_matrix(n, out, rng);
 
-    layer->sync_effective();
-    layer->zero_grads();
+    sync_effective(layer->params());
+    zero_grads(layer->params());
     layer->forward(x, g);
     const Matrix gx = layer->backward(probe, g);
 
@@ -122,29 +121,28 @@ TEST_P(LayerGradientTest, ReluVariantGradients) {
     auto layer = GetParam().make(in, out, /*with_relu=*/true, rng);
     const Matrix probe = random_matrix(n, out, rng);
 
-    layer->sync_effective();
-    layer->zero_grads();
+    const auto params = layer->params();
+    sync_effective(params);
+    zero_grads(params);
     layer->forward(x, g);
     layer->backward(probe, g);
-    auto params = layer->params();
-    auto grads = layer->grads();
     // ReLU kinks make central differences locally unreliable (the numeric
     // estimate straddles the non-differentiable point), so require 90% of
     // elements to agree instead of all of them.
-    Matrix* target = params[0];
-    const Matrix analytic = *grads[0];
+    Matrix* target = &params[0]->value;
+    const Matrix analytic = params[0]->grad;
     const float eps = 3e-3f;  // small: fewer perturbations straddle a kink
     std::size_t agree = 0;
     for (std::size_t i = 0; i < target->size(); ++i) {
         const float saved = target->flat()[i];
         target->flat()[i] = saved + eps;
-        layer->sync_effective();
+        sync_effective(params);
         const float hi = probe_loss(layer->forward(x, g), probe);
         target->flat()[i] = saved - eps;
-        layer->sync_effective();
+        sync_effective(params);
         const float lo = probe_loss(layer->forward(x, g), probe);
         target->flat()[i] = saved;
-        layer->sync_effective();
+        sync_effective(params);
         const float numeric = (hi - lo) / (2 * eps);
         if (std::fabs(analytic.flat()[i] - numeric) <=
             0.03f + 0.05f * std::fabs(numeric))
@@ -177,15 +175,14 @@ TEST(LayerTest, EffectiveParamsDecoupledFromLogical) {
     Rng rng(7);
     auto layer = make_gcn_layer(3, 2, false, rng);
     auto params = layer->params();
-    auto eff = layer->effective_params();
-    ASSERT_EQ(params.size(), eff.size());
+    ASSERT_EQ(params.size(), 1u);
     // Mutate effective copy only: forward must use it, logical unchanged.
     const BatchGraphView g = small_view(rng, 4);
     Matrix x(4, 3, 1.0f);
-    eff[0]->fill(0.0f);
+    params[0]->effective.fill(0.0f);
     const Matrix y = layer->forward(x, g);
     EXPECT_FLOAT_EQ(y.max_abs(), 0.0f);
-    EXPECT_GT(params[0]->max_abs(), 0.0f);
+    EXPECT_GT(params[0]->value.max_abs(), 0.0f);
 }
 
 TEST(ModelTest, ForwardShapeAndParamCount) {
@@ -198,7 +195,9 @@ TEST(ModelTest, ForwardShapeAndParamCount) {
     Model model(mc);
     EXPECT_EQ(model.num_layers(), 2u);
     EXPECT_EQ(model.params().size(), 4u);  // 2 weight matrices per SAGE layer
-    EXPECT_EQ(model.num_weights(), 6u * 5 + 6u * 5 + 5u * 3 + 5u * 3);
+    std::size_t weights = 0;
+    for (const Param* p : model.params()) weights += p->value.size();
+    EXPECT_EQ(weights, 6u * 5 + 6u * 5 + 5u * 3 + 5u * 3);
 
     Rng rng(5);
     const BatchGraphView g = small_view(rng, 8);
@@ -220,27 +219,26 @@ TEST(ModelTest, StackedModelGradientMatchesFiniteDifference) {
     Matrix x = random_matrix(6, 4, rng);
     const Matrix probe = random_matrix(6, 2, rng);
 
-    model.sync_effective();
-    model.zero_grads();
+    const auto params = model.params();
+    sync_effective(params);
+    zero_grads(params);
     model.forward(x, g);
     model.backward(probe, g);
 
-    auto params = model.params();
-    auto grads = model.grads();
     const float eps = 1e-2f;
-    for (std::size_t p = 0; p < params.size(); ++p) {
-        for (std::size_t i = 0; i < params[p]->size(); i += 3) {  // sample
-            const float saved = params[p]->flat()[i];
-            params[p]->flat()[i] = saved + eps;
-            model.sync_effective();
+    for (Param* p : params) {
+        for (std::size_t i = 0; i < p->value.size(); i += 3) {  // sample
+            const float saved = p->value.flat()[i];
+            p->value.flat()[i] = saved + eps;
+            sync_effective(params);
             const float hi = probe_loss(model.forward(x, g), probe);
-            params[p]->flat()[i] = saved - eps;
-            model.sync_effective();
+            p->value.flat()[i] = saved - eps;
+            sync_effective(params);
             const float lo = probe_loss(model.forward(x, g), probe);
-            params[p]->flat()[i] = saved;
-            model.sync_effective();
+            p->value.flat()[i] = saved;
+            sync_effective(params);
             const float numeric = (hi - lo) / (2 * eps);
-            EXPECT_NEAR(grads[p]->flat()[i], numeric,
+            EXPECT_NEAR(p->grad.flat()[i], numeric,
                         0.02f + 0.05f * std::fabs(numeric));
         }
     }

@@ -17,8 +17,8 @@ namespace {
 TEST(ModelFamilyTest, RegistryListsBothFamilies) {
     const auto& families = registered_model_families();
     ASSERT_EQ(families.size(), 2u);
-    EXPECT_EQ(families[0]->name(), "gnn");
-    EXPECT_EQ(families[1]->name(), "transformer");
+    EXPECT_STREQ(families[0]->name, "gnn");
+    EXPECT_STREQ(families[1]->name, "transformer");
     EXPECT_EQ(&find_model_family("gnn"), families[0]);
     EXPECT_EQ(&find_model_family("transformer"), families[1]);
 }
@@ -49,21 +49,45 @@ TEST(ModelFamilyTest, FamilyScopedWorkloadLookup) {
     EXPECT_NE(bad_family.error().find("gnn"), std::string::npos);
 }
 
-TEST(ModelFamilyTest, GnnWorkloadsAreUnchangedByTheRefactor) {
-    // The gnn family's registry view IS fig5_workloads(); labels, kinds and
-    // train configs route through the same code as before the seam.
-    const ModelFamily& gnn = find_model_family("gnn");
-    const auto& workloads = gnn.workloads();
-    ASSERT_EQ(workloads.size(), fig5_workloads().size());
-    for (std::size_t i = 0; i < workloads.size(); ++i) {
-        EXPECT_EQ(workloads[i].label(), fig5_workloads()[i].label());
-        EXPECT_EQ(workloads[i].family, "gnn");
+TEST(ModelFamilyTest, EveryRowAnswersForItsOwnWorkloads) {
+    // Each row's workloads carry its name, and a WorkloadSpec's train config
+    // and paper-scale timing are that row's answers, field by field.
+    for (const ModelFamily* family : registered_model_families()) {
+        const std::vector<WorkloadSpec> workloads = family->workloads();
+        EXPECT_FALSE(workloads.empty()) << family->name;
+        for (const WorkloadSpec& w : workloads) {
+            SCOPED_TRACE(w.label());
+            EXPECT_EQ(w.family, family->name);
+
+            const TrainConfig row = family->train_config(w, 7);
+            const TrainConfig spec = w.train_config(7);
+            EXPECT_EQ(row.kind, spec.kind);
+            EXPECT_EQ(row.hidden, spec.hidden);
+            EXPECT_EQ(row.num_layers, spec.num_layers);
+            EXPECT_EQ(row.lr, spec.lr);
+            EXPECT_EQ(row.epochs, spec.epochs);
+            EXPECT_EQ(row.num_partitions, spec.num_partitions);
+            EXPECT_EQ(row.partitions_per_batch, spec.partitions_per_batch);
+            EXPECT_EQ(row.partitioner, spec.partitioner);
+            EXPECT_EQ(row.seed, spec.seed);
+            EXPECT_EQ(row.record_curve, spec.record_curve);
+
+            const WorkloadTiming row_timing = family->paper_scale_timing(w);
+            const WorkloadTiming spec_timing = w.paper_scale_timing();
+            EXPECT_EQ(row_timing.batches_per_epoch, spec_timing.batches_per_epoch);
+            EXPECT_EQ(row_timing.epochs, spec_timing.epochs);
+            EXPECT_EQ(row_timing.avg_batch_nodes, spec_timing.avg_batch_nodes);
+            EXPECT_EQ(row_timing.features, spec_timing.features);
+            EXPECT_EQ(row_timing.hidden, spec_timing.hidden);
+            EXPECT_EQ(row_timing.layers, spec_timing.layers);
+            EXPECT_EQ(row_timing.weight_rows_total, spec_timing.weight_rows_total);
+        }
     }
-    const WorkloadSpec ppi = find_workload("PPI", GnnKind::kGCN);
-    const TrainConfig via_family = gnn.train_config(ppi, 1);
-    const TrainConfig via_workload = ppi.train_config(1);
-    EXPECT_EQ(via_family.num_partitions, via_workload.num_partitions);
-    EXPECT_EQ(via_family.epochs, via_workload.epochs);
+    // The gnn row's workloads are fig5_workloads(), in order.
+    const std::vector<WorkloadSpec> gnn = find_model_family("gnn").workloads();
+    ASSERT_EQ(gnn.size(), fig5_workloads().size());
+    for (std::size_t i = 0; i < gnn.size(); ++i)
+        EXPECT_EQ(gnn[i].label(), fig5_workloads()[i].label());
 }
 
 TEST(ModelFamilyTest, NonGnnWorkloadHasNoGraphDataset) {

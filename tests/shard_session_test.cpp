@@ -5,6 +5,8 @@
 
 #include <filesystem>
 #include <fstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -93,14 +95,37 @@ TEST(PlanSchedulerTest, DedupAndShardPartition) {
         EXPECT_EQ(owned[i], 1) << "cell " << i;
 }
 
+/// The InvalidArgument text merge_shards throws for a bad shard set.
+std::string merge_error(const ExperimentPlan& plan, const std::vector<ResultSet>& shards) {
+    try {
+        merge_shards(plan, shards);
+    } catch (const InvalidArgument& e) {
+        return e.what();
+    }
+    ADD_FAILURE() << "merge_shards accepted a bad shard set";
+    return {};
+}
+
 TEST(MergeShardsTest, RejectsOverlapAndGaps) {
     const ExperimentPlan plan = tiny_plan();
     SimSession session;
     const ResultSet whole = session.run(plan);
-    EXPECT_THROW(merge_shards(plan, {whole, whole}), InvalidArgument);  // dups
     ResultSet partial = whole;
     partial.cells.pop_back();
-    EXPECT_THROW(merge_shards(plan, {partial}), InvalidArgument);  // gap
+    ResultSet outside = whole;
+    outside.cells.back().plan_index = plan.size();
+    // A bad shard set is the caller's input error: each message names the
+    // cell and carries no internal-assertion text.
+    const std::vector<std::pair<std::string, std::string>> cases = {
+        {merge_error(plan, {whole, whole}), "plan cell 0 reported by two shards"},
+        {merge_error(plan, {partial}), "plan cell 5 missing from every shard"},
+        {merge_error(plan, {outside}), "shard cell index 6 outside plan"},
+    };
+    for (const auto& [error, expected] : cases) {
+        EXPECT_NE(error.find(expected), std::string::npos) << error;
+        EXPECT_EQ(error.find("FARE_CHECK"), std::string::npos) << error;
+        EXPECT_EQ(error.find("scheduler.cpp"), std::string::npos) << error;
+    }
     expect_bit_identical(merge_shards(plan, {whole}), whole);
 }
 

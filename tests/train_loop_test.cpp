@@ -37,10 +37,10 @@ std::vector<bool> mask_of(const ToyBatch& batch, Split split) {
 class ToyTrainer final : public TrainLoop {
 public:
     ToyTrainer(const TrainConfig& config, HardwareModel* hardware)
-        : TrainLoop(config, hardware, kClasses, 0x7047ULL),
-          w_(kFeatures, kClasses), b_(1, kClasses) {
+        : TrainLoop(config, hardware, kClasses, 0x7047ULL) {
         Rng rng(config.seed);
-        w_.xavier_init(rng);
+        w_ = Param(kFeatures, kClasses, rng);
+        b_.value = Matrix(1, kClasses);  // zero bias
         Rng data(99);
         for (std::size_t bi = 0; bi < kBatches; ++bi) {
             ToyBatch batch;
@@ -71,14 +71,13 @@ public:
     std::size_t supervised_batches = 0;
 
 private:
-    std::vector<Matrix*> params() override { return {&w_, &b_}; }
-    std::vector<Matrix*> grads() override { return {&gw_, &gb_}; }
-    std::vector<Matrix*> effective_params() override { return {&ew_, &eb_}; }
+    std::vector<Param*> params() override { return {&w_, &b_}; }
 
     Matrix forward(const ToyBatch& batch) const {
-        Matrix logits = matmul(batch.x, ew_);
+        Matrix logits = matmul(batch.x, w_.effective);
         for (std::size_t r = 0; r < logits.rows(); ++r)
-            for (std::size_t c = 0; c < logits.cols(); ++c) logits(r, c) += eb_(0, c);
+            for (std::size_t c = 0; c < logits.cols(); ++c)
+                logits(r, c) += b_.effective(0, c);
         return logits;
     }
 
@@ -91,10 +90,10 @@ private:
         if (loss.count == 0) return loss;
         ++supervised_batches;
         metrics.update(logits, batch.labels, mask);
-        gw_ = matmul_at_b(batch.x, loss.grad);
-        gb_ = Matrix(1, kClasses);
+        w_.grad = matmul_at_b(batch.x, loss.grad);
+        b_.grad = Matrix(1, kClasses);
         for (std::size_t r = 0; r < loss.grad.rows(); ++r)
-            for (std::size_t c = 0; c < kClasses; ++c) gb_(0, c) += loss.grad(r, c);
+            for (std::size_t c = 0; c < kClasses; ++c) b_.grad(0, c) += loss.grad(r, c);
         return loss;
     }
 
@@ -103,7 +102,7 @@ private:
             metrics.update(forward(batch), batch.labels, mask_of(batch, split));
     }
 
-    Matrix w_, b_, gw_, gb_, ew_, eb_;
+    Param w_, b_;
     std::vector<ToyBatch> batches_;
 };
 

@@ -49,7 +49,7 @@ TEST(SeqDatasetTest, GeneratorIsDeterministicAndBalanced) {
 float batch_loss(TransformerModel& model,
                  const std::vector<const std::vector<int>*>& batch,
                  const std::vector<int>& labels) {
-    model.sync_effective();
+    sync_effective(model.params());
     const Matrix logits = model.forward(batch);
     const std::vector<bool> mask(labels.size(), true);
     return softmax_cross_entropy(logits, labels, mask).loss;
@@ -73,21 +73,19 @@ TEST(TransformerModelTest, BackwardMatchesFiniteDifferences) {
     for (const auto& seq : sequences) batch.push_back(&seq);
 
     // Analytic gradients at the base point.
-    model.zero_grads();
-    model.sync_effective();
+    const std::vector<Param*> params = model.params();
+    zero_grads(params);
+    sync_effective(params);
     const Matrix logits = model.forward(batch);
     const std::vector<bool> mask(labels.size(), true);
     const LossResult loss = softmax_cross_entropy(logits, labels, mask);
     model.backward(loss.grad);
 
-    const std::vector<Matrix*> params = model.params();
-    const std::vector<Matrix*> grads = model.grads();
-    ASSERT_EQ(params.size(), grads.size());
     const float eps = 1e-2f;
     std::size_t checked = 0;
     for (std::size_t p = 0; p < params.size(); ++p) {
-        Matrix& w = *params[p];
-        const Matrix& g = *grads[p];
+        Matrix& w = params[p]->value;
+        const Matrix& g = params[p]->grad;
         // A few entries per matrix keeps this fast yet touches every layer:
         // embedding, position, attention projections, MLP, classifier.
         const std::size_t n = w.rows() * w.cols();
@@ -107,7 +105,7 @@ TEST(TransformerModelTest, BackwardMatchesFiniteDifferences) {
         }
     }
     EXPECT_GE(checked, 3u * params.size());
-    model.sync_effective();  // restore effective = logical
+    sync_effective(params);  // restore effective = logical
 }
 
 TEST(TransformerTrainerTest, DeterministicAndLearnsAboveChance) {
@@ -149,12 +147,13 @@ TEST(TransformerFamilyTest, FaultSchemesMoveAccuracyOnTheFabric) {
     const FaultScenario scenario = FaultScenario::pre_deployment(0.03, 0.5);
     const HardwareOverrides hw;
 
-    const SchemeRunResult ideal = family.run_train(
-        workload, Scheme::kFaultFree, config, scenario, hw, 1);
-    const SchemeRunResult unaware = family.run_train(
-        workload, Scheme::kFaultUnaware, config, scenario, hw, 1);
-    const SchemeRunResult fare = family.run_train(
-        workload, Scheme::kFARe, config, scenario, hw, 1);
+    const TrainerFactory trainers = family.make_trainers(workload, config);
+    const SchemeRunResult ideal =
+        run_scheme(trainers, Scheme::kFaultFree, config, scenario, hw, 1);
+    const SchemeRunResult unaware =
+        run_scheme(trainers, Scheme::kFaultUnaware, config, scenario, hw, 1);
+    const SchemeRunResult fare =
+        run_scheme(trainers, Scheme::kFARe, config, scenario, hw, 1);
 
     // Fault-free trains the task; stuck-at faults hurt; FARe's fault-aware
     // mapping recovers a nonzero share of the loss (the paper's claim,
@@ -163,8 +162,8 @@ TEST(TransformerFamilyTest, FaultSchemesMoveAccuracyOnTheFabric) {
     EXPECT_GT(ideal.train.test_accuracy, unaware.train.test_accuracy);
     EXPECT_GT(fare.train.test_accuracy, unaware.train.test_accuracy);
     // And deterministically so.
-    const SchemeRunResult fare_again = family.run_train(
-        workload, Scheme::kFARe, config, scenario, hw, 1);
+    const SchemeRunResult fare_again = run_scheme(
+        family.make_trainers(workload, config), Scheme::kFARe, config, scenario, hw, 1);
     EXPECT_DOUBLE_EQ(fare.train.test_accuracy,
                      fare_again.train.test_accuracy);
 }
@@ -175,8 +174,9 @@ TEST(TransformerFamilyTest, DeployModeRunsOnFaultyHardware) {
     TrainConfig config = family.train_config(workload, 1);
     config.epochs = 2;
     const FaultScenario scenario = FaultScenario::pre_deployment(0.03, 0.5);
-    const DeploymentResult result = family.run_deploy(
-        workload, Scheme::kFARe, config, scenario, HardwareOverrides{}, 1);
+    const DeploymentResult result =
+        run_deployment(family.make_trainers(workload, config), Scheme::kFARe, config,
+                       scenario, HardwareOverrides{}, 1);
     EXPECT_GT(result.trained_accuracy, 0.5);
     EXPECT_GE(result.deployed_accuracy, 0.0);
     EXPECT_LE(result.deployed_accuracy, 1.0);
